@@ -4,22 +4,25 @@ Everything here reads the JSON and SVG files with the standard library and
 numpy alone; nothing imports ``qot``.  Each check either returns or raises
 :class:`CheckFailed` with a message naming the file and the violated
 property.  The checks compare against computations made here (the primal
-objective, the trace marginals, the frames, the dropped mass) or against
-properties the method must have (PSD entries, mirror symmetry,
-interpolation endpoints); none compares against stored copies of earlier
-output.
+objective, the trace marginals, the frames, the dropped mass, the centre
+barycenter) or against properties the method must have (PSD entries,
+mirror symmetry, interpolation endpoints); none compares against stored
+copies of earlier output.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from pathlib import Path
 
 import numpy as np
 
-# The CLI defaults the transport workloads run with.
+# The CLI defaults the transport workloads run with, and the input-side
+# fidelity the lattice workload passes.
 EPS = 0.08**2
 RHO = 1.0
+LATTICE_RHO = 0.1
 TRACE_THRESHOLD = 1e-8
 STEPS = 9
 
@@ -27,11 +30,26 @@ GAP_TOL = 1e-6
 MARGINAL_TOL = 1e-6
 PSD_TOL = 1e-10
 MIRROR_TOL = 1e-9
+REFERENCE_TOL = 1e-6
 FRAME_TOL = 1e-9
 
 
 class CheckFailed(Exception):
     """An output file is missing, malformed or wrong."""
+
+
+def _output_check(check):
+    """Report a file the check cannot take apart (a key missing, an array
+    of the wrong shape or type, a singular matrix where the method gives a
+    regular one) as :class:`CheckFailed`, like any other wrong output."""
+    @functools.wraps(check)
+    def wrapper(*args, **kwargs):
+        try:
+            return check(*args, **kwargs)
+        except (KeyError, IndexError, TypeError, ValueError,
+                np.linalg.LinAlgError) as exc:
+            raise CheckFailed(f"malformed output: {type(exc).__name__}: {exc}") from exc
+    return wrapper
 
 
 def _strict_json(path: Path):
@@ -133,6 +151,7 @@ def primal_objective(gamma, x_mu, mu, x_nu, nu, eps=EPS, rho=RHO) -> float:
             - eps * entropy)
 
 
+@_output_check
 def check_transport(wd: Path, trace_constrained: bool) -> None:
     """The report is strict JSON and says converged; every coupling entry
     is PSD; the primal objective computed here from the coupling file
@@ -200,6 +219,7 @@ def expected_frame(x_mu, mu, x_nu, nu, gamma, t, merge):
     return points, atoms
 
 
+@_output_check
 def check_frames(wd: Path, merge: bool) -> None:
     """Frames of ``interpolate --steps 9 --render``: each frame is PSD, has
     one SVG ellipse per atom and matches :func:`expected_frame` atom for
@@ -253,6 +273,60 @@ def _check_endpoint(name, points, tensors, gamma, x_in, t_in, axis):
                           f"(dropped-mass bound {bound[i]:.3g})")
 
 
+def _sym_fn(mats: np.ndarray, fn) -> np.ndarray:
+    vals, vecs = np.linalg.eigh(mats)
+    return (vecs * fn(vals)[..., None, :]) @ np.swapaxes(vecs, -1, -2)
+
+
+def _matrix_lse(mats: np.ndarray, axis: int) -> np.ndarray:
+    """``log(sum_k exp(M_k))`` along ``axis`` of a stack of symmetric
+    matrices, shifted by the largest eigenvalue for range."""
+    vals, vecs = np.linalg.eigh(mats)
+    shift = vals.max()
+    total = ((vecs * np.exp(vals - shift)[..., None, :])
+             @ np.swapaxes(vecs, -1, -2)).sum(axis=axis)
+    return _sym_fn(total, np.log) + shift * np.eye(mats.shape[-1])
+
+
+def reference_barycenter(points, inputs, weights, rho=LATTICE_RHO) -> np.ndarray:
+    """The barycenter on ``points`` of the tensor fields ``inputs`` (all on
+    ``points``), from numpy alone.  It minimises
+    ``sum_l w_l [<gamma_l, c> + rho KL(gamma_l 1 | mu_l) - eps H(gamma_l)]``
+    over couplings whose column marginals all equal the barycenter, with the
+    squared Euclidean cost and the CLI's eps.  Its optimality conditions, with
+    ``gamma_l,ij = exp((F_l,i + G_l,j - c_ij I) / eps)``, are
+    ``log(gamma_l 1) = log mu_l - F_l / rho``, ``log(gamma_l^T 1) = log nu``
+    for every ``l`` and ``sum_l w_l G_l = 0``; this solves them by
+    over-relaxed alternating updates, to potential changes below 1e-11."""
+    eps, tol, max_iter = EPS, 1e-11, 5000
+    d = inputs[0].shape[-1]
+    eye = np.eye(d)
+    cost = ((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=-1)
+    cost = cost[..., None, None] * eye
+    log_mu = [_sym_fn(m, np.log) for m in inputs]
+    f = [np.zeros_like(m) for m in inputs]
+    g = [np.zeros_like(m) for m in inputs]
+    step = 1.8 * eps * rho / (eps + rho)
+    for _ in range(max_iter):
+        change = 0.0
+        cols = []
+        for k in range(len(inputs)):
+            exponent = (f[k][:, None] + g[k][None, :] - cost) / eps
+            delta = step * (log_mu[k] - f[k] / rho - _matrix_lse(exponent, 1))
+            f[k] = f[k] + delta
+            change = max(change, float(np.abs(delta).max()))
+            cols.append(_matrix_lse((f[k][:, None] + g[k][None, :] - cost) / eps, 0))
+        log_nu = sum(w * (c - gk / eps) for w, c, gk in zip(weights, cols, g))
+        for k in range(len(inputs)):
+            delta = 1.8 * eps * (log_nu - cols[k])
+            g[k] = g[k] + delta
+            change = max(change, float(np.abs(delta).max()))
+        if change < tol:
+            return _sym_fn(log_nu, np.exp)
+    raise CheckFailed(f"the reference barycenter did not converge in {max_iter} "
+                      f"iterations")
+
+
 def _mirror_index(points: np.ndarray, axis: int) -> np.ndarray:
     reflected = points.copy()
     reflected[:, axis] = 1.0 - reflected[:, axis]
@@ -263,12 +337,15 @@ def _mirror_index(points: np.ndarray, axis: int) -> np.ndarray:
         raise CheckFailed("support is not symmetric about its mid-lines") from None
 
 
+@_output_check
 def check_lattice(wd: Path, grid: int = 3) -> None:
-    """Barycenters of ``barycenter --grid``: every tensor is finite and
-    positive definite, one SVG ellipse per atom, and the lattice has the
-    inputs' mirror symmetry: the barycenter at (t1, t2), reflected across
-    x = 1/2, is the one at (1 - t1, t2), and likewise across y = 1/2 for
-    (t1, 1 - t2)."""
+    """Barycenters of ``barycenter --grid`` (odd) over inputs a, b, c, d on
+    one support: every tensor is finite and positive definite, one SVG
+    ellipse per atom, and the lattice has the inputs' mirror symmetry: the
+    barycenter at (t1, t2), reflected across x = 1/2, is the one at
+    (1 - t1, t2), and likewise across y = 1/2 for (t1, 1 - t2).  The
+    barycenter at (1/2, 1/2) matches :func:`reference_barycenter` within
+    ``REFERENCE_TOL`` of its largest entry."""
     support, _ = read_field(wd / "a.json")
     fields = []
     for k in range(grid * grid):
@@ -295,3 +372,18 @@ def check_lattice(wd: Path, grid: int = 3) -> None:
                         f"bary-{k}.json mirrored across "
                         f"{'x' if axis == 0 else 'y'} = 1/2 differs from "
                         f"bary-{m}.json by {err:.3g}")
+    # The mirror checks cannot see an error that is itself symmetric, such
+    # as a wrong eps or rho, so the centre is also compared with a
+    # barycenter computed here.
+    inputs = []
+    for name in ("a", "b", "c", "d"):
+        points, tensors = read_field(wd / f"{name}.json")
+        if not np.array_equal(points, support):
+            raise CheckFailed(f"{name}.json: atoms are not on the support")
+        inputs.append(tensors)
+    centre = grid * grid // 2
+    want = reference_barycenter(support, inputs, (0.25,) * 4)
+    err = float(np.abs(fields[centre] - want).max())
+    if not err <= REFERENCE_TOL * float(np.abs(want).max()):
+        raise CheckFailed(f"bary-{centre}.json differs from the reference "
+                          f"barycenter by {err:.3g}")

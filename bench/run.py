@@ -1,13 +1,17 @@
 """Benchmark of the qot pipelines, run through the ``qot`` command line.
 
-    python3 bench/run.py --workload desk --seed 0 --seconds 40 --trace 0
+    python3 bench/run.py --workload desk --seed 0 --seconds 34 --trace 0
 
 Run from a checkout of the repository (the program is ``src/qot``).  One
 closed-loop client runs the workload's CLI stages one after another, each
 as its own process, and checks every output with ``bench/checks.py``.  It
-repeats whole rounds of the stages until the next round would end after
-``--seconds``; set-up (generating the input files) is timed apart, five
-times.  Medians over the rounds are reported.
+repeats whole rounds of the stages while one more round, as long as the
+last, brings the rounds' total time nearer to ``--seconds``.  Set-up
+(generating the input files) is timed apart: ``SETUPS_PER_ROUND`` times
+before each round, so that its samples fall in the same slow or fast
+spells of the host as the rounds, and after the last round as often as it
+takes to reach ``SETUP_SAMPLES``.  Medians over the rounds and over the
+set-ups are reported.
 
 ``--trace 0`` prints the end-to-end metrics, ``--trace 1`` runs every stage
 under ``bench/tracing.py`` and prints the per-layer metrics instead.  The
@@ -39,7 +43,8 @@ import tracing
 
 BENCH = Path(__file__).resolve().parent
 ROOT = BENCH.parent
-SETUP_REPEATS = 7
+SETUP_SAMPLES = 21
+SETUPS_PER_ROUND = 3
 # Every process the benchmark starts is killed once the run is this old,
 # so the run ends well within three minutes whatever the program does.
 DEADLINE_S = 165.0
@@ -83,8 +88,8 @@ WORKLOADS = {
         stages=(
             Stage("barycenter",
                   ("barycenter", "--inputs", "a.json,b.json,c.json,d.json",
-                   "--grid", "3", "--rho", "0.1", "--render", "--out",
-                   "bary-{i}.json"),
+                   "--grid", "3", "--rho", str(checks.LATTICE_RHO), "--render",
+                   "--out", "bary-{i}.json"),
                   checks.check_lattice),
         ),
         solve="barycenter"),
@@ -162,32 +167,38 @@ class Run:
         self.attempted = 0
         self.failed = 0
         self.correct = True
+        self.setup_times = []
+        self.inputs = self.workdir / "inputs"
 
-    def setup(self) -> tuple:
-        """Generate the inputs SETUP_REPEATS times; the set-up times and
-        the directory holding the inputs."""
-        times, dirs = [], []
-        for k in range(SETUP_REPEATS):
-            out = self.workdir / f"setup-{k}"
+    def setup(self, count: int) -> None:
+        """Generate the inputs ``count`` times, each in a new process, and
+        record the times.  The first generation is kept as the rounds'
+        inputs; every later one must be byte-identical to it."""
+        for _ in range(count):
+            k = len(self.setup_times)
+            out = self.inputs if k == 0 else self.workdir / f"setup-{k}"
             out.mkdir()
             result = run_child(
                 [sys.executable, str(BENCH / "gen.py"), "--workload",
                  self.args.workload, "--seed", str(self.args.seed), "--out", str(out)],
-                self.workdir, self.workdir / f"setup-{k}.log", self.env, self.deadline)
+                self.workdir, self.workdir / "setup.log", self.env, self.deadline)
             if result.code != 0:
                 raise SystemExit(f"input generation failed:\n{result.log.read_text()}")
-            times.append(result.seconds)
-            dirs.append(out)
-        for path in sorted(dirs[0].iterdir()):
-            if any((d / path.name).read_bytes() != path.read_bytes() for d in dirs[1:]):
-                print(f"error: {path.name} differs between generations", file=sys.stderr)
+            self.setup_times.append(result.seconds)
+            if k == 0:
+                continue
+            names = sorted(p.name for p in out.iterdir())
+            if names != sorted(p.name for p in self.inputs.iterdir()) or any(
+                    (out / n).read_bytes() != (self.inputs / n).read_bytes()
+                    for n in names):
+                print(f"error: generation {k} differs from the first", file=sys.stderr)
                 self.correct = False
-        return times, dirs[0]
+            shutil.rmtree(out)
 
-    def round(self, index: int, inputs: Path) -> dict:
+    def round(self, index: int) -> dict:
         """One pass over the workload's stages in a fresh directory."""
         wd = self.workdir / f"round-{index}"
-        shutil.copytree(inputs, wd)
+        shutil.copytree(self.inputs, wd)
         times, rss, spans = {}, [], []
         for stage in self.workload.stages:
             if self.args.trace:
@@ -246,15 +257,17 @@ def main(argv=None) -> int:
     workdir.mkdir(parents=True)
     try:
         run = Run(args, workdir)
-        setup_times, inputs = run.setup()
         rounds = []
-        start = time.perf_counter()
+        measured = 0.0
         while True:
+            run.setup(SETUPS_PER_ROUND)
             begun = time.perf_counter()
-            rounds.append(run.round(len(rounds), inputs))
-            now = time.perf_counter()
-            if now - start + (now - begun) > args.seconds:
+            rounds.append(run.round(len(rounds)))
+            last = time.perf_counter() - begun
+            measured += last
+            if measured + last / 2.0 >= args.seconds:
                 break
+        run.setup(SETUP_SAMPLES - len(run.setup_times))
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
         try:
@@ -272,7 +285,7 @@ def main(argv=None) -> int:
         print(f"traced wall_s {wall:.4f} s over {len(rounds)} rounds")
     else:
         metrics = {
-            "setup_s": {"value": _median(setup_times), "unit": "s"},
+            "setup_s": {"value": _median(run.setup_times), "unit": "s"},
             "wall_s": {"value": wall, "unit": "s"},
             "solve_s": {"value": _median([r["times"][wl.solve] for r in rounds]),
                         "unit": "s"},
@@ -280,7 +293,8 @@ def main(argv=None) -> int:
         }
     for name, m in metrics.items():
         print(f"{name:28s} {m['value']:>14.6g} {m['unit']}")
-    print(f"rounds {len(rounds)}  attempted {run.attempted}  failed {run.failed}")
+    print(f"rounds {len(rounds)}  set-ups {len(run.setup_times)}  "
+          f"attempted {run.attempted}  failed {run.failed}")
     print("stage seconds per round: " + "; ".join(
         " ".join(f"{k} {v:.3f}" for k, v in r["times"].items()) for r in rounds))
     print(json.dumps({"machine": machine(args), "rounds": len(rounds)}))

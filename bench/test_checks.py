@@ -108,6 +108,13 @@ def test_dti_scaled_coupling_entry_fails(dti, tmp_path):
         checks.check_transport(wd, trace_constrained=True)
 
 
+def test_report_missing_key_fails(desk, tmp_path):
+    wd = _copy(desk, tmp_path)
+    _edit(wd / "report.json", lambda doc: doc.pop("dual_value"))
+    with pytest.raises(checks.CheckFailed, match="malformed"):
+        checks.check_transport(wd, trace_constrained=False)
+
+
 def test_non_standard_json_report_fails(dti, tmp_path):
     wd = _copy(dti, tmp_path)
     _edit(wd / "report.json", lambda doc: doc.update(primal_value=float("inf")))
@@ -156,4 +163,23 @@ def test_lattice_indefinite_tensor_fails(lattice, tmp_path):
     wd = _copy(lattice, tmp_path)
     _edit(wd / "bary-2.json", lambda doc: doc["tensors"][0].__setitem__(0, -1.0))
     with pytest.raises(checks.CheckFailed, match="positive definite"):
+        checks.check_lattice(wd)
+
+
+@pytest.mark.parametrize("wrong", ["mean", "rho"])
+def test_lattice_symmetric_wrong_centre_fails(lattice, tmp_path, wrong):
+    # Both stand-ins are mirror-symmetric and positive definite, so only
+    # the comparison with the reference barycenter can reject them.
+    wd = _copy(lattice, tmp_path)
+    points, _ = checks.read_field(wd / "a.json")
+    inputs = [checks.read_field(wd / f"{name}.json")[1] for name in "abcd"]
+    if wrong == "mean":
+        centre = sum(inputs) / 4.0
+    else:
+        centre = checks.reference_barycenter(points, inputs, (0.25,) * 4,
+                                             rho=2 * checks.LATTICE_RHO)
+    rows, cols = np.triu_indices(2)
+    _edit(wd / "bary-4.json",
+          lambda doc: doc.update(tensors=centre[:, rows, cols].tolist()))
+    with pytest.raises(checks.CheckFailed, match="reference"):
         checks.check_lattice(wd)
