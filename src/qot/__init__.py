@@ -49,8 +49,6 @@ from .solver import (
 )
 from .sym import (
     EigenPair,
-    PsdMat,
-    SymMat,
     clamp_psd,
     eig_sym,
     exp_sym,
@@ -58,8 +56,6 @@ from .sym import (
     lse_reduce,
     lste_reduce,
     pack_upper,
-    plog,
-    sqrt_sym,
     unpack_upper,
 )
 
@@ -74,10 +70,8 @@ __all__ = [
     "GroundCost",
     "InterpolationParams",
     "NumericalConsistencyError",
-    "PsdMat",
     "SolveReport",
     "SolverConfig",
-    "SymMat",
     "TensorMeasure",
     "anisotropic_diffuse",
     "barycenter_solve",
@@ -102,7 +96,6 @@ __all__ = [
     "marginal_cols",
     "marginal_rows",
     "pack_upper",
-    "plog",
     "pointwise_barycenter",
     "primal_objective",
     "quantum_entropy",
@@ -113,7 +106,6 @@ __all__ = [
     "single_dirac_distance",
     "sinkhorn_solve",
     "sinkhorn_solve_trace",
-    "sqrt_sym",
     "unpack_upper",
     "write_pgm",
 ]

@@ -121,13 +121,20 @@ def _solver_config(args, trace=False) -> SolverConfig:
 
 
 def _report_dict(report: SolveReport, cfg: SolverConfig) -> dict:
+    """The ``--report`` document; a non-finite objective value is written
+    as null with a note, so the document stays strict JSON."""
+    values = {"primal_value": report.primal_value, "dual_value": report.dual_value}
+    notes = list(report.notes)
+    for key, value in values.items():
+        if not math.isfinite(value):
+            values[key] = None
+            notes.append(f"{key} is not finite ({value}); written as null")
     return {
         "iterations": report.iterations,
         "converged": report.converged,
-        "primal_value": report.primal_value,
-        "dual_value": report.dual_value,
+        **values,
         "residual_history": report.residual_history.tolist(),
-        "notes": list(report.notes),
+        "notes": notes,
         "config": {
             "eps": cfg.eps,
             "rho1": cfg.rho1 if math.isfinite(cfg.rho1) else "inf",
@@ -185,8 +192,10 @@ def _cmd_transport(args) -> int:
         raise CliError(str(exc))
     save_coupling(args.out, coupling)
     if args.report:
-        Path(args.report).write_text(json.dumps(_report_dict(report, cfg)) + "\n")
-    return EXIT_OK if report.converged else EXIT_NO_CONVERGENCE
+        doc = _report_dict(report, cfg)
+        Path(args.report).write_text(json.dumps(doc, allow_nan=False) + "\n")
+    finite = math.isfinite(report.primal_value) and math.isfinite(report.dual_value)
+    return EXIT_OK if report.converged and finite else EXIT_NO_CONVERGENCE
 
 
 def _cmd_interpolate(args) -> int:

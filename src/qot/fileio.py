@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .measure import Coupling, TensorMeasure
-from .sym import PSD_TOL, eig_sym, pack_upper, unpack_upper
+from .sym import PSD_TOL, pack_upper, unpack_upper
 
 __all__ = [
     "FileFormatError",
@@ -96,16 +96,8 @@ def load_field(path, psd_tol: float = PSD_TOL) -> TensorMeasure:
         raise FileFormatError(
             f"{path}: packed tensor length {packed.shape[1]} does not match d={d}"
         )
-    dense = unpack_upper(packed, d)
-    vals = eig_sym(dense).values
-    bound = -psd_tol * (1.0 + np.abs(vals).max(axis=-1))
-    bad = np.nonzero(vals.min(axis=-1) < bound)[0]
-    if bad.size:
-        raise FileFormatError(
-            f"{path}: tensor {int(bad[0])} is not positive semidefinite"
-        )
     try:
-        return TensorMeasure(pts, dense, psd_tol=psd_tol)
+        return TensorMeasure(pts, unpack_upper(packed, d), psd_tol=psd_tol)
     except ValueError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sym import KERNEL_TOL, PSD_TOL, _dense, _plog_parts, eig_sym
+from .sym import KERNEL_TOL, PSD_TOL, _dense, _plog_parts, eig_sym, psd_violations
 
 __all__ = [
     "TensorMeasure",
@@ -25,20 +25,6 @@ __all__ = [
     "inner",
     "primal_objective",
 ]
-
-
-def _check_psd_stack(tensors: np.ndarray, psd_tol: float, what: str) -> None:
-    if tensors.shape[0] == 0:
-        return
-    vals = eig_sym(tensors).values
-    bound = -psd_tol * (1.0 + np.abs(vals).max(axis=-1))
-    bad = np.nonzero(vals.min(axis=-1) < bound)[0]
-    if bad.size:
-        idx = int(bad[0])
-        raise ValueError(
-            f"{what} {idx} is not positive semidefinite "
-            f"(min eigenvalue {vals[idx].min():g})"
-        )
 
 
 def _as_tensor_stack(tensors, what: str = "tensor") -> np.ndarray:
@@ -88,7 +74,13 @@ class TensorMeasure:
             asym = np.abs(tensors - np.swapaxes(tensors, -1, -2)).max()
             if asym > 1e-9 * (1.0 + np.abs(tensors).max()):
                 raise ValueError("tensors must be symmetric")
-        _check_psd_stack(tensors, self.psd_tol, "tensor")
+        bad = psd_violations(tensors, self.psd_tol)
+        if bad.size:
+            idx = int(bad[0])
+            raise ValueError(
+                f"tensor {idx} is not positive semidefinite "
+                f"(min eigenvalue {eig_sym(tensors[idx]).values[-1]:g})"
+            )
         points.flags.writeable = False
         tensors.flags.writeable = False
         object.__setattr__(self, "points", points)
@@ -121,14 +113,10 @@ class Coupling:
             raise ValueError(f"entries must be (I, J, d, d), got {entries.shape}")
         if not np.all(np.isfinite(entries)):
             raise ValueError("entries must be finite")
-        flat = entries.reshape(-1, entries.shape[-2], entries.shape[-1])
-        if flat.shape[0]:
-            vals = eig_sym(flat).values
-            bound = -self.psd_tol * (1.0 + np.abs(vals).max(axis=-1))
-            bad = np.nonzero(vals.min(axis=-1) < bound)[0]
-            if bad.size:
-                i, j = divmod(int(bad[0]), entries.shape[1])
-                raise ValueError(f"coupling entry ({i}, {j}) is not PSD")
+        bad = psd_violations(entries, self.psd_tol)
+        if bad.size:
+            i, j = divmod(int(bad[0]), entries.shape[1])
+            raise ValueError(f"coupling entry ({i}, {j}) is not PSD")
         entries.flags.writeable = False
         object.__setattr__(self, "entries", entries)
 
@@ -143,9 +131,6 @@ class Coupling:
     @property
     def tensor_dim(self) -> int:
         return self.entries.shape[-1]
-
-    def transpose(self) -> "Coupling":
-        return Coupling(np.swapaxes(self.entries, 0, 1), self.psd_tol)
 
 
 def marginal_rows(g: Coupling) -> np.ndarray:

@@ -1,10 +1,10 @@
 """Symmetric-matrix calculus on dense stacks.
 
-Eigendecompositions use closed forms for 1x1 / 2x2 / 3x3 matrices and
-cyclic Jacobi sweeps above that, so large stacks of small matrices (the
-common case for tensor fields) vectorize without per-matrix LAPACK calls.
-Matrix exp / log / sqrt are spectral; eigenvalue clamping stands in for
-the singular-matrix limit (see :func:`log_sym`).
+Eigendecompositions of 2x2 matrices use a vectorized closed form (the hot
+path of every d = 2 solve); every other size goes to LAPACK
+(``np.linalg.eigh``), reordered to descending eigenvalues with the same
+deterministic sign convention.  Matrix exp / log are spectral; eigenvalue
+clamping stands in for the singular-matrix limit (see :func:`log_sym`).
 
 Every operation is a pure function of its inputs and accepts either a
 single ``(d, d)`` symmetric matrix or a stack shaped ``(..., d, d)``.
@@ -13,7 +13,6 @@ Identical input bits always produce identical output bits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -23,16 +22,13 @@ __all__ = [
     "KERNEL_TOL",
     "PSD_TOL",
     "EigenPair",
-    "SymMat",
-    "PsdMat",
     "pack_upper",
     "unpack_upper",
     "eig_sym",
     "exp_sym",
     "log_sym",
-    "sqrt_sym",
     "clamp_psd",
-    "plog",
+    "psd_violations",
     "lse_reduce",
     "lste_reduce",
 ]
@@ -84,88 +80,8 @@ class EigenPair(NamedTuple):
     vectors: np.ndarray
 
 
-@dataclass(frozen=True)
-class SymMat:
-    """A d x d real symmetric matrix stored as its packed upper triangle
-    (asymmetry is unrepresentable by construction)."""
-
-    dim: int
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
-        coeffs = np.ascontiguousarray(self.coeffs, dtype=float)
-        if coeffs.shape != (self.dim * (self.dim + 1) // 2,):
-            raise ValueError(
-                f"expected {self.dim * (self.dim + 1) // 2} packed "
-                f"coefficients for dim {self.dim}, got shape {coeffs.shape}"
-            )
-        if not np.all(np.isfinite(coeffs)):
-            raise ValueError("coefficients must be finite")
-        coeffs.flags.writeable = False
-        object.__setattr__(self, "coeffs", coeffs)
-
-    @classmethod
-    def from_dense(cls, mat: np.ndarray, tol: float = 1e-9) -> "SymMat":
-        """Build from a dense matrix, rejecting asymmetry beyond ``tol``
-        relative to the matrix scale."""
-        mat = np.asarray(mat, dtype=float)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-        scale = 1.0 + float(np.abs(mat).max(initial=0.0))
-        asym = float(np.abs(mat - mat.T).max(initial=0.0))
-        if asym > tol * scale:
-            raise ValueError(f"matrix is not symmetric (max asymmetry {asym:g})")
-        return cls(mat.shape[0], pack_upper(0.5 * (mat + mat.T)))
-
-    @classmethod
-    def zeros(cls, dim: int) -> "SymMat":
-        return cls(dim, np.zeros(dim * (dim + 1) // 2))
-
-    @classmethod
-    def identity(cls, dim: int) -> "SymMat":
-        return cls.from_dense(np.eye(dim))
-
-    def dense(self) -> np.ndarray:
-        return unpack_upper(self.coeffs, self.dim)
-
-
-@dataclass(frozen=True)
-class PsdMat:
-    """A symmetric matrix certified positive semidefinite at construction:
-    the minimum eigenvalue must be >= -psd_tol * (1 + |lambda_max|)."""
-
-    inner: SymMat
-    psd_tol: float = PSD_TOL
-
-    def __post_init__(self):
-        vals = eig_sym(self.inner.dense()).values
-        bound = -self.psd_tol * (1.0 + float(np.abs(vals).max()))
-        if float(vals.min()) < bound:
-            raise ValueError(
-                f"matrix is not positive semidefinite "
-                f"(min eigenvalue {vals.min():g} < {bound:g})"
-            )
-
-    @classmethod
-    def from_dense(cls, mat: np.ndarray, psd_tol: float = PSD_TOL) -> "PsdMat":
-        return cls(SymMat.from_dense(mat), psd_tol)
-
-    @property
-    def dim(self) -> int:
-        return self.inner.dim
-
-    def dense(self) -> np.ndarray:
-        return self.inner.dense()
-
-
 def _dense(x) -> np.ndarray:
-    """Coerce SymMat / PsdMat / array-like to a dense float array."""
-    if isinstance(x, PsdMat):
-        return x.dense()
-    if isinstance(x, SymMat):
-        return x.dense()
+    """Coerce array-like ``(..., d, d)`` input to a dense float array."""
     a = np.asarray(x, dtype=float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected (..., d, d) matrices, got shape {a.shape}")
@@ -179,12 +95,6 @@ def _fix_signs(vecs: np.ndarray) -> np.ndarray:
     idx = np.argmax(np.abs(vecs), axis=-2)
     lead = np.take_along_axis(vecs, idx[..., None, :], axis=-2)
     return vecs * np.where(lead < 0.0, -1.0, 1.0)
-
-
-def _eig1(a: np.ndarray) -> EigenPair:
-    vals = a[..., 0, :].copy()
-    vecs = np.ones(a.shape)
-    return EigenPair(vals, vecs)
 
 
 def _eig2(a: np.ndarray) -> EigenPair:
@@ -226,165 +136,16 @@ def _eig2(a: np.ndarray) -> EigenPair:
     return EigenPair(vals, _fix_signs(vecs))
 
 
-def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return np.stack(
-        [
-            u[..., 1] * v[..., 2] - u[..., 2] * v[..., 1],
-            u[..., 2] * v[..., 0] - u[..., 0] * v[..., 2],
-            u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0],
-        ],
-        axis=-1,
-    )
-
-
-def _unit(v: np.ndarray) -> np.ndarray:
-    n = np.sqrt(np.einsum("...i,...i->...", v, v))
-    n = np.where(n > 0.0, n, 1.0)
-    return v / n[..., None]
-
-
-def _eig3(a: np.ndarray) -> EigenPair:
-    scale = np.abs(a).max(axis=(-2, -1))
-    scale = np.where(scale > 0.0, scale, 1.0)
-    b = a / scale[..., None, None]
-
-    b00 = b[..., 0, 0]
-    b01 = b[..., 0, 1]
-    b02 = b[..., 0, 2]
-    b11 = b[..., 1, 1]
-    b12 = b[..., 1, 2]
-    b22 = b[..., 2, 2]
-
-    q = (b00 + b11 + b22) / 3.0
-    p1 = b01**2 + b02**2 + b12**2
-    p2 = (b00 - q) ** 2 + (b11 - q) ** 2 + (b22 - q) ** 2 + 2.0 * p1
-    p = np.sqrt(p2 / 6.0)
-    safe_p = np.where(p > 0.0, p, 1.0)
-
-    c00 = (b00 - q) / safe_p
-    c11 = (b11 - q) / safe_p
-    c22 = (b22 - q) / safe_p
-    c01 = b01 / safe_p
-    c02 = b02 / safe_p
-    c12 = b12 / safe_p
-    half_det = 0.5 * (
-        c00 * (c11 * c22 - c12**2)
-        - c01 * (c01 * c22 - c12 * c02)
-        + c02 * (c01 * c12 - c11 * c02)
-    )
-    phi = np.arccos(np.clip(half_det, -1.0, 1.0)) / 3.0
-    w1 = q + 2.0 * p * np.cos(phi)
-    w3 = q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0)
-    w2 = 3.0 * q - w1 - w3
-
-    # Deflate around the best-separated eigenvalue: its null space is the
-    # most accurately determined, and the remaining pair is solved exactly
-    # in the orthogonal complement, which repairs orthogonality for
-    # clustered spectra.
-    lam_star = np.where(w1 - w2 >= w2 - w3, w1, w3)
-    m = b - lam_star[..., None, None] * np.eye(3)
-    r0, r1, r2 = m[..., 0, :], m[..., 1, :], m[..., 2, :]
-    crosses = np.stack([_cross(r0, r1), _cross(r0, r2), _cross(r1, r2)], axis=-2)
-    cross_norms = np.einsum("...ki,...ki->...k", crosses, crosses)
-    best = np.argmax(cross_norms, axis=-1)
-    v_star = np.take_along_axis(crosses, best[..., None, None], axis=-2)[..., 0, :]
-    best_norm = np.take_along_axis(cross_norms, best[..., None], axis=-1)[..., 0]
-    fallback = np.broadcast_to(np.array([1.0, 0.0, 0.0]), v_star.shape)
-    degenerate = best_norm <= 1e-28
-    v_star = _unit(np.where(degenerate[..., None], fallback, v_star))
-
-    # Orthonormal basis (u, w) of the complement of v_star.
-    axis_idx = np.argmin(np.abs(v_star), axis=-1)
-    h = np.zeros(v_star.shape)
-    np.put_along_axis(h, axis_idx[..., None], 1.0, axis=-1)
-    u = _unit(h - np.einsum("...i,...i->...", h, v_star)[..., None] * v_star)
-    w = _cross(v_star, u)
-
-    bu = np.einsum("...ij,...j->...i", b, u)
-    bw = np.einsum("...ij,...j->...i", b, w)
-    m00 = np.einsum("...i,...i->...", u, bu)
-    m01 = np.einsum("...i,...i->...", u, bw)
-    m11 = np.einsum("...i,...i->...", w, bw)
-    sub = np.empty(b.shape[:-2] + (2, 2))
-    sub[..., 0, 0] = m00
-    sub[..., 0, 1] = m01
-    sub[..., 1, 0] = m01
-    sub[..., 1, 1] = m11
-    sub_vals, sub_vecs = _eig2(sub)
-    va = sub_vecs[..., 0:1, 0] * u + sub_vecs[..., 1:2, 0] * w
-    vb = sub_vecs[..., 0:1, 1] * u + sub_vecs[..., 1:2, 1] * w
-    r_star = np.einsum("...i,...ij,...j->...", v_star, b, v_star)
-
-    vals = np.stack([r_star, sub_vals[..., 0], sub_vals[..., 1]], axis=-1)
-    vecs = np.stack([v_star, va, vb], axis=-1)
-
-    order = np.argsort(-vals, axis=-1, kind="stable")
-    vals = np.take_along_axis(vals, order, axis=-1)
-    vecs = np.take_along_axis(vecs, order[..., None, :], axis=-1)
-
-    isotropic = p2 <= 1e-28
-    if np.any(isotropic):
-        iso_vals = np.repeat(q[..., None], 3, axis=-1)
-        vals = np.where(isotropic[..., None], iso_vals, vals)
-        vecs = np.where(isotropic[..., None, None], np.eye(3), vecs)
-
-    return EigenPair(vals * scale[..., None], _fix_signs(vecs))
-
-
-def _eig_jacobi(a: np.ndarray, max_sweeps: int = 30, tol: float = 1e-14) -> EigenPair:
-    d = a.shape[-1]
-    work = 0.5 * (a + np.swapaxes(a, -1, -2)).copy()
-    vecs = np.broadcast_to(np.eye(d), work.shape).copy()
-    scale = np.abs(work).max(initial=0.0)
-    if scale == 0.0:
-        return EigenPair(np.zeros(a.shape[:-1]), vecs)
-
-    for _ in range(max_sweeps):
-        off = 0.0
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                off = max(off, float(np.abs(work[..., p, q]).max()))
-        if off <= tol * scale:
-            break
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = work[..., p, q]
-                active = np.abs(apq) > 0.0
-                safe = np.where(active, apq, 1.0)
-                tau = (work[..., q, q] - work[..., p, p]) / (2.0 * safe)
-                t = np.where(tau >= 0.0, 1.0, -1.0) / (
-                    np.abs(tau) + np.sqrt(1.0 + tau * tau)
-                )
-                t = np.where(active, t, 0.0)
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-
-                col_p = work[..., :, p].copy()
-                col_q = work[..., :, q].copy()
-                work[..., :, p] = c[..., None] * col_p - s[..., None] * col_q
-                work[..., :, q] = s[..., None] * col_p + c[..., None] * col_q
-                row_p = work[..., p, :].copy()
-                row_q = work[..., q, :].copy()
-                work[..., p, :] = c[..., None] * row_p - s[..., None] * row_q
-                work[..., q, :] = s[..., None] * row_p + c[..., None] * row_q
-                vp = vecs[..., :, p].copy()
-                vq = vecs[..., :, q].copy()
-                vecs[..., :, p] = c[..., None] * vp - s[..., None] * vq
-                vecs[..., :, q] = s[..., None] * vp + c[..., None] * vq
-
-    vals = np.diagonal(work, axis1=-2, axis2=-1).copy()
-    order = np.argsort(-vals, axis=-1, kind="stable")
-    vals = np.take_along_axis(vals, order, axis=-1)
-    vecs = np.take_along_axis(vecs, order[..., None, :], axis=-1)
-    return EigenPair(vals, _fix_signs(vecs))
-
-
 def eig_sym(mats) -> EigenPair:
     """Eigendecomposition of symmetric matrices.
 
+    2x2 stacks use the closed form of :func:`_eig2`, about twice as fast
+    as ``np.linalg.eigh`` plus sign fixing on large stacks; every other
+    size uses ``np.linalg.eigh``.  Both give the same sign convention.
+
     Parameters
     ----------
-    mats : array_like or SymMat or PsdMat
+    mats : array_like
         Symmetric matrices, shape ``(..., d, d)``.
 
     Returns
@@ -395,14 +156,10 @@ def eig_sym(mats) -> EigenPair:
         Deterministic: identical input bits give identical output bits.
     """
     a = _dense(mats)
-    d = a.shape[-1]
-    if d == 1:
-        return _eig1(a)
-    if d == 2:
+    if a.shape[-1] == 2:
         return _eig2(a)
-    if d == 3:
-        return _eig3(a)
-    return _eig_jacobi(a)
+    vals, vecs = np.linalg.eigh(a)
+    return EigenPair(vals[..., ::-1], _fix_signs(vecs[..., ::-1]))
 
 
 def _reconstruct(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -440,13 +197,6 @@ def log_sym(mats, eig_floor: float = EIG_FLOOR) -> np.ndarray:
     return _reconstruct(np.log(np.maximum(vals, eig_floor)), vecs)
 
 
-def sqrt_sym(mats) -> np.ndarray:
-    """Spectral matrix square root of positive semidefinite matrices
-    (negative round-off eigenvalues are clamped to zero)."""
-    vals, vecs = eig_sym(mats)
-    return _reconstruct(np.sqrt(np.maximum(vals, 0.0)), vecs)
-
-
 def clamp_psd(mats) -> np.ndarray:
     """Project symmetric matrices onto the PSD cone by clamping negative
     eigenvalues at zero."""
@@ -454,9 +204,25 @@ def clamp_psd(mats) -> np.ndarray:
     return _reconstruct(np.maximum(vals, 0.0), vecs)
 
 
+def psd_violations(mats, psd_tol: float = PSD_TOL) -> np.ndarray:
+    """Indices into the flattened stack of the matrices that are not
+    positive semidefinite: minimum eigenvalue below
+    ``-psd_tol * (1 + |lambda_max|)``."""
+    a = _dense(mats)
+    flat = a.reshape((-1,) + a.shape[-2:])
+    if flat.shape[0] == 0:
+        return np.empty(0, dtype=np.intp)
+    vals = eig_sym(flat).values
+    bound = -psd_tol * (1.0 + np.abs(vals).max(axis=-1))
+    return np.nonzero(vals.min(axis=-1) < bound)[0]
+
+
 def _plog_parts(p: np.ndarray, q: np.ndarray, kernel_tol: float):
-    """Shared machinery for ``plog``: returns (q_vecs, p_tilde, log_vals,
-    kernel mask, containment mask) with kernel columns of p_tilde zeroed."""
+    """The product ``P log(Q)`` in the eigenbasis of ``Q``, extended to
+    singular ``Q`` with ``0 * log 0 = 0``: returns (q_vecs, p_tilde,
+    log_vals, kernel mask, containment mask) with kernel rows and columns
+    of p_tilde zeroed; the product is finite only where ``ker Q`` lies in
+    ``ker P`` (within ``kernel_tol``)."""
     q_vals, q_vecs = eig_sym(q)
     lam_max = np.maximum(q_vals[..., :1], 0.0)
     is_ker = q_vals <= kernel_tol * lam_max
@@ -471,42 +237,6 @@ def _plog_parts(p: np.ndarray, q: np.ndarray, kernel_tol: float):
     p_tilde = np.where(is_ker[..., :, None], 0.0, p_tilde)
     log_vals = np.where(is_ker, 0.0, np.log(np.maximum(q_vals, EIG_FLOOR)))
     return q_vecs, p_tilde, log_vals, is_ker, contained
-
-
-def plog(p, q, kernel_tol: float = KERNEL_TOL) -> np.ndarray:
-    """The product ``P log(Q)`` extended to singular ``Q`` by lower
-    semicontinuity.
-
-    Three cases, decided per matrix pair:
-
-    * ``Q`` has no kernel: the plain product ``P @ log(Q)``.
-    * ``ker Q`` contained in ``ker P`` (within ``kernel_tol``): the product
-      evaluated in the eigenbasis of ``Q`` with the ``0 * log 0 = 0``
-      convention.
-    * otherwise: the entries of that pair are ``+inf``.
-
-    The result is a generally non-symmetric ``(..., d, d)`` array; only its
-    trace enters divergence computations.
-    """
-    p = _dense(p)
-    q = _dense(q)
-    if p.shape != q.shape:
-        raise ValueError(f"shape mismatch: {p.shape} vs {q.shape}")
-    q_vecs, p_tilde, log_vals, _, contained = _plog_parts(p, q, kernel_tol)
-    core = p_tilde * log_vals[..., None, :]
-    out = q_vecs @ core @ np.swapaxes(q_vecs, -1, -2)
-    return np.where(contained[..., None, None], out, np.inf)
-
-
-def plog_trace(p, q, kernel_tol: float = KERNEL_TOL) -> np.ndarray:
-    """Trace of :func:`plog` per matrix pair (``+inf`` where the kernel
-    containment fails), computed without forming the product."""
-    p = _dense(p)
-    q = _dense(q)
-    _, p_tilde, log_vals, _, contained = _plog_parts(p, q, kernel_tol)
-    diag = np.diagonal(p_tilde, axis1=-2, axis2=-1)
-    tr = np.einsum("...s,...s->...", diag, log_vals)
-    return np.where(contained, tr, np.inf)
 
 
 def _normalize_reduce_axis(a: np.ndarray, axis: int) -> int:

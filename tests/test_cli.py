@@ -88,6 +88,24 @@ class TestTransport:
         ])
         assert code == 2
 
+    def test_non_finite_primal_is_null_and_exits_2(self, tmp_path):
+        # The all-zero tensor makes the row KL term +inf: the coupling row
+        # keeps mass ~1e-15 from the solver's log floor.
+        points = [[0.0, 0.0], [1.0, 0.0]]
+        mu = write_field(tmp_path / "mu.json", points, [np.eye(2), np.zeros((2, 2))])
+        nu = write_field(tmp_path / "nu.json", points, [np.eye(2), np.eye(2)])
+        report = tmp_path / "report.json"
+        code = main(["transport", "--mu", mu, "--nu", nu,
+                     "--out", str(tmp_path / "c.json"), "--report", str(report)])
+        assert code == 2
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        doc = json.loads(report.read_text(), parse_constant=reject)
+        assert doc["primal_value"] is None
+        assert any("primal_value" in note for note in doc["notes"])
+
     def test_malformed_file_exits_1(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{")

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from qot.cost import GroundCost
 from qot.measure import (
@@ -80,7 +81,8 @@ class TestMarginals:
     def test_transpose_consistency(self):
         rng = np.random.default_rng(3)
         g = random_coupling(rng, 4, 3, 2)
-        assert np.allclose(marginal_cols(g), marginal_rows(g.transpose()))
+        flipped = Coupling(np.swapaxes(g.entries, 0, 1))
+        assert np.allclose(marginal_cols(g), marginal_rows(flipped))
 
     def test_marginals_are_psd(self):
         rng = np.random.default_rng(4)
@@ -127,6 +129,25 @@ class TestQuantumKl:
 
     def test_kernel_escape_infinite(self):
         assert quantum_kl([np.eye(2)], [np.diag([1.0, 0.0])]) == math.inf
+
+    def test_kernel_containment_with_zero_log_zero(self):
+        # ker Q = ker P: tr(P log P) = 0, tr(P log Q) = log 2, tr(Q - P) = 1
+        got = quantum_kl([np.diag([1.0, 0.0])], [np.diag([2.0, 0.0])])
+        assert np.isclose(got, 1.0 - math.log(2.0), atol=1e-12)
+
+    def test_matches_logm_for_pd(self):
+        rng = np.random.default_rng(37)
+        for _ in range(20):
+            p = random_psd(rng, 3)
+            q = random_psd(rng, 3)
+            direct = np.trace(
+                p @ scipy.linalg.logm(p) - p @ scipy.linalg.logm(q) - p + q
+            ).real
+            assert abs(quantum_kl([p], [q]) - direct) < 1e-10
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            quantum_kl([np.eye(2)], [np.eye(3)])
 
     def test_nonnegative(self):
         rng = np.random.default_rng(7)

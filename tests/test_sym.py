@@ -1,15 +1,17 @@
 """Unit tests for the symmetric-matrix calculus kernel."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qot.sym import (
     EIG_FLOOR,
-    PsdMat,
-    SymMat,
+    _eig2,
     clamp_psd,
     eig_sym,
     exp_sym,
@@ -17,9 +19,7 @@ from qot.sym import (
     lse_reduce,
     lste_reduce,
     pack_upper,
-    plog,
-    plog_trace,
-    sqrt_sym,
+    psd_violations,
     unpack_upper,
 )
 
@@ -55,40 +55,26 @@ class TestPackedStorage:
             unpack_upper(np.zeros(4), 2)
 
 
-class TestSymMat:
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError):
-            SymMat.from_dense(np.array([[1.0, 2.0], [0.0, 1.0]]))
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            SymMat(2, np.array([1.0, np.nan, 1.0]))
-
-    def test_coeffs_immutable(self):
-        s = SymMat.identity(3)
-        with pytest.raises(ValueError):
-            s.coeffs[0] = 2.0
-
-    def test_dense_round_trip(self):
-        rng = np.random.default_rng(3)
-        mat = random_sym(rng, 4)
-        assert np.array_equal(SymMat.from_dense(mat).dense(), mat)
-
-
-class TestPsdMat:
+class TestPsdViolations:
     def test_accepts_round_off_negative(self):
-        mat = np.diag([1.0, -1e-12])
-        PsdMat.from_dense(mat)
+        assert psd_violations(np.diag([1.0, -1e-12])).size == 0
 
     def test_rejects_indefinite(self):
-        with pytest.raises(ValueError):
-            PsdMat.from_dense(np.diag([1.0, -1e-3]))
+        mats = np.stack([np.eye(2), np.diag([1.0, -1e-3]), np.eye(2)])
+        assert psd_violations(mats).tolist() == [1]
 
-    def test_psd_tol_is_a_construction_parameter(self):
+    def test_psd_tol_is_a_parameter(self):
         mat = np.diag([1.0, -1e-5])
-        with pytest.raises(ValueError):
-            PsdMat.from_dense(mat)
-        PsdMat.from_dense(mat, psd_tol=1e-4)
+        assert psd_violations(mat).tolist() == [0]
+        assert psd_violations(mat, psd_tol=1e-4).size == 0
+
+    def test_flat_indices_of_a_nested_stack(self):
+        mats = np.broadcast_to(np.eye(3), (2, 3, 3, 3)).copy()
+        mats[1, 2] = np.diag([1.0, 1.0, -1.0])
+        assert psd_violations(mats).tolist() == [5]
+
+    def test_empty_stack(self):
+        assert psd_violations(np.zeros((0, 3, 3))).size == 0
 
 
 class TestEig:
@@ -166,12 +152,48 @@ class TestEig:
         psd = random_psd(rng, 3, n=8)
         assert np.array_equal(exp_sym(sym), exp_sym(sym.copy()))
         assert np.array_equal(log_sym(psd), log_sym(psd.copy()))
-        assert np.array_equal(sqrt_sym(psd), sqrt_sym(psd.copy()))
         assert np.array_equal(lse_reduce(sym, axis=0),
                               lse_reduce(sym.copy(), axis=0))
         assert np.array_equal(lste_reduce(sym, axis=0),
                               lste_reduce(sym.copy(), axis=0))
-        assert np.array_equal(plog(psd, psd), plog(psd.copy(), psd.copy()))
+
+
+@st.composite
+def ill_conditioned_2x2(draw):
+    """Symmetric 2x2 matrices ``R diag(big, big * ratio) R^T`` with
+    condition numbers up to 1e16; a third of the rotations are within
+    1e-12..1e-3 rad of the axes (near-diagonal input)."""
+    big = draw(st.sampled_from([1.0, -1.0])) * 10.0 ** draw(
+        st.floats(-8.0, 8.0))
+    ratio = draw(st.sampled_from([1.0, -1.0])) * 10.0 ** draw(
+        st.floats(-16.0, 0.0))
+    if draw(st.integers(0, 2)) == 0:
+        theta = 10.0 ** draw(st.floats(-12.0, -3.0))
+    else:
+        theta = draw(st.floats(0.0, math.pi))
+    c, s = math.cos(theta), math.sin(theta)
+    rot = np.array([[c, -s], [s, c]])
+    a = rot @ np.diag([big, big * ratio]) @ rot.T
+    a[1, 0] = a[0, 1]
+    return a
+
+
+class TestEig2Property:
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(ill_conditioned_2x2())
+    def test_small_eigenvalue_within_determinant_bound(self, a):
+        """The smaller-magnitude eigenvalue equals ``det / lambda_big``,
+        with ``det`` exact, within 4 ulp of ``(|a00 a11| + a01^2) /
+        |lambda_big|`` (the scale of the rounding in the determinant)."""
+        a00, a01, a11 = float(a[0, 0]), float(a[0, 1]), float(a[1, 1])
+        lapack = np.linalg.eigvalsh(a)
+        big = float(lapack[np.argmax(np.abs(lapack))])
+        det = Fraction(a00) * Fraction(a11) - Fraction(a01) ** 2
+        small = float(det / Fraction(big))
+        # values are sorted descending
+        got = _eig2(a).values[0 if small > big else 1]
+        scale = (abs(a00 * a11) + a01 * a01) / abs(big)
+        assert abs(got - small) <= 4.0 * 2.0**-52 * scale
 
 
 class TestFunctionalCalculus:
@@ -215,51 +237,9 @@ class TestFunctionalCalculus:
         rel = np.abs(exp_sym(log_sym(mat)) - mat).max() / np.linalg.norm(mat)
         assert rel < 1e-10
 
-    def test_sqrt_diagonal(self):
-        assert np.allclose(sqrt_sym(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]))
-        assert np.allclose(sqrt_sym(np.eye(2)), np.eye(2))
-
-    def test_sqrt_squares_back(self):
-        rng = np.random.default_rng(31)
-        mats = random_psd(rng, 3, n=25)
-        r = sqrt_sym(mats)
-        assert np.abs(r @ r - mats).max() < 1e-10
-
     def test_clamp_psd_projects(self):
         mat = np.diag([2.0, -0.5])
         assert np.allclose(clamp_psd(mat), np.diag([2.0, 0.0]))
-
-
-class TestPlog:
-    def test_kernel_containment_with_zero_log_zero(self):
-        out = plog(np.diag([1.0, 0.0]), np.diag([2.0, 0.0]))
-        assert np.allclose(out, np.diag([math.log(2.0), 0.0]), atol=1e-12)
-
-    def test_kernel_escape_is_infinite(self):
-        out = plog(np.eye(2), np.diag([1.0, 0.0]))
-        assert np.all(np.isinf(out))
-
-    def test_identity_pair_is_zero(self):
-        assert np.allclose(plog(np.eye(2), np.eye(2)), 0.0, atol=1e-14)
-
-    def test_matches_direct_product_for_pd(self):
-        rng = np.random.default_rng(37)
-        for _ in range(20):
-            p = random_psd(rng, 3)
-            q = random_psd(rng, 3)
-            direct = p @ scipy.linalg.logm(q)
-            assert np.abs(plog(p, q) - direct).max() < 1e-10
-
-    def test_trace_variant_agrees(self):
-        rng = np.random.default_rng(41)
-        p = random_psd(rng, 2, n=9)
-        q = random_psd(rng, 2, n=9)
-        full = np.trace(plog(p, q), axis1=-2, axis2=-1)
-        assert np.allclose(plog_trace(p, q), full, atol=1e-12)
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            plog(np.eye(2), np.eye(3))
 
 
 class TestLse:
