@@ -11,7 +11,7 @@ from .barycenter import (
     bilinear_weights,
     pointwise_barycenter,
 )
-from .cost import GroundCost, euclidean_cost, from_distance_matrix, kernel, kernel_trace
+from .cost import GroundCost, euclidean_cost, from_distance_matrix, kernel
 from .fileio import (
     FileFormatError,
     load_coupling,
@@ -86,7 +86,6 @@ __all__ = [
     "from_distance_matrix",
     "inner",
     "kernel",
-    "kernel_trace",
     "load_coupling",
     "load_distance_matrix",
     "load_field",

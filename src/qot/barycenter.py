@@ -10,13 +10,13 @@ column-potential updates pulled toward that aggregate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cost import kernel
 from .measure import Coupling, TensorMeasure, primal_objective
-from .solver import DualState, SolveReport, SolverConfig, _exp_saturated, dual_objective
+from .solver import (_SATURATION_NOTE, DualState, SolveReport, SolverConfig,
+                     _dual_kernel, _exp_capped, _update, dual_objective)
 from .sym import exp_sym, log_sym, lse_reduce
 
 __all__ = [
@@ -90,7 +90,8 @@ def barycenter_solve(prob: BarycenterProblem, cfg: SolverConfig | None = None):
     ``cfg`` supplies eps, relaxations, iteration budget and tolerance; the
     fidelity strengths come from the problem itself (``prob.rho`` on the
     input side, always a hard constraint on the barycenter side), so
-    ``cfg.rho1`` / ``cfg.rho2`` are ignored here.
+    ``cfg.rho1``, ``cfg.rho2`` and ``cfg.trace_constrained`` are ignored
+    here.
 
     Returns ``(TensorMeasure, SolveReport)``.  The report's
     ``dual_states`` carries the per-input dual potentials (the weighted
@@ -98,22 +99,19 @@ def barycenter_solve(prob: BarycenterProblem, cfg: SolverConfig | None = None):
     a convergence certificate), and its residual history records the
     largest potential change per iteration across all inputs.  The
     barycenter's log-tensors are the aggregation variable, so the
-    returned tensors are positive definite by construction.
+    returned tensors are positive definite by construction.  Like the
+    couplings, they are exponentials capped at exp(700), and a note says
+    when an unconverged solve hits the cap.
     """
-    cfg = cfg or SolverConfig()
-    rho = prob.rho
+    cfg = replace(cfg or SolverConfig(), rho1=prob.rho, rho2=math.inf,
+                  trace_constrained=False)
+    tau1, tau2 = cfg.tau(1), cfg.tau(2)
     eps = cfg.eps
-    base = SolverConfig(
-        eps=eps, rho1=rho, rho2=math.inf, tau1=cfg.tau1, tau2=cfg.tau2,
-        max_iter=cfg.max_iter, tol=cfg.tol,
-        eig_floor=cfg.eig_floor, psd_tol=cfg.psd_tol,
-    )
-    tau1, tau2 = base.tau(1), base.tau(2)
     d = prob.tensor_dim
     n_support = len(prob.support)
     n_inputs = prob.n_inputs
 
-    log_mu = [log_sym(m.tensors, eig_floor=cfg.eig_floor) for m in prob.inputs]
+    log_mu = [log_sym(m.tensors) for m in prob.inputs]
     u = [np.zeros((m.n_atoms, d, d)) for m in prob.inputs]
     v = [np.zeros((n_support, d, d)) for _ in range(n_inputs)]
     log_nu = np.zeros((n_support, d, d))
@@ -125,16 +123,15 @@ def barycenter_solve(prob: BarycenterProblem, cfg: SolverConfig | None = None):
         lse_cols = []
         res = 0.0
         for idx in range(n_inputs):
-            k = kernel(u[idx], v[idx], prob.costs[idx], eps, rho, 1.0)
-            u_new = (1.0 - tau1) * u[idx] + tau1 * (
-                lse_reduce(k, axis=1) - log_mu[idx]
-            )
+            k = _dual_kernel(u[idx], v[idx], None, None, prob.costs[idx], cfg)
+            u_new = _update(u[idx], lse_reduce(k, axis=1) - log_mu[idx], tau1,
+                            eps, True)
             # The column-potential change alone is blind to row-potential
             # drift (it vanishes identically for a single input), so the
             # residual tracks both.
             res = max(res, float(np.abs(u_new - u[idx]).max()))
             u[idx] = u_new
-            k = kernel(u[idx], v[idx], prob.costs[idx], eps, rho, 1.0)
+            k = _dual_kernel(u[idx], v[idx], None, None, prob.costs[idx], cfg)
             lse_cols.append(lse_reduce(k, axis=0))
 
         log_nu = sum(
@@ -143,7 +140,7 @@ def barycenter_solve(prob: BarycenterProblem, cfg: SolverConfig | None = None):
         )
 
         for idx in range(n_inputs):
-            v_new = v[idx] + tau2 * eps * (lse_cols[idx] - log_nu)
+            v_new = _update(v[idx], lse_cols[idx] - log_nu, tau2, eps, False)
             res = max(res, float(np.abs(v_new - v[idx]).max()))
             v[idx] = v_new
         residuals.append(res)
@@ -152,15 +149,21 @@ def barycenter_solve(prob: BarycenterProblem, cfg: SolverConfig | None = None):
             converged = True
             break
 
-    nu = TensorMeasure(prob.support, exp_sym(log_nu), psd_tol=cfg.psd_tol)
+    notes = ["barycenter side uses a hard marginal constraint"]
+    tensors, hit = _exp_capped(log_nu)
+    if hit:
+        notes.append("barycenter saturated at exp(700) in unconverged directions")
+    nu = TensorMeasure(prob.support, tensors)
 
     states = []
     primal = 0.0
     dual = 0.0
+    saturated = False
     for idx in range(n_inputs):
-        k = kernel(u[idx], v[idx], prob.costs[idx], eps, rho, 1.0)
-        gamma, _ = _exp_saturated(k)
-        coupling = Coupling(gamma, psd_tol=cfg.psd_tol)
+        k = _dual_kernel(u[idx], v[idx], None, None, prob.costs[idx], cfg)
+        gamma, hit = _exp_capped(k)
+        saturated |= hit
+        coupling = Coupling(gamma)
         state = DualState(
             u[idx], v[idx],
             np.zeros(prob.inputs[idx].n_atoms), np.zeros(n_support),
@@ -168,9 +171,11 @@ def barycenter_solve(prob: BarycenterProblem, cfg: SolverConfig | None = None):
         states.append(state)
         w = float(prob.weights[idx])
         primal += w * primal_objective(coupling, prob.inputs[idx], nu,
-                                       prob.costs[idx], base)
+                                       prob.costs[idx], cfg)
         dual += w * dual_objective(state, prob.inputs[idx], nu,
-                                   prob.costs[idx], base)
+                                   prob.costs[idx], cfg)
+    if saturated:
+        notes.append(_SATURATION_NOTE)
 
     report = SolveReport(
         iterations=iterations,
@@ -178,7 +183,7 @@ def barycenter_solve(prob: BarycenterProblem, cfg: SolverConfig | None = None):
         converged=converged,
         primal_value=primal,
         dual_value=dual,
-        notes=("barycenter side uses a hard marginal constraint",),
+        notes=tuple(notes),
         dual_states=tuple(states),
     )
     return nu, report

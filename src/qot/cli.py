@@ -2,8 +2,9 @@
 
 Subcommands cover the full pipeline: transport solves, displacement
 interpolation, barycenters, distance reporting, SVG rendering and the
-diffusion noise demo.  Exit codes: 0 success/converged, 1 input error,
-2 solver hit the iteration limit without converging.
+diffusion noise demo.  Exit codes: 0 success, 1 input error, 2 a solve
+that is not certified: it hit the iteration limit without converging or
+ended with a non-finite objective.
 
 The environment variable ``QOT_THREADS`` caps worker parallelism for
 batch frame/grid loops (default 1, i.e. sequential).
@@ -92,32 +93,43 @@ def _float_or_inf(text: str) -> float:
         raise argparse.ArgumentTypeError(f"invalid number {text!r}")
 
 
-def _add_solver_flags(parser, trace_flag=True):
+def _add_solver_flags(parser, pair=True):
+    """Solver flags; ``--rho1``, ``--rho2`` and ``--trace-constrained``
+    only for a two-field solve (``pair``), since a barycenter takes its
+    fidelity from ``--rho`` and has no trace mode."""
     parser.add_argument("--eps", type=float, default=0.08**2,
                         help="entropic strength (default 0.0064)")
-    parser.add_argument("--rho1", type=_float_or_inf, default=1.0,
-                        help="row marginal fidelity, 'inf' for hard")
-    parser.add_argument("--rho2", type=_float_or_inf, default=1.0,
-                        help="column marginal fidelity, 'inf' for hard")
+    if pair:
+        parser.add_argument("--rho1", type=_float_or_inf, default=1.0,
+                            help="row marginal fidelity, 'inf' for hard")
+        parser.add_argument("--rho2", type=_float_or_inf, default=1.0,
+                            help="column marginal fidelity, 'inf' for hard")
     parser.add_argument("--tau1", type=float, default=None)
     parser.add_argument("--tau2", type=float, default=None)
     parser.add_argument("--max-iter", type=int, default=10000)
     parser.add_argument("--tol", type=float, default=1e-9)
-    if trace_flag:
+    if pair:
         parser.add_argument("--trace-constrained", action="store_true",
                             help="pin marginal traces to the input traces")
 
 
-def _solver_config(args, trace=False) -> SolverConfig:
+_CONFIG_FLAGS = ("eps", "rho1", "rho2", "tau1", "tau2", "max_iter", "tol",
+                 "trace_constrained")
+
+
+def _solver_config(args) -> SolverConfig:
     try:
-        return SolverConfig(
-            eps=args.eps, rho1=args.rho1, rho2=args.rho2,
-            tau1=args.tau1, tau2=args.tau2,
-            max_iter=args.max_iter, tol=args.tol,
-            trace_constrained=trace,
-        )
+        return SolverConfig(**{
+            key: getattr(args, key) for key in _CONFIG_FLAGS if hasattr(args, key)
+        })
     except ValueError as exc:
         raise CliError(str(exc))
+
+
+def _exit_code(report: SolveReport) -> int:
+    """0 only for a certified solve: converged, with finite objectives."""
+    finite = math.isfinite(report.primal_value) and math.isfinite(report.dual_value)
+    return EXIT_OK if report.converged and finite else EXIT_NO_CONVERGENCE
 
 
 def _report_dict(report: SolveReport, cfg: SolverConfig) -> dict:
@@ -185,7 +197,7 @@ def _frame_path(pattern: str, index: int, count: int) -> Path:
 
 def _cmd_transport(args) -> int:
     mu, nu = _load_pair(args)
-    cfg = _solver_config(args, trace=args.trace_constrained)
+    cfg = _solver_config(args)
     try:
         coupling, _, report = sinkhorn_solve(mu, nu, _pair_cost(args, mu, nu), cfg)
     except ValueError as exc:
@@ -194,8 +206,7 @@ def _cmd_transport(args) -> int:
     if args.report:
         doc = _report_dict(report, cfg)
         Path(args.report).write_text(json.dumps(doc, allow_nan=False) + "\n")
-    finite = math.isfinite(report.primal_value) and math.isfinite(report.dual_value)
-    return EXIT_OK if report.converged and finite else EXIT_NO_CONVERGENCE
+    return _exit_code(report)
 
 
 def _cmd_interpolate(args) -> int:
@@ -274,7 +285,7 @@ def _cmd_barycenter(args) -> int:
     )
     cfg = _solver_config(args)
 
-    unconverged = []
+    uncertified = []
 
     def build(index, weights):
         def task():
@@ -291,12 +302,12 @@ def _cmd_barycenter(args) -> int:
             if args.render:
                 out.with_suffix(".svg").write_text(
                     render_field_svg(nu, scale=args.scale))
-            if not report.converged:
-                unconverged.append(index)
+            if _exit_code(report) != EXIT_OK:
+                uncertified.append(index)
         return task
 
     _run_batch(build(i, w) for i, w in enumerate(weight_sets))
-    return EXIT_NO_CONVERGENCE if unconverged else EXIT_OK
+    return EXIT_NO_CONVERGENCE if uncertified else EXIT_OK
 
 
 def _cmd_distance(args) -> int:
@@ -308,7 +319,7 @@ def _cmd_distance(args) -> int:
                 f"pointwise indices ({i}, {j}) out of range "
                 f"({mu.n_atoms}, {nu.n_atoms})"
             )
-    cfg = _solver_config(args, trace=args.trace_constrained)
+    cfg = _solver_config(args)
     try:
         _, _, report = sinkhorn_solve(mu, nu, _pair_cost(args, mu, nu), cfg)
     except ValueError as exc:
@@ -318,7 +329,7 @@ def _cmd_distance(args) -> int:
         i, j = args.pointwise
         d = single_dirac_distance(mu.tensors[i], nu.tensors[j])
         print(f"D {d:.11e}")
-    return EXIT_OK if report.converged else EXIT_NO_CONVERGENCE
+    return _exit_code(report)
 
 
 def _cmd_render(args) -> int:
@@ -386,7 +397,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--alpha", type=float, default=2.0)
     p.add_argument("--rho", type=_float_or_inf, default=1.0,
                    help="input-side marginal fidelity")
-    _add_solver_flags(p, trace_flag=False)
+    _add_solver_flags(p, pair=False)
     p.add_argument("--render", action="store_true")
     p.add_argument("--scale", type=float, default=0.05)
     p.add_argument("--out", required=True,

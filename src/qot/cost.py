@@ -1,4 +1,4 @@
-"""Ground costs and the dual kernel maps.
+"""Ground costs and the dual kernel map.
 
 Costs are either isotropic (a scalar per pair, meaning that scalar times
 the identity matrix) or full symmetric matrices per pair.  All experiments
@@ -17,7 +17,6 @@ __all__ = [
     "euclidean_cost",
     "from_distance_matrix",
     "kernel",
-    "kernel_trace",
 ]
 
 
@@ -130,31 +129,23 @@ def _base_kernel(u: np.ndarray, v: np.ndarray, cost: GroundCost,
     return s
 
 
-def kernel(u, v, cost: GroundCost, eps: float, rho1: float, rho2: float) -> np.ndarray:
-    """Dual kernel ``K_ij = -(c_ij + rho1 u_i + rho2 v_j) / eps``: one
-    symmetric (not necessarily PSD) matrix per pair, shape (I, J, d, d)."""
+def kernel(u, v, cost: GroundCost, eps: float, rho1: float, rho2: float,
+           alpha=None, beta=None) -> np.ndarray:
+    """Dual kernel ``K_ij = -(c_ij + rho1 u_i + rho2 v_j + alpha_i I +
+    beta_j I) / eps``: one symmetric (not necessarily PSD) matrix per pair,
+    shape (I, J, d, d).  The scalar trace multipliers ``alpha`` (shape
+    (I,)) and ``beta`` (shape (J,)) are given together or not at all."""
     if eps <= 0.0:
         raise ValueError("eps must be > 0")
-    return _base_kernel(u, v, cost, rho1, rho2) / (-eps)
-
-
-def kernel_trace(u, v, alpha, beta, cost: GroundCost, eps: float,
-                 rho1: float, rho2: float) -> np.ndarray:
-    """Dual kernel with scalar trace multipliers:
-    ``K_ij = -(c_ij + rho1 u_i + rho2 v_j + alpha_i I + beta_j I) / eps``."""
-    if eps <= 0.0:
-        raise ValueError("eps must be > 0")
-    alpha = np.asarray(alpha, dtype=float)
-    beta = np.asarray(beta, dtype=float)
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if alpha.shape != (u.shape[0],) or beta.shape != (v.shape[0],):
-        raise ValueError(
-            f"multipliers must have shapes ({u.shape[0]},) and ({v.shape[0]},), "
-            f"got {alpha.shape}, {beta.shape}"
-        )
     s = _base_kernel(u, v, cost, rho1, rho2)
-    d = u.shape[-1]
-    idx = np.arange(d)
-    s[..., idx, idx] += (alpha[:, None] + beta[None, :])[..., None]
+    if alpha is not None or beta is not None:
+        alpha = np.asarray(alpha, dtype=float)
+        beta = np.asarray(beta, dtype=float)
+        if alpha.shape != (s.shape[0],) or beta.shape != (s.shape[1],):
+            raise ValueError(
+                f"multipliers must have shapes ({s.shape[0]},) and ({s.shape[1]},), "
+                f"got {alpha.shape}, {beta.shape}"
+            )
+        idx = np.arange(s.shape[-1])
+        s[..., idx, idx] += (alpha[:, None] + beta[None, :])[..., None]
     return s / (-eps)

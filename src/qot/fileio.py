@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .measure import Coupling, TensorMeasure
-from .sym import PSD_TOL, pack_upper, unpack_upper
+from .sym import pack_upper, unpack_upper
 
 __all__ = [
     "FileFormatError",
@@ -64,9 +64,9 @@ def save_field(path, field: TensorMeasure) -> None:
     Path(path).write_text(json.dumps(doc) + "\n")
 
 
-def load_field(path, psd_tol: float = PSD_TOL) -> TensorMeasure:
-    """Read a tensor field document; tensors must be PSD within
-    ``psd_tol`` (the first offending index is reported)."""
+def load_field(path) -> TensorMeasure:
+    """Read a tensor field document; tensors must be PSD (the first
+    offending index is reported)."""
     doc = _read_json(path)
     d = _require(doc, "d", path)
     n = _require(doc, "n", path)
@@ -97,7 +97,7 @@ def load_field(path, psd_tol: float = PSD_TOL) -> TensorMeasure:
             f"{path}: packed tensor length {packed.shape[1]} does not match d={d}"
         )
     try:
-        return TensorMeasure(pts, unpack_upper(packed, d), psd_tol=psd_tol)
+        return TensorMeasure(pts, unpack_upper(packed, d))
     except ValueError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
 
@@ -117,7 +117,7 @@ def save_coupling(path, coupling: Coupling, threshold: float | None = None) -> N
     Path(path).write_text(json.dumps(doc) + "\n")
 
 
-def load_coupling(path, psd_tol: float = PSD_TOL) -> Coupling:
+def load_coupling(path) -> Coupling:
     doc = _read_json(path)
     rows = _require(doc, "rows", path)
     cols = _require(doc, "cols", path)
@@ -137,7 +137,7 @@ def load_coupling(path, psd_tol: float = PSD_TOL) -> Coupling:
         )
     dense = unpack_upper(packed, d).reshape(rows, cols, d, d)
     try:
-        return Coupling(dense, psd_tol=psd_tol)
+        return Coupling(dense)
     except ValueError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sym import KERNEL_TOL, PSD_TOL, _dense, _plog_parts, eig_sym, psd_violations
+from .sym import _dense, _not_psd, _plog_parts, eig_sym, psd_violations
 
 __all__ = [
     "TensorMeasure",
@@ -50,12 +50,11 @@ class TensorMeasure:
     points : ndarray, shape (n, ambient_dim)
         Support coordinates (conventionally inside the unit cube).
     tensors : ndarray, shape (n, d, d)
-        One PSD matrix per point, validated within ``psd_tol``.
+        One PSD matrix per point (see :func:`qot.sym.psd_violations`).
     """
 
     points: np.ndarray
     tensors: np.ndarray
-    psd_tol: float = PSD_TOL
 
     def __post_init__(self):
         points = np.ascontiguousarray(self.points, dtype=float)
@@ -74,7 +73,7 @@ class TensorMeasure:
             asym = np.abs(tensors - np.swapaxes(tensors, -1, -2)).max()
             if asym > 1e-9 * (1.0 + np.abs(tensors).max()):
                 raise ValueError("tensors must be symmetric")
-        bad = psd_violations(tensors, self.psd_tol)
+        bad = psd_violations(tensors)
         if bad.size:
             idx = int(bad[0])
             raise ValueError(
@@ -105,7 +104,6 @@ class Coupling:
     describing how much matrix mass moves from atom i to atom j."""
 
     entries: np.ndarray
-    psd_tol: float = PSD_TOL
 
     def __post_init__(self):
         entries = np.ascontiguousarray(self.entries, dtype=float)
@@ -113,7 +111,7 @@ class Coupling:
             raise ValueError(f"entries must be (I, J, d, d), got {entries.shape}")
         if not np.all(np.isfinite(entries)):
             raise ValueError("entries must be finite")
-        bad = psd_violations(entries, self.psd_tol)
+        bad = psd_violations(entries)
         if bad.size:
             i, j = divmod(int(bad[0]), entries.shape[1])
             raise ValueError(f"coupling entry ({i}, {j}) is not PSD")
@@ -143,27 +141,24 @@ def marginal_cols(g: Coupling) -> np.ndarray:
     return g.entries.sum(axis=0)
 
 
-def quantum_entropy(tensors, psd_tol: float = PSD_TOL) -> float:
+def quantum_entropy(tensors) -> float:
     """Von Neumann entropy ``sum_i -tr(P_i log P_i - P_i)`` with the
     ``0 log 0 = 0`` convention.
 
-    Returns ``-inf`` if any input matrix is not PSD (within ``psd_tol``).
+    Returns ``-inf`` if any input matrix is not PSD.
     """
     arr = _as_tensor_stack(tensors)
     if arr.shape[0] == 0:
         return 0.0
     vals = eig_sym(arr).values
-    bound = -psd_tol * (1.0 + np.abs(vals).max(axis=-1, keepdims=True))
-    if np.any(vals < bound):
+    if np.any(_not_psd(vals)):
         return -math.inf
     lam = np.maximum(vals, 0.0)
     xlogx = np.where(lam > 0.0, lam * np.log(np.where(lam > 0.0, lam, 1.0)), 0.0)
     return float((lam - xlogx).sum())
 
 
-def quantum_kl(
-    a, b, kernel_tol: float = KERNEL_TOL, psd_tol: float = PSD_TOL
-) -> float:
+def quantum_kl(a, b) -> float:
     """Quantum relative entropy ``sum_i tr(P log P - P log Q - P + Q)``.
 
     Uses the lower-semicontinuity convention for singular ``Q``: the value
@@ -178,15 +173,14 @@ def quantum_kl(
         return 0.0
 
     p_vals = eig_sym(p).values
-    bound = -psd_tol * (1.0 + np.abs(p_vals).max(axis=-1))
-    if np.any(p_vals.min(axis=-1) < bound):
+    if np.any(_not_psd(p_vals)):
         return math.inf
     lam = np.maximum(p_vals, 0.0)
     tr_plogp = np.where(
         lam > 0.0, lam * np.log(np.where(lam > 0.0, lam, 1.0)), 0.0
     ).sum(axis=-1)
 
-    _, p_tilde, log_vals, _, contained = _plog_parts(p, q, kernel_tol)
+    _, p_tilde, log_vals, _, contained = _plog_parts(p, q)
     if not np.all(contained):
         return math.inf
     diag = np.diagonal(p_tilde, axis1=-2, axis2=-1)

@@ -1,8 +1,10 @@
 """Quantum Sinkhorn scaling for tensor-valued unbalanced transport.
 
-The solver alternates relaxed fixed-point updates of matrix-valued dual
-potentials through the stabilized matrix log-sum-exp, and reads the
-coupling off the dual kernel at the end.  A ``rho`` equal to ``inf`` is a
+One scaling loop alternates relaxed fixed-point updates of the matrix
+dual potentials through the stabilized matrix log-sum-exp; in
+trace-constrained mode it also steps the scalar trace multipliers.  One
+dual kernel feeds the loop, the objectives and the diagnostics, and the
+coupling is read off it at the end.  A ``rho`` equal to ``inf`` is a
 symbolic sentinel for a hard marginal constraint: the corresponding
 potential switches to its rescaled limit parametrization (coefficient one
 inside the kernel, additive updates) and ``rho * x`` is never evaluated
@@ -12,11 +14,11 @@ numerically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cost import GroundCost, kernel, kernel_trace
+from .cost import GroundCost, kernel
 from .measure import (
     Coupling,
     TensorMeasure,
@@ -24,8 +26,6 @@ from .measure import (
     primal_objective,
 )
 from .sym import (
-    EIG_FLOOR,
-    PSD_TOL,
     _reconstruct,
     eig_sym,
     exp_sym,
@@ -49,9 +49,10 @@ __all__ = [
 # substantially while staying inside the contractive range (0, 2x).
 _DEFAULT_TAU_FACTOR = 1.8
 
-# Eigenvalue cap for the final coupling exponential: exp(700) stays finite
-# in float64.  Only unconverged kernel directions can reach it.
+# Eigenvalue cap for the final exponentials: exp(700) stays finite in
+# float64.  Only unconverged directions can reach it.
 _EXP_SAT = 700.0
+_SATURATION_NOTE = "coupling saturated at exp(700) in unconverged directions"
 
 
 @dataclass(frozen=True)
@@ -74,9 +75,6 @@ class SolverConfig:
     max_iter: int = 10000
     tol: float = 1e-9
     trace_constrained: bool = False
-    trace_damping: float = 1.0
-    eig_floor: float = EIG_FLOOR
-    psd_tol: float = PSD_TOL
 
     def __post_init__(self):
         if not (self.eps > 0.0 and math.isfinite(self.eps)):
@@ -93,8 +91,6 @@ class SolverConfig:
             raise ValueError("max_iter must be >= 1")
         if not self.tol > 0.0:
             raise ValueError("tol must be > 0")
-        if not self.trace_damping > 0.0:
-            raise ValueError("trace_damping must be > 0")
 
     def tau(self, side: int) -> float:
         """Effective relaxation for side 1 (rows) or 2 (columns)."""
@@ -182,22 +178,37 @@ def _update(old: np.ndarray, target_gap: np.ndarray, tau: float, eps: float,
     return old + tau * eps * target_gap
 
 
-def _exp_saturated(mats):
+def _exp_capped(mats):
     """exp with eigenvalues capped at ``_EXP_SAT``; returns the matrices
-    and whether the cap was hit (possible only on unconverged kernels)."""
+    and whether the cap was hit (possible only in unconverged directions).
+    Every solver output read off the potentials goes through it."""
     vals, vecs = eig_sym(mats)
     hit = bool(np.any(vals > _EXP_SAT))
     return _reconstruct(np.exp(np.minimum(vals, _EXP_SAT)), vecs), hit
+
+
+def _dual_kernel(u, v, alpha, beta, cost: GroundCost, cfg: SolverConfig) -> np.ndarray:
+    """The dual kernel of ``cfg``: its potential coefficients, and the
+    trace multipliers only in trace-constrained mode."""
+    if not cfg.trace_constrained:
+        alpha = beta = None
+    return kernel(u, v, cost, cfg.eps, cfg.kernel_coef(1), cfg.kernel_coef(2),
+                  alpha, beta)
 
 
 def sinkhorn_solve(mu: TensorMeasure, nu: TensorMeasure, cost: GroundCost,
                    cfg: SolverConfig | None = None, callback=None):
     """Solve the entropic tensor-transport problem by scaling iterations.
 
-    Each iteration recomputes the dual kernel, relaxes the row potential
-    toward ``LSE_j(K) - log mu``, recomputes the kernel, and relaxes the
-    column potential toward ``LSE_i(K) - log nu``; it stops when the
-    sup-norm of the column-potential change drops below ``cfg.tol``.
+    Each iteration relaxes the row potential toward ``LSE_j(K) - log mu``,
+    recomputes the dual kernel ``K``, and relaxes the column potential
+    toward ``LSE_i(K) - log nu``; it stops when the sup-norm of the
+    column-potential change drops below ``cfg.tol``.
+
+    With ``cfg.trace_constrained`` the marginals' traces are pinned to the
+    inputs' traces: after each potential update the matching scalar
+    multiplier takes an exact coordinate step, recomputing the kernel
+    between all four half-steps, and the steps join the stopping test.
 
     Parameters
     ----------
@@ -212,35 +223,64 @@ def sinkhorn_solve(mu: TensorMeasure, nu: TensorMeasure, cost: GroundCost,
     Returns
     -------
     (Coupling, DualState, SolveReport)
-        The coupling is ``exp(K(u, v))`` at the final potentials.
+        The coupling is ``exp(K)`` at the final dual variables.
         Non-convergence within ``max_iter`` is reported, not raised.
     """
     cfg = cfg or SolverConfig()
-    if cfg.trace_constrained:
-        return sinkhorn_solve_trace(mu, nu, cost, cfg, callback)
     _validate_problem(mu, nu, cost)
     d = mu.tensor_dim
     rows, cols = mu.n_atoms, nu.n_atoms
+    if cfg.trace_constrained:
+        tr_mu = np.trace(mu.tensors, axis1=-2, axis2=-1)
+        tr_nu = np.trace(nu.tensors, axis1=-2, axis2=-1)
+        if np.any(tr_mu <= 0.0) or np.any(tr_nu <= 0.0):
+            raise ValueError("trace constraints require strictly positive traces")
+        # The row constraints sum to the total trace and so do the column
+        # constraints; they are jointly feasible only if the totals agree.
+        total_mu, total_nu = float(tr_mu.sum()), float(tr_nu.sum())
+        if abs(total_mu - total_nu) > 1e-9 * max(total_mu, total_nu):
+            raise ValueError(
+                f"trace constraints are infeasible: total traces differ "
+                f"({total_mu:g} vs {total_nu:g})"
+            )
+        log_tr_mu, log_tr_nu = np.log(tr_mu), np.log(tr_nu)
 
-    log_mu = log_sym(mu.tensors, eig_floor=cfg.eig_floor)
-    log_nu = log_sym(nu.tensors, eig_floor=cfg.eig_floor)
-    w1, w2 = cfg.kernel_coef(1), cfg.kernel_coef(2)
+    log_mu = log_sym(mu.tensors)
+    log_nu = log_sym(nu.tensors)
     tau1, tau2 = cfg.tau(1), cfg.tau(2)
     fin1, fin2 = math.isfinite(cfg.rho1), math.isfinite(cfg.rho2)
 
     u = np.zeros((rows, d, d))
     v = np.zeros((cols, d, d))
+    alpha = np.zeros(rows)
+    beta = np.zeros(cols)
     residuals = []
     converged = False
     iterations = 0
     for it in range(cfg.max_iter):
-        k = kernel(u, v, cost, cfg.eps, w1, w2)
+        k = _dual_kernel(u, v, alpha, beta, cost, cfg)
         u = _update(u, lse_reduce(k, axis=1) - log_mu, tau1, cfg.eps, fin1)
-        k = kernel(u, v, cost, cfg.eps, w1, w2)
+        if cfg.trace_constrained:
+            k = _dual_kernel(u, v, alpha, beta, cost, cfg)
+            step_a = cfg.eps * (lste_reduce(k, axis=1) - log_tr_mu)
+            alpha = alpha + step_a
+        k = _dual_kernel(u, v, alpha, beta, cost, cfg)
         v_new = _update(v, lse_reduce(k, axis=0) - log_nu, tau2, cfg.eps, fin2)
         res = float(np.abs(v_new - v).max())
         residuals.append(res)
         v = v_new
+        if cfg.trace_constrained:
+            k = _dual_kernel(u, v, alpha, beta, cost, cfg)
+            step_b = cfg.eps * (lste_reduce(k, axis=0) - log_tr_nu)
+            beta = beta + step_b
+            # The kernel sees only alpha_i + beta_j, so (alpha + c, beta - c)
+            # is a gauge freedom; re-center to pin it.
+            center = 0.5 * (float(beta.mean()) - float(alpha.mean()))
+            alpha = alpha + center
+            beta = beta - center
+            # The column-potential change can stall while the multipliers
+            # are still moving, so they join the stopping test.
+            res = max(res, float(np.abs(step_a).max()), float(np.abs(step_b).max()))
         iterations = it + 1
         if callback is not None:
             callback(it, u, v)
@@ -248,13 +288,15 @@ def sinkhorn_solve(mu: TensorMeasure, nu: TensorMeasure, cost: GroundCost,
             converged = True
             break
 
-    k = kernel(u, v, cost, cfg.eps, w1, w2)
-    gamma, saturated = _exp_saturated(k)
-    coupling = Coupling(gamma, psd_tol=cfg.psd_tol)
-    state = DualState(u, v, np.zeros(rows), np.zeros(cols))
-    notes = _sentinel_notes(cfg)
-    if saturated:
-        notes += ("coupling saturated at exp(700) in unconverged directions",)
+    gamma, saturated = _exp_capped(_dual_kernel(u, v, alpha, beta, cost, cfg))
+    coupling = Coupling(gamma)
+    state = DualState(u, v, alpha, beta)
+    notes = tuple(note for flag, note in (
+        (not fin1, "rho1=inf: hard row-marginal constraint"),
+        (not fin2, "rho2=inf: hard column-marginal constraint"),
+        (cfg.trace_constrained, "trace-constrained marginals"),
+        (saturated, _SATURATION_NOTE),
+    ) if flag)
     report = SolveReport(
         iterations=iterations,
         residual_history=np.asarray(residuals),
@@ -268,106 +310,13 @@ def sinkhorn_solve(mu: TensorMeasure, nu: TensorMeasure, cost: GroundCost,
 
 def sinkhorn_solve_trace(mu: TensorMeasure, nu: TensorMeasure, cost: GroundCost,
                          cfg: SolverConfig | None = None, callback=None):
-    """Scaling iterations with the additional constraint that the traces
-    of the coupling's marginals match the traces of the inputs.
-
-    Two scalar multiplier updates (an exact coordinate step each, damped
-    by ``cfg.trace_damping``) are interleaved after the row- and
-    column-potential updates, recomputing the kernel between all four
-    half-steps.
-    """
-    cfg = cfg or SolverConfig(trace_constrained=True)
-    _validate_problem(mu, nu, cost)
-    d = mu.tensor_dim
-    rows, cols = mu.n_atoms, nu.n_atoms
-
-    tr_mu = np.trace(mu.tensors, axis1=-2, axis2=-1)
-    tr_nu = np.trace(nu.tensors, axis1=-2, axis2=-1)
-    if np.any(tr_mu <= 0.0) or np.any(tr_nu <= 0.0):
-        raise ValueError("trace constraints require strictly positive traces")
-    # The row constraints sum to the total trace and so do the column
-    # constraints; they are jointly feasible only if the totals agree.
-    total_mu, total_nu = float(tr_mu.sum()), float(tr_nu.sum())
-    if abs(total_mu - total_nu) > 1e-9 * max(total_mu, total_nu):
-        raise ValueError(
-            f"trace constraints are infeasible: total traces differ "
-            f"({total_mu:g} vs {total_nu:g})"
-        )
-    log_tr_mu = np.log(tr_mu)
-    log_tr_nu = np.log(tr_nu)
-
-    log_mu = log_sym(mu.tensors, eig_floor=cfg.eig_floor)
-    log_nu = log_sym(nu.tensors, eig_floor=cfg.eig_floor)
-    w1, w2 = cfg.kernel_coef(1), cfg.kernel_coef(2)
-    tau1, tau2 = cfg.tau(1), cfg.tau(2)
-    fin1, fin2 = math.isfinite(cfg.rho1), math.isfinite(cfg.rho2)
-    damp = cfg.trace_damping
-
-    u = np.zeros((rows, d, d))
-    v = np.zeros((cols, d, d))
-    alpha = np.zeros(rows)
-    beta = np.zeros(cols)
-    residuals = []
-    converged = False
-    iterations = 0
-    for it in range(cfg.max_iter):
-        k = kernel_trace(u, v, alpha, beta, cost, cfg.eps, w1, w2)
-        u = _update(u, lse_reduce(k, axis=1) - log_mu, tau1, cfg.eps, fin1)
-        k = kernel_trace(u, v, alpha, beta, cost, cfg.eps, w1, w2)
-        step_a = damp * cfg.eps * (lste_reduce(k, axis=1) - log_tr_mu)
-        alpha = alpha + step_a
-        k = kernel_trace(u, v, alpha, beta, cost, cfg.eps, w1, w2)
-        v_new = _update(v, lse_reduce(k, axis=0) - log_nu, tau2, cfg.eps, fin2)
-        res = float(np.abs(v_new - v).max())
-        residuals.append(res)
-        v = v_new
-        k = kernel_trace(u, v, alpha, beta, cost, cfg.eps, w1, w2)
-        step_b = damp * cfg.eps * (lste_reduce(k, axis=0) - log_tr_nu)
-        beta = beta + step_b
-        # The kernel sees only alpha_i + beta_j, so (alpha + c, beta - c)
-        # is a gauge freedom; re-center to pin it.
-        center = 0.5 * (float(beta.mean()) - float(alpha.mean()))
-        alpha = alpha + center
-        beta = beta - center
-        iterations = it + 1
-        if callback is not None:
-            callback(it, u, v)
-        # The column-potential change can stall while the multipliers are
-        # still moving, so they join the stopping test.
-        if max(res, float(np.abs(step_a).max()), float(np.abs(step_b).max())) < cfg.tol:
-            converged = True
-            break
-
-    k = kernel_trace(u, v, alpha, beta, cost, cfg.eps, w1, w2)
-    gamma, saturated = _exp_saturated(k)
-    coupling = Coupling(gamma, psd_tol=cfg.psd_tol)
-    state = DualState(u, v, alpha, beta)
-    notes = _sentinel_notes(cfg) + ("trace-constrained marginals",)
-    if saturated:
-        notes += ("coupling saturated at exp(700) in unconverged directions",)
-    report = SolveReport(
-        iterations=iterations,
-        residual_history=np.asarray(residuals),
-        converged=converged,
-        primal_value=primal_objective(coupling, mu, nu, cost, cfg),
-        dual_value=dual_objective(state, mu, nu, cost, cfg, trace_constrained=True),
-        notes=notes,
-    )
-    return coupling, state, report
-
-
-def _sentinel_notes(cfg: SolverConfig) -> tuple:
-    notes = []
-    if not math.isfinite(cfg.rho1):
-        notes.append("rho1=inf: hard row-marginal constraint")
-    if not math.isfinite(cfg.rho2):
-        notes.append("rho2=inf: hard column-marginal constraint")
-    return tuple(notes)
+    """:func:`sinkhorn_solve` with ``trace_constrained`` set."""
+    cfg = replace(cfg or SolverConfig(), trace_constrained=True)
+    return sinkhorn_solve(mu, nu, cost, cfg, callback)
 
 
 def dual_objective(state: DualState, mu: TensorMeasure, nu: TensorMeasure,
-                   cost: GroundCost, cfg: SolverConfig,
-                   trace_constrained: bool | None = None) -> float:
+                   cost: GroundCost, cfg: SolverConfig) -> float:
     """Value of the dual problem at the given potentials:
 
     ``-tr[rho1 sum_i (exp(u_i + log mu_i) - mu_i)
@@ -375,40 +324,25 @@ def dual_objective(state: DualState, mu: TensorMeasure, nu: TensorMeasure,
          + eps sum_ij exp(K(u, v)_ij)]``
 
     On a hard-constraint side the exponential penalty degenerates to the
-    linear term ``sum tr(target * potential)``.  With trace multipliers the
-    constants ``-sum_i alpha_i tr(mu_i) - sum_j beta_j tr(nu_j)`` are added.
+    linear term ``sum tr(target * potential)``.  In trace-constrained mode
+    the multipliers enter the kernel and the constants
+    ``-sum_i alpha_i tr(mu_i) - sum_j beta_j tr(nu_j)`` are added.
     """
-    if trace_constrained is None:
-        trace_constrained = cfg.trace_constrained
-    w1, w2 = cfg.kernel_coef(1), cfg.kernel_coef(2)
-    if trace_constrained:
-        k = kernel_trace(state.u, state.v, state.alpha, state.beta,
-                         cost, cfg.eps, w1, w2)
-    else:
-        k = kernel(state.u, state.v, cost, cfg.eps, w1, w2)
+    k = _dual_kernel(state.u, state.v, state.alpha, state.beta, cost, cfg)
     k_vals = eig_sym(k).values
     with np.errstate(over="ignore"):
         total = cfg.eps * float(np.exp(k_vals).sum())
 
-    log_mu = log_sym(mu.tensors, eig_floor=cfg.eig_floor)
-    log_nu = log_sym(nu.tensors, eig_floor=cfg.eig_floor)
-    if math.isfinite(cfg.rho1):
-        grown = exp_sym(state.u + log_mu)
-        total += cfg.rho1 * float(
-            np.trace(grown - mu.tensors, axis1=-2, axis2=-1).sum()
-        )
-    else:
-        total += inner(mu.tensors, state.u)
-    if math.isfinite(cfg.rho2):
-        grown = exp_sym(state.v + log_nu)
-        total += cfg.rho2 * float(
-            np.trace(grown - nu.tensors, axis1=-2, axis2=-1).sum()
-        )
-    else:
-        total += inner(nu.tensors, state.v)
+    for rho, pot, target in ((cfg.rho1, state.u, mu.tensors),
+                             (cfg.rho2, state.v, nu.tensors)):
+        if math.isfinite(rho):
+            grown = exp_sym(pot + log_sym(target))
+            total += rho * float(np.trace(grown - target, axis1=-2, axis2=-1).sum())
+        else:
+            total += inner(target, pot)
 
     value = -total
-    if trace_constrained:
+    if cfg.trace_constrained:
         tr_mu = np.trace(mu.tensors, axis1=-2, axis2=-1)
         tr_nu = np.trace(nu.tensors, axis1=-2, axis2=-1)
         value -= float(state.alpha @ tr_mu) + float(state.beta @ tr_nu)
@@ -420,23 +354,11 @@ def fixed_point_residual(state: DualState, mu: TensorMeasure, nu: TensorMeasure,
     """Sup-norm distance of the potentials from their fixed-point values
     ``LSE_j(K) - log mu`` / ``LSE_i(K) - log nu`` (on a hard-constraint
     side, the sup-norm of the additive step ``eps * (LSE - log target)``)."""
-    w1, w2 = cfg.kernel_coef(1), cfg.kernel_coef(2)
-    if cfg.trace_constrained:
-        k = kernel_trace(state.u, state.v, state.alpha, state.beta,
-                         cost, cfg.eps, w1, w2)
-    else:
-        k = kernel(state.u, state.v, cost, cfg.eps, w1, w2)
-    log_mu = log_sym(mu.tensors, eig_floor=cfg.eig_floor)
-    log_nu = log_sym(nu.tensors, eig_floor=cfg.eig_floor)
-
-    gap_u = lse_reduce(k, axis=1) - log_mu
-    gap_v = lse_reduce(k, axis=0) - log_nu
-    if math.isfinite(cfg.rho1):
-        res_u = float(np.abs(state.u - gap_u).max())
-    else:
-        res_u = float(np.abs(cfg.eps * gap_u).max())
-    if math.isfinite(cfg.rho2):
-        res_v = float(np.abs(state.v - gap_v).max())
-    else:
-        res_v = float(np.abs(cfg.eps * gap_v).max())
-    return max(res_u, res_v)
+    k = _dual_kernel(state.u, state.v, state.alpha, state.beta, cost, cfg)
+    res = []
+    for axis, rho, pot, target in ((1, cfg.rho1, state.u, mu.tensors),
+                                   (0, cfg.rho2, state.v, nu.tensors)):
+        gap = lse_reduce(k, axis=axis) - log_sym(target)
+        step = pot - gap if math.isfinite(rho) else cfg.eps * gap
+        res.append(float(np.abs(step).max()))
+    return max(res)

@@ -204,34 +204,38 @@ def clamp_psd(mats) -> np.ndarray:
     return _reconstruct(np.maximum(vals, 0.0), vecs)
 
 
-def psd_violations(mats, psd_tol: float = PSD_TOL) -> np.ndarray:
+def _not_psd(vals: np.ndarray) -> np.ndarray:
+    """Per matrix, from its eigenvalues ``(..., d)``: whether the minimum
+    eigenvalue lies below ``-PSD_TOL * (1 + |lambda_max|)``."""
+    bound = -PSD_TOL * (1.0 + np.abs(vals).max(axis=-1))
+    return vals.min(axis=-1) < bound
+
+
+def psd_violations(mats) -> np.ndarray:
     """Indices into the flattened stack of the matrices that are not
-    positive semidefinite: minimum eigenvalue below
-    ``-psd_tol * (1 + |lambda_max|)``."""
+    positive semidefinite (see :func:`_not_psd`)."""
     a = _dense(mats)
     flat = a.reshape((-1,) + a.shape[-2:])
     if flat.shape[0] == 0:
         return np.empty(0, dtype=np.intp)
-    vals = eig_sym(flat).values
-    bound = -psd_tol * (1.0 + np.abs(vals).max(axis=-1))
-    return np.nonzero(vals.min(axis=-1) < bound)[0]
+    return np.nonzero(_not_psd(eig_sym(flat).values))[0]
 
 
-def _plog_parts(p: np.ndarray, q: np.ndarray, kernel_tol: float):
+def _plog_parts(p: np.ndarray, q: np.ndarray):
     """The product ``P log(Q)`` in the eigenbasis of ``Q``, extended to
     singular ``Q`` with ``0 * log 0 = 0``: returns (q_vecs, p_tilde,
     log_vals, kernel mask, containment mask) with kernel rows and columns
     of p_tilde zeroed; the product is finite only where ``ker Q`` lies in
-    ``ker P`` (within ``kernel_tol``)."""
+    ``ker P`` (within ``KERNEL_TOL``)."""
     q_vals, q_vecs = eig_sym(q)
     lam_max = np.maximum(q_vals[..., :1], 0.0)
-    is_ker = q_vals <= kernel_tol * lam_max
+    is_ker = q_vals <= KERNEL_TOL * lam_max
     p_tilde = np.swapaxes(q_vecs, -1, -2) @ p @ q_vecs
 
     scale = np.abs(p_tilde).max(axis=(-2, -1))
     col_mass = np.abs(p_tilde).max(axis=-2)
     contained = np.all(
-        np.where(is_ker, col_mass, 0.0) <= kernel_tol * scale[..., None], axis=-1
+        np.where(is_ker, col_mass, 0.0) <= KERNEL_TOL * scale[..., None], axis=-1
     )
     p_tilde = np.where(is_ker[..., None, :], 0.0, p_tilde)
     p_tilde = np.where(is_ker[..., :, None], 0.0, p_tilde)

@@ -153,6 +153,21 @@ class TestBarycenterSolve:
         nu, _ = barycenter_solve(make_problem(inputs, [0.5, 0.5], support), cfg)
         assert np.linalg.eigvalsh(nu.tensors).min() > 0.0
 
+    def test_unconverged_solve_caps_the_exponentials(self):
+        # Inputs far from the support at small eps: after five iterations
+        # the barycenter's log-tensors have eigenvalues in the thousands.
+        a = TensorMeasure(np.array([[0.0, 0.0], [1.0, 0.0]]),
+                          np.stack([np.eye(2), 2.0 * np.eye(2)]))
+        b = TensorMeasure(np.array([[10.0, 0.0], [11.0, 0.0]]),
+                          np.stack([np.eye(2), np.diag([3.0, 0.1])]))
+        support = np.array([[5.0, 0.0], [6.0, 0.0]])
+        prob = make_problem([a, b], [0.5, 0.5], support, rho=0.1)
+        nu, report = barycenter_solve(prob, SolverConfig(eps=1e-3, max_iter=5))
+        assert not report.converged
+        assert np.all(np.isfinite(nu.tensors))
+        assert any(n.startswith("barycenter saturated") for n in report.notes)
+        assert any(n.startswith("coupling saturated") for n in report.notes)
+
     def test_colocated_diracs_match_pointwise_formula(self):
         rng = np.random.default_rng(15)
         point = np.array([[0.25, 0.75]])

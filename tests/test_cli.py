@@ -282,6 +282,31 @@ class TestBarycenterCommand:
                      "--out", str(tmp_path / "b.json")])
         assert code == 2
 
+    def test_saturated_barycenter_exits_2(self, tmp_path):
+        # Five iterations leave the barycenter's log-tensors with
+        # eigenvalues in the thousands; the exponential is capped.
+        a = write_field(tmp_path / "a.json", [[0.0, 0.0], [1.0, 0.0]],
+                        [np.eye(2), 2.0 * np.eye(2)])
+        b = write_field(tmp_path / "b.json", [[10.0, 0.0], [11.0, 0.0]],
+                        [np.eye(2), np.diag([3.0, 0.1])])
+        support = write_field(tmp_path / "s.json", [[5.0, 0.0], [6.0, 0.0]],
+                              [np.eye(2), np.eye(2)])
+        out = tmp_path / "bary.json"
+        code = main(["barycenter", "--inputs", f"{a},{b}", "--weights", "0.5,0.5",
+                     "--support", support, "--rho", "0.1", "--eps", "0.001",
+                     "--max-iter", "5", "--out", str(out)])
+        assert code == 2
+        assert np.all(np.isfinite(load_field(out).tensors))
+
+    @pytest.mark.parametrize("flag", ["--rho1", "--rho2"])
+    def test_pair_fidelity_flags_rejected(self, tmp_path, flag):
+        paths = self.make_inputs(tmp_path)
+        code = main(["barycenter", "--inputs", ",".join(paths),
+                     "--weights", "0.5,0.5", flag, "7",
+                     "--out", str(tmp_path / "b.json")])
+        assert code == 1
+        assert not (tmp_path / "b.json").exists()
+
 
 class TestDistanceCommand:
     def test_identical_single_diracs_pointwise_zero(self, tmp_path):
@@ -337,6 +362,16 @@ class TestDistanceCommand:
         mu, nu = small_pair
         code = main(["distance", "--mu", mu, "--nu", nu, "--max-iter", "2"])
         assert code == 2
+
+    def test_non_finite_value_exits_2(self, tmp_path, capsys):
+        # The input of TestTransport.test_non_finite_primal_is_null_and_exits_2:
+        # the solve converges, but the primal value is +inf.
+        points = [[0.0, 0.0], [1.0, 0.0]]
+        mu = write_field(tmp_path / "mu.json", points, [np.eye(2), np.zeros((2, 2))])
+        nu = write_field(tmp_path / "nu.json", points, [np.eye(2), np.eye(2)])
+        code = main(["distance", "--mu", mu, "--nu", nu])
+        assert code == 2
+        assert "W_eps inf" in capsys.readouterr().out
 
 
 class TestRenderCommand:

@@ -8,7 +8,6 @@ from qot.cost import (
     euclidean_cost,
     from_distance_matrix,
     kernel,
-    kernel_trace,
 )
 from qot.sym import exp_sym
 
@@ -114,8 +113,8 @@ class TestKernelTrace:
         u = 0.5 * (u + np.swapaxes(u, -1, -2))
         v = rng.standard_normal((3, 2, 2))
         v = 0.5 * (v + np.swapaxes(v, -1, -2))
-        k0 = kernel_trace(u, v, np.zeros(2), np.zeros(3), cost, 0.1, 1.0, 1.0)
-        assert np.allclose(k0, kernel(u, v, cost, 0.1, 1.0, 1.0))
+        k0 = kernel(u, v, cost, 0.1, 1.0, 1.0, np.zeros(2), np.zeros(3))
+        assert np.array_equal(k0, kernel(u, v, cost, 0.1, 1.0, 1.0))
 
     def test_row_shift(self):
         eps = 0.5
@@ -123,7 +122,7 @@ class TestKernelTrace:
         u = np.zeros((2, 2, 2))
         v = np.zeros((1, 2, 2))
         alpha = np.array([eps, 0.0])
-        k = kernel_trace(u, v, alpha, np.zeros(1), cost, eps, 1.0, 1.0)
+        k = kernel(u, v, cost, eps, 1.0, 1.0, alpha, np.zeros(1))
         assert np.allclose(k[0, 0], -np.eye(2))
         assert np.allclose(k[1, 0], 0.0)
 
@@ -137,14 +136,20 @@ class TestKernelTrace:
         v = 0.5 * (v + np.swapaxes(v, -1, -2))
         traces = []
         for a in [0.0, 0.5, 1.0]:
-            k = kernel_trace(u, v, np.array([a]), np.zeros(2), cost, 0.7, 1.0, 1.0)
+            k = kernel(u, v, cost, 0.7, 1.0, 1.0, np.array([a]), np.zeros(2))
             traces.append(np.trace(exp_sym(k[0]).sum(axis=0)))
         assert traces[0] > traces[1] > traces[2]
 
     def test_multiplier_shape_validation(self):
         cost = GroundCost("isotropic", np.zeros((2, 2)))
         with pytest.raises(ValueError):
-            kernel_trace(
-                np.zeros((2, 2, 2)), np.zeros((2, 2, 2)),
-                np.zeros(3), np.zeros(2), cost, 1.0, 1.0, 1.0,
+            kernel(
+                np.zeros((2, 2, 2)), np.zeros((2, 2, 2)), cost, 1.0, 1.0, 1.0,
+                np.zeros(3), np.zeros(2),
             )
+
+    def test_multipliers_come_in_pairs(self):
+        cost = GroundCost("isotropic", np.zeros((2, 2)))
+        with pytest.raises(ValueError):
+            kernel(np.zeros((2, 2, 2)), np.zeros((2, 2, 2)), cost, 1.0, 1.0, 1.0,
+                   alpha=np.zeros(2))

@@ -1,6 +1,7 @@
 """Unit tests for the tensor Sinkhorn solver."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -366,6 +367,20 @@ class TestTraceConstrained:
         assert report.converged
         gap = abs(report.primal_value - report.dual_value)
         assert gap / (1.0 + abs(report.primal_value)) < 1e-6
+
+    def test_entry_point_is_the_flag(self):
+        rng = np.random.default_rng(59)
+        mu, nu, cost = trace_balanced_instance(rng, 3, 4, 2)
+        cfg = SolverConfig(eps=0.05, max_iter=200)
+        g1, s1, r1 = sinkhorn_solve_trace(mu, nu, cost, cfg)
+        g2, s2, r2 = sinkhorn_solve(mu, nu, cost, replace(cfg, trace_constrained=True))
+        assert g1.entries.tobytes() == g2.entries.tobytes()
+        for name in ("u", "v", "alpha", "beta"):
+            assert getattr(s1, name).tobytes() == getattr(s2, name).tobytes()
+        assert r1.residual_history.tobytes() == r2.residual_history.tobytes()
+        for name in ("iterations", "converged", "notes", "primal_value", "dual_value"):
+            assert getattr(r1, name) == getattr(r2, name)
+        assert "trace-constrained marginals" in r1.notes
 
     def test_nonpositive_trace_rejected(self):
         mu = TensorMeasure(np.zeros((1, 1)), np.zeros((1, 1, 1)))

@@ -63,10 +63,8 @@ class TestPsdViolations:
         mats = np.stack([np.eye(2), np.diag([1.0, -1e-3]), np.eye(2)])
         assert psd_violations(mats).tolist() == [1]
 
-    def test_psd_tol_is_a_parameter(self):
-        mat = np.diag([1.0, -1e-5])
-        assert psd_violations(mat).tolist() == [0]
-        assert psd_violations(mat, psd_tol=1e-4).size == 0
+    def test_rejects_small_negative_at_default_tolerance(self):
+        assert psd_violations(np.diag([1.0, -1e-5])).tolist() == [0]
 
     def test_flat_indices_of_a_nested_stack(self):
         mats = np.broadcast_to(np.eye(3), (2, 3, 3, 3)).copy()
