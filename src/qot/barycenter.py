@@ -16,7 +16,8 @@ import numpy as np
 
 from .measure import Coupling, TensorMeasure, primal_objective
 from .solver import (_SATURATION_NOTE, DualState, SolveReport, SolverConfig,
-                     _dual_kernel, _exp_capped, _update, dual_objective)
+                     _dual_kernel, _exp_capped, _objective_notes, _update,
+                     dual_objective)
 from .sym import exp_sym, log_sym, lse_reduce
 
 __all__ = [
@@ -176,6 +177,7 @@ def barycenter_solve(prob: BarycenterProblem, cfg: SolverConfig | None = None):
                                    prob.costs[idx], cfg)
     if saturated:
         notes.append(_SATURATION_NOTE)
+    notes += _objective_notes(primal, dual)
 
     report = SolveReport(
         iterations=iterations,

@@ -133,14 +133,15 @@ def _exit_code(report: SolveReport) -> int:
 
 
 def _report_dict(report: SolveReport, cfg: SolverConfig) -> dict:
-    """The ``--report`` document; a non-finite objective value is written
-    as null with a note, so the document stays strict JSON."""
+    """The ``--report`` document; a non-finite objective value (which the
+    solver's notes already name) is written as null with a note, so the
+    document stays strict JSON."""
     values = {"primal_value": report.primal_value, "dual_value": report.dual_value}
     notes = list(report.notes)
     for key, value in values.items():
         if not math.isfinite(value):
             values[key] = None
-            notes.append(f"{key} is not finite ({value}); written as null")
+            notes.append(f"{key} written as null")
     return {
         "iterations": report.iterations,
         "converged": report.converged,

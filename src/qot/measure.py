@@ -33,6 +33,8 @@ def _as_tensor_stack(tensors, what: str = "tensor") -> np.ndarray:
         arr = arr[None]
     if arr.ndim != 3 or arr.shape[-1] != arr.shape[-2]:
         raise ValueError(f"expected a stack of square matrices, got {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{what} stack contains a non-finite entry")
     asym = np.abs(arr - np.swapaxes(arr, -1, -2)).max(initial=0.0)
     scale = 1.0 + np.abs(arr).max(initial=0.0)
     if asym > 1e-9 * scale:
@@ -145,7 +147,8 @@ def quantum_entropy(tensors) -> float:
     """Von Neumann entropy ``sum_i -tr(P_i log P_i - P_i)`` with the
     ``0 log 0 = 0`` convention.
 
-    Returns ``-inf`` if any input matrix is not PSD.
+    Returns ``-inf`` if any input matrix is not PSD, or if a term or the
+    sum overflows (every term is below 1, so only downward).
     """
     arr = _as_tensor_stack(tensors)
     if arr.shape[0] == 0:
@@ -154,8 +157,9 @@ def quantum_entropy(tensors) -> float:
     if np.any(_not_psd(vals)):
         return -math.inf
     lam = np.maximum(vals, 0.0)
-    xlogx = np.where(lam > 0.0, lam * np.log(np.where(lam > 0.0, lam, 1.0)), 0.0)
-    return float((lam - xlogx).sum())
+    with np.errstate(over="ignore"):
+        xlogx = np.where(lam > 0.0, lam * np.log(np.where(lam > 0.0, lam, 1.0)), 0.0)
+        return float((lam - xlogx).sum())
 
 
 def quantum_kl(a, b) -> float:
@@ -163,7 +167,9 @@ def quantum_kl(a, b) -> float:
 
     Uses the lower-semicontinuity convention for singular ``Q``: the value
     is finite when ``ker Q`` is contained in ``ker P`` (with ``0 log 0 = 0``)
-    and ``+inf`` otherwise.  Non-PSD ``P`` also maps to ``+inf``.
+    and ``+inf`` otherwise.  Non-PSD ``P`` also maps to ``+inf``, and so
+    does a term or sum that overflows: each term is nonnegative, and one
+    whose parts overflow can come out as ``inf - inf``.
     """
     p = _as_tensor_stack(a, "first")
     q = _as_tensor_stack(b, "second")
@@ -175,20 +181,22 @@ def quantum_kl(a, b) -> float:
     p_vals = eig_sym(p).values
     if np.any(_not_psd(p_vals)):
         return math.inf
-    lam = np.maximum(p_vals, 0.0)
-    tr_plogp = np.where(
-        lam > 0.0, lam * np.log(np.where(lam > 0.0, lam, 1.0)), 0.0
-    ).sum(axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam = np.maximum(p_vals, 0.0)
+        tr_plogp = np.where(
+            lam > 0.0, lam * np.log(np.where(lam > 0.0, lam, 1.0)), 0.0
+        ).sum(axis=-1)
 
-    _, p_tilde, log_vals, _, contained = _plog_parts(p, q)
-    if not np.all(contained):
-        return math.inf
-    diag = np.diagonal(p_tilde, axis1=-2, axis2=-1)
-    tr_plogq = np.einsum("...s,...s->...", diag, log_vals)
+        _, p_tilde, log_vals, _, contained = _plog_parts(p, q)
+        if not np.all(contained):
+            return math.inf
+        diag = np.diagonal(p_tilde, axis1=-2, axis2=-1)
+        tr_plogq = np.einsum("...s,...s->...", diag, log_vals)
 
-    tr_p = np.trace(p, axis1=-2, axis2=-1)
-    tr_q = np.trace(q, axis1=-2, axis2=-1)
-    return float((tr_plogp - tr_plogq - tr_p + tr_q).sum())
+        tr_p = np.trace(p, axis1=-2, axis2=-1)
+        tr_q = np.trace(q, axis1=-2, axis2=-1)
+        total = float((tr_plogp - tr_plogq - tr_p + tr_q).sum())
+    return total if math.isfinite(total) else math.inf
 
 
 def inner(a, b) -> float:

@@ -141,7 +141,9 @@ class DualState:
 class SolveReport:
     """Convergence diagnostics: ``residual_history[t]`` is the sup-norm of
     the column-potential change at iteration t (the quantity whose log10
-    decays linearly for contractive relaxations)."""
+    decays linearly for contractive relaxations).  ``notes`` name the
+    hard constraints and trace mode in use, every exponential capped at
+    exp(700), and each objective value that is not finite."""
 
     iterations: int
     residual_history: np.ndarray
@@ -185,6 +187,13 @@ def _exp_capped(mats):
     vals, vecs = eig_sym(mats)
     hit = bool(np.any(vals > _EXP_SAT))
     return _reconstruct(np.exp(np.minimum(vals, _EXP_SAT)), vecs), hit
+
+
+def _objective_notes(primal: float, dual: float) -> list:
+    """One note per objective value that is not finite."""
+    return [f"{key} is not finite ({value})"
+            for key, value in (("primal_value", primal), ("dual_value", dual))
+            if not math.isfinite(value)]
 
 
 def _dual_kernel(u, v, alpha, beta, cost: GroundCost, cfg: SolverConfig) -> np.ndarray:
@@ -291,19 +300,21 @@ def sinkhorn_solve(mu: TensorMeasure, nu: TensorMeasure, cost: GroundCost,
     gamma, saturated = _exp_capped(_dual_kernel(u, v, alpha, beta, cost, cfg))
     coupling = Coupling(gamma)
     state = DualState(u, v, alpha, beta)
-    notes = tuple(note for flag, note in (
+    primal = primal_objective(coupling, mu, nu, cost, cfg)
+    dual = dual_objective(state, mu, nu, cost, cfg)
+    notes = [note for flag, note in (
         (not fin1, "rho1=inf: hard row-marginal constraint"),
         (not fin2, "rho2=inf: hard column-marginal constraint"),
         (cfg.trace_constrained, "trace-constrained marginals"),
         (saturated, _SATURATION_NOTE),
-    ) if flag)
+    ) if flag]
     report = SolveReport(
         iterations=iterations,
         residual_history=np.asarray(residuals),
         converged=converged,
-        primal_value=primal_objective(coupling, mu, nu, cost, cfg),
-        dual_value=dual_objective(state, mu, nu, cost, cfg),
-        notes=notes,
+        primal_value=primal,
+        dual_value=dual,
+        notes=tuple(notes + _objective_notes(primal, dual)),
     )
     return coupling, state, report
 

@@ -1,10 +1,14 @@
 """Symmetric-matrix calculus on dense stacks.
 
-Eigendecompositions of 2x2 matrices use a vectorized closed form (the hot
-path of every d = 2 solve); every other size goes to LAPACK
-(``np.linalg.eigh``), reordered to descending eigenvalues with the same
-deterministic sign convention.  Matrix exp / log are spectral; eigenvalue
-clamping stands in for the singular-matrix limit (see :func:`log_sym`).
+Eigendecompositions of 2x2 matrices use a vectorized closed form; every
+other size goes to LAPACK (``np.linalg.eigh``), reordered to descending
+eigenvalues with the same deterministic sign convention.  Matrix exp / log
+are spectral; eigenvalue clamping stands in for the singular-matrix limit
+(see :func:`log_sym`).  The matrix log-sum-exp of 2x2 stacks, the hot path
+of every d = 2 solve, works on the entry arrays alone: the closed form's
+eigenvalues and top eigenvector feed a projector form of exp and log, with
+no eigenvector matrices, sign fixing or matrix products (see
+:func:`lse_reduce`).
 
 Every operation is a pure function of its inputs and accepts either a
 single ``(d, d)`` symmetric matrix or a stack shaped ``(..., d, d)``.
@@ -97,10 +101,11 @@ def _fix_signs(vecs: np.ndarray) -> np.ndarray:
     return vecs * np.where(lead < 0.0, -1.0, 1.0)
 
 
-def _eig2(a: np.ndarray) -> EigenPair:
-    a00 = a[..., 0, 0]
-    a01 = a[..., 0, 1]
-    a11 = a[..., 1, 1]
+def _eig2_parts(a00, a01, a11):
+    """Closed-form eigensystem of symmetric 2x2 matrices given by their
+    entry arrays: returns ``(w1, w2, x, y)`` with eigenvalues
+    ``w1 >= w2`` and ``(x, y)`` a unit eigenvector of ``w1``; ``(-y, x)``
+    spans the other eigenspace (its sign is left unfixed)."""
     mid = 0.5 * (a00 + a11)
     rad = np.hypot(0.5 * (a00 - a11), a01)
     # Larger-magnitude root from the quadratic formula; the other through
@@ -108,8 +113,9 @@ def _eig2(a: np.ndarray) -> EigenPair:
     # eigenvalues far below ulp(lambda_max).
     big = np.where(mid < 0.0, mid - rad, mid + rad)
     safe_big = np.where(big != 0.0, big, 1.0)
-    acmx = np.where(np.abs(a00) >= np.abs(a11), a00, a11)
-    acmn = np.where(np.abs(a00) >= np.abs(a11), a11, a00)
+    swap = np.abs(a00) >= np.abs(a11)
+    acmx = np.where(swap, a00, a11)
+    acmn = np.where(swap, a11, a00)
     other = np.where(
         big != 0.0, (acmx / safe_big) * acmn - (a01 / safe_big) * a01, 0.0
     )
@@ -118,21 +124,35 @@ def _eig2(a: np.ndarray) -> EigenPair:
 
     # (A - w1 I) v = 0 has the two algebraically equivalent solutions
     # (a01, w1-a00) and (w1-a11, a01); pick the better-conditioned one.
-    cand1 = np.stack([a01, w1 - a00], axis=-1)
-    cand2 = np.stack([w1 - a11, a01], axis=-1)
-    n1 = np.einsum("...i,...i->...", cand1, cand1)
-    n2 = np.einsum("...i,...i->...", cand2, cand2)
-    v1 = np.where((n1 >= n2)[..., None], cand1, cand2)
-    norm = np.sqrt(np.einsum("...i,...i->...", v1, v1))
+    # The arrays made by np.where are normalized in place, which spares
+    # the page faults of fresh temporaries on the large stacks of a solve.
+    # Entries beyond about 1e154 overflow the squared norms (the PSD check
+    # of a capped coupling meets entries up to 1e304); the eigenvalues
+    # above do not depend on them.
+    d00 = w1 - a00
+    d11 = w1 - a11
+    with np.errstate(over="ignore"):
+        n1 = a01 * a01 + d00 * d00
+        n2 = d11 * d11 + a01 * a01
+    first = n1 >= n2
+    x = np.where(first, a01, d11)
+    y = np.where(first, d00, a01)
+    norm = np.where(first, n1, n2)
+    np.sqrt(norm, out=norm)
     isotropic = norm <= 0.0
-    v1 = np.where(
-        isotropic[..., None],
-        np.broadcast_to(np.array([1.0, 0.0]), v1.shape),
-        v1 / np.where(isotropic, 1.0, norm)[..., None],
-    )
-    v2 = np.stack([-v1[..., 1], v1[..., 0]], axis=-1)
+    norm[isotropic] = 1.0
+    x /= norm
+    y /= norm
+    x[isotropic] = 1.0
+    y[isotropic] = 0.0
+    return w1, w2, x, y
+
+
+def _eig2(a: np.ndarray) -> EigenPair:
+    w1, w2, x, y = _eig2_parts(a[..., 0, 0], a[..., 0, 1], a[..., 1, 1])
     vals = np.stack([w1, w2], axis=-1)
-    vecs = np.stack([v1, v2], axis=-1)
+    vecs = np.stack([np.stack([x, -y], axis=-1), np.stack([y, x], axis=-1)],
+                    axis=-2)
     return EigenPair(vals, _fix_signs(vecs))
 
 
@@ -253,6 +273,14 @@ def _normalize_reduce_axis(a: np.ndarray, axis: int) -> int:
     return axis
 
 
+def _projector_form(f1, f2, x, y):
+    """Entries ``(00, 01, 11)`` of ``f1 v v^T + f2 (I - v v^T)`` with
+    ``v = (x, y)`` a unit vector: ``f(A)`` for the symmetric 2x2 ``A``
+    whose top eigenvector is ``v``, given ``f`` at its two eigenvalues."""
+    xx, yy = x * x, y * y
+    return f1 * xx + f2 * yy, (f1 - f2) * (x * y), f1 * yy + f2 * xx
+
+
 def lse_reduce(mats, axis: int = 0) -> np.ndarray:
     """Matrix log-sum-exp: ``log(sum_k exp(M_k))`` along a batch axis.
 
@@ -260,17 +288,40 @@ def lse_reduce(mats, axis: int = 0) -> np.ndarray:
     of the identity commute with everything, so the shift is exact)::
 
         result = m * I + log(sum_k exp(M_k - m * I))
+
+    The interior log clamps eigenvalues at the smallest positive normal
+    float (``EIG_FLOOR`` is reserved for genuinely singular inputs).
+
+    2x2 stacks form no eigenvector matrices: each ``exp(M_k - m I)`` is
+    ``e1 v v^T + e2 (I - v v^T)`` with the eigenvalues and top eigenvector
+    ``v`` of :func:`_eig2_parts`, its three entries are summed as arrays,
+    and the log of the sum is taken the same way.  Each eigen-direction
+    keeps its own exponential, so one far below the shift is not lost to
+    cancellation as in the ``cosh``/``sinh`` form of ``exp``.
     """
     a = _dense(mats)
     axis = _normalize_reduce_axis(a, axis)
+    tiny = float(np.finfo(float).tiny)
+    d = a.shape[-1]
+    if d == 2:
+        w1, w2, x, y = _eig2_parts(a[..., 0, 0], a[..., 0, 1], a[..., 1, 1])
+        shift = w1.max(axis=axis, keepdims=True)
+        s00, s01, s11 = (e.sum(axis=axis) for e in _projector_form(
+            np.exp(w1 - shift), np.exp(w2 - shift), x, y))
+        l1, l2, x, y = _eig2_parts(s00, s01, s11)
+        r00, r01, r11 = _projector_form(
+            np.log(np.maximum(l1, tiny)), np.log(np.maximum(l2, tiny)), x, y)
+        shift = np.squeeze(shift, axis=axis)
+        out = np.empty(s00.shape + (2, 2))
+        out[..., 0, 0] = r00 + shift
+        out[..., 1, 1] = r11 + shift
+        out[..., 0, 1] = out[..., 1, 0] = r01
+        return out
     vals, vecs = eig_sym(a)
     shift = vals[..., 0].max(axis=axis, keepdims=True)
     ev = np.exp(vals - shift[..., None])
     total = _reconstruct(ev, vecs).sum(axis=axis)
-    d = a.shape[-1]
-    # The interior log is exact down to the smallest positive normal; the
-    # EIG_FLOOR clamp is reserved for genuinely singular inputs elsewhere.
-    out = log_sym(total, eig_floor=float(np.finfo(float).tiny))
+    out = log_sym(total, eig_floor=tiny)
     return out + np.squeeze(shift, axis=axis)[..., None, None] * np.eye(d)
 
 

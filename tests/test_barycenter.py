@@ -167,6 +167,9 @@ class TestBarycenterSolve:
         assert np.all(np.isfinite(nu.tensors))
         assert any(n.startswith("barycenter saturated") for n in report.notes)
         assert any(n.startswith("coupling saturated") for n in report.notes)
+        # The uncapped kernel eigenvalues overflow the dual's exponentials.
+        assert report.dual_value == -math.inf
+        assert "dual_value is not finite (-inf)" in report.notes
 
     def test_colocated_diracs_match_pointwise_formula(self):
         rng = np.random.default_rng(15)

@@ -104,7 +104,8 @@ class TestTransport:
 
         doc = json.loads(report.read_text(), parse_constant=reject)
         assert doc["primal_value"] is None
-        assert any("primal_value" in note for note in doc["notes"])
+        assert [note for note in doc["notes"] if "primal_value" in note] == [
+            "primal_value is not finite (inf)", "primal_value written as null"]
 
     def test_malformed_file_exits_1(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -105,6 +105,11 @@ class TestQuantumEntropy:
     def test_non_psd_is_minus_infinity(self):
         assert quantum_entropy([np.diag([1.0, -0.5])]) == -math.inf
 
+    def test_overflowing_sum_is_minus_infinity(self):
+        # Each term, 2e305 * (1 - log 1e305), is finite; their sum is not.
+        huge = np.stack([np.diag([1e305, 1e305])] * 3)
+        assert quantum_entropy(huge) == -math.inf
+
     def test_concavity_along_segments(self):
         rng = np.random.default_rng(5)
         for _ in range(25):
@@ -148,6 +153,19 @@ class TestQuantumKl:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             quantum_kl([np.eye(2)], [np.eye(3)])
+
+    def test_non_finite_entry_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            quantum_kl([np.diag([1.0, math.nan])], [np.eye(2)])
+
+    def test_overflowing_sum_is_infinite(self):
+        huge = np.stack([np.diag([1e305, 1e305])] * 3)
+        assert quantum_kl(huge, np.stack([np.eye(2)] * 3)) == math.inf
+
+    def test_overflowing_term_is_infinite(self):
+        # tr(P log P) and tr(P log Q) both overflow: inf - inf inside a term.
+        huge = np.diag([1.7e308, 1.0])[None]
+        assert quantum_kl(huge, huge) == math.inf
 
     def test_nonnegative(self):
         rng = np.random.default_rng(7)

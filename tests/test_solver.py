@@ -440,3 +440,23 @@ class TestValidation:
         cost = GroundCost("isotropic", np.zeros((1, 1)))
         with pytest.raises(ValueError):
             sinkhorn_solve(mu, nu, cost, SolverConfig())
+
+
+class TestReportNotes:
+    def test_non_finite_primal_is_noted(self):
+        # The all-zero tensor makes the row KL term +inf: the coupling row
+        # keeps mass ~1e-15 from the solver's log floor.
+        points = np.array([[0.0, 0.0], [1.0, 0.0]])
+        mu = TensorMeasure(points, np.stack([np.eye(2), np.zeros((2, 2))]))
+        nu = TensorMeasure(points, np.stack([np.eye(2), np.eye(2)]))
+        cost = euclidean_cost(points, points, alpha=2.0)
+        _, _, report = sinkhorn_solve(mu, nu, cost, SolverConfig())
+        assert report.primal_value == math.inf
+        assert report.notes == ("primal_value is not finite (inf)",)
+
+    def test_finite_objectives_add_no_note(self):
+        mu, nu, cost = random_instance(np.random.default_rng(3), 3, 4, 2)
+        _, _, report = sinkhorn_solve(mu, nu, cost, SolverConfig(eps=0.1))
+        assert math.isfinite(report.primal_value)
+        assert math.isfinite(report.dual_value)
+        assert report.notes == ()

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -154,6 +155,10 @@ class TestEig:
                               lse_reduce(sym.copy(), axis=0))
         assert np.array_equal(lste_reduce(sym, axis=0),
                               lste_reduce(sym.copy(), axis=0))
+        pairs = random_sym(rng, 2, n=12).reshape(3, 4, 2, 2)
+        for axis in (0, 1):
+            assert np.array_equal(lse_reduce(pairs, axis=axis),
+                                  lse_reduce(pairs.copy(), axis=axis))
 
 
 @st.composite
@@ -275,6 +280,85 @@ class TestLse:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             lse_reduce(np.zeros((0, 2, 2)), axis=0)
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_matches_naive_formula(self, d, axis):
+        rng = np.random.default_rng(59 + d)
+        mats = random_sym(rng, d, n=12).reshape(3, 4, d, d)
+        got = lse_reduce(mats, axis=axis)
+        stacks = np.moveaxis(mats, axis, 0)
+        for idx in range(stacks.shape[1]):
+            total = sum(scipy.linalg.expm(m) for m in stacks[:, idx])
+            assert np.allclose(got[idx], scipy.linalg.logm(total), atol=1e-10)
+
+
+ULP = 2.0**-52
+
+
+def _mp_sym_fun(a, b, c, f, df):
+    """Entries ``(f(A)_00, f(A)_01, f(A)_11)`` of ``f`` at the symmetric
+    2x2 ``A = [[a, b], [b, c]]`` in mpmath arithmetic, written as
+    ``f(w2) I + g (A - w2 I)`` with ``g`` the divided difference of ``f``
+    over the eigenvalues ``w1 >= w2`` (``f'`` when they coincide)."""
+    mid = (a + c) / 2
+    rad = mpmath.sqrt(((a - c) / 2) ** 2 + b * b)
+    w1, w2 = mid + rad, mid - rad
+    g = (f(w1) - f(w2)) / (w1 - w2) if w1 != w2 else df(mid)
+    return f(w2) + g * (a - w2), g * b, f(w2) + g * (c - w2)
+
+
+@st.composite
+def near_aligned_2x2_stacks(draw):
+    """Stacks of 1-6 anisotropic 2x2 matrices whose eigenvectors lie
+    within 1e-12..1e-2 rad of one common direction; eigenvalues in
+    [-300, 300] with gaps from 1e-6 to about 300."""
+    theta = draw(st.floats(0.0, math.pi))
+    mats = []
+    for _ in range(draw(st.integers(1, 6))):
+        tilt = draw(st.sampled_from([1.0, -1.0])) * 10.0 ** draw(
+            st.floats(-12.0, -2.0))
+        lam1 = draw(st.floats(-300.0, 300.0))
+        lam2 = lam1 - 10.0 ** draw(st.floats(-6.0, 2.5))
+        c, s = math.cos(theta + tilt), math.sin(theta + tilt)
+        rot = np.array([[c, -s], [s, c]])
+        a = rot @ np.diag([lam1, lam2]) @ rot.T
+        a[1, 0] = a[0, 1]
+        mats.append(a)
+    return np.stack(mats)
+
+
+class TestLse2Property:
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(st.one_of(
+        st.lists(ill_conditioned_2x2(), min_size=1, max_size=6).map(np.stack),
+        near_aligned_2x2_stacks(),
+    ))
+    def test_matches_high_precision_reference(self, mats):
+        """Against a 150-digit reference, the error stays within 16 ulp of
+        ``cond(S) (1 + max |M_k|)`` with ``S = sum_k exp(M_k)``: the
+        eigenvalues of each ``M_k`` carry absolute errors of order
+        ``ulp |M_k|``, exp turns them into relative errors of ``S``, and
+        the log amplifies those by at most ``cond(S)``."""
+        got = lse_reduce(mats, axis=0)
+        assert np.all(np.isfinite(got))
+        with mpmath.workdps(150):
+            sums = [mpmath.mpf(0)] * 3
+            for m in mats:
+                entries = (mpmath.mpf(float(m[0, 0])), mpmath.mpf(float(m[0, 1])),
+                           mpmath.mpf(float(m[1, 1])))
+                terms = _mp_sym_fun(*entries, mpmath.exp, mpmath.exp)
+                sums = [total + t for total, t in zip(sums, terms)]
+            a, b, c = sums
+            mid = (a + c) / 2
+            rad = mpmath.sqrt(((a - c) / 2) ** 2 + b * b)
+            if mid - rad <= 0:
+                return  # S is singular even at 150 digits: no reference
+            cond = float((mid + rad) / (mid - rad))
+            r00, r01, r11 = _mp_sym_fun(a, b, c, mpmath.log, lambda t: 1 / t)
+        ref = np.array([[float(r00), float(r01)], [float(r01), float(r11)]])
+        tol = 16.0 * ULP * cond * (1.0 + np.abs(mats).max())
+        assert np.abs(got - ref).max() <= tol
 
 
 class TestLste:
