@@ -14,10 +14,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .measure import Coupling, TensorMeasure, primal_objective
-from .solver import (_SATURATION_NOTE, DualState, SolveReport, SolverConfig,
-                     _dual_kernel, _exp_capped, _objective_notes, _update,
-                     dual_objective)
+from .measure import TensorMeasure, primal_objective
+from .solver import (DualState, SolveReport, SolverConfig, _Anderson,
+                     _coupling, _dual_kernel, _exp_capped, _objective_notes,
+                     _update, dual_objective)
 from .sym import exp_sym, log_sym, lse_reduce
 
 __all__ = [
@@ -103,6 +103,10 @@ def barycenter_solve(prob: BarycenterProblem, cfg: SolverConfig | None = None):
     returned tensors are positive definite by construction.  Like the
     couplings, they are exponentials capped at exp(700), and a note says
     when an unconverged solve hits the cap.
+
+    One iteration is a map of the stacked per-input potentials; with the
+    default relaxations it is Anderson-accelerated like
+    :func:`qot.solver.sinkhorn_solve`, with the same stopping test.
     """
     cfg = replace(cfg or SolverConfig(), rho1=prob.rho, rho2=math.inf,
                   trace_constrained=False)
@@ -113,14 +117,15 @@ def barycenter_solve(prob: BarycenterProblem, cfg: SolverConfig | None = None):
     n_inputs = prob.n_inputs
 
     log_mu = [log_sym(m.tensors) for m in prob.inputs]
-    u = [np.zeros((m.n_atoms, d, d)) for m in prob.inputs]
-    v = [np.zeros((n_support, d, d)) for _ in range(n_inputs)]
-    log_nu = np.zeros((n_support, d, d))
+    point = (tuple(np.zeros((m.n_atoms, d, d)) for m in prob.inputs)
+             + tuple(np.zeros((n_support, d, d)) for _ in range(n_inputs)))
+    accel = _Anderson(cfg)
 
     residuals = []
     converged = False
     iterations = 0
     for it in range(cfg.max_iter):
+        u, v = list(point[:n_inputs]), list(point[n_inputs:])
         lse_cols = []
         res = 0.0
         for idx in range(n_inputs):
@@ -149,8 +154,9 @@ def barycenter_solve(prob: BarycenterProblem, cfg: SolverConfig | None = None):
         if res < cfg.tol:
             converged = True
             break
+        point = accel.step(point, tuple(u) + tuple(v))
 
-    notes = ["barycenter side uses a hard marginal constraint"]
+    notes = ["barycenter side uses a hard marginal constraint"] + accel.notes()
     tensors, hit = _exp_capped(log_nu)
     if hit:
         notes.append("barycenter saturated at exp(700) in unconverged directions")
@@ -159,12 +165,11 @@ def barycenter_solve(prob: BarycenterProblem, cfg: SolverConfig | None = None):
     states = []
     primal = 0.0
     dual = 0.0
-    saturated = False
+    coupling_notes = []
     for idx in range(n_inputs):
         k = _dual_kernel(u[idx], v[idx], None, None, prob.costs[idx], cfg)
-        gamma, hit = _exp_capped(k)
-        saturated |= hit
-        coupling = Coupling(gamma)
+        coupling, extra = _coupling(k, prob.inputs[idx].tensors, tensors)
+        coupling_notes += [note for note in extra if note not in coupling_notes]
         state = DualState(
             u[idx], v[idx],
             np.zeros(prob.inputs[idx].n_atoms), np.zeros(n_support),
@@ -175,8 +180,7 @@ def barycenter_solve(prob: BarycenterProblem, cfg: SolverConfig | None = None):
                                        prob.costs[idx], cfg)
         dual += w * dual_objective(state, prob.inputs[idx], nu,
                                    prob.costs[idx], cfg)
-    if saturated:
-        notes.append(_SATURATION_NOTE)
+    notes += coupling_notes
     notes += _objective_notes(primal, dual)
 
     report = SolveReport(

@@ -18,6 +18,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -104,8 +105,12 @@ def _add_solver_flags(parser, pair=True):
                             help="row marginal fidelity, 'inf' for hard")
         parser.add_argument("--rho2", type=_float_or_inf, default=1.0,
                             help="column marginal fidelity, 'inf' for hard")
-    parser.add_argument("--tau1", type=float, default=None)
-    parser.add_argument("--tau2", type=float, default=None)
+    for side, name in (("1", "row"), ("2", "column")):
+        parser.add_argument(
+            f"--tau{side}", type=float, default=None,
+            help=f"{name} update relaxation; when either tau is given the "
+                 "plain relaxed iteration runs, without Anderson acceleration "
+                 "(default: 1.8 eps/(eps+rho), accelerated)")
     parser.add_argument("--max-iter", type=int, default=10000)
     parser.add_argument("--tol", type=float, default=1e-9)
     if pair:
@@ -287,6 +292,7 @@ def _cmd_barycenter(args) -> int:
     cfg = _solver_config(args)
 
     uncertified = []
+    entries = {}
 
     def build(index, weights):
         def task():
@@ -305,9 +311,16 @@ def _cmd_barycenter(args) -> int:
                     render_field_svg(nu, scale=args.scale))
             if _exit_code(report) != EXIT_OK:
                 uncertified.append(index)
+            # The report states the fidelities the barycenter solve used.
+            used = replace(cfg, rho1=prob.rho, rho2=math.inf)
+            entries[index] = {"index": index, "weights": w.tolist(),
+                              **_report_dict(report, used)}
         return task
 
     _run_batch(build(i, w) for i, w in enumerate(weight_sets))
+    if args.report:
+        doc = [entries[i] for i in sorted(entries)]
+        Path(args.report).write_text(json.dumps(doc, allow_nan=False) + "\n")
     return EXIT_NO_CONVERGENCE if uncertified else EXIT_OK
 
 
@@ -403,6 +416,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--scale", type=float, default=0.05)
     p.add_argument("--out", required=True,
                    help="output pattern; '{i}' expands to the weight index")
+    p.add_argument("--report",
+                   help="convergence report output file: a JSON list with "
+                        "one entry per weight set")
     p.set_defaults(func=_cmd_barycenter)
 
     p = sub.add_parser("distance", help="transport value between fields")

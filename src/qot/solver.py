@@ -4,7 +4,9 @@ One scaling loop alternates relaxed fixed-point updates of the matrix
 dual potentials through the stabilized matrix log-sum-exp; in
 trace-constrained mode it also steps the scalar trace multipliers.  One
 dual kernel feeds the loop, the objectives and the diagnostics, and the
-coupling is read off it at the end.  A ``rho`` equal to ``inf`` is a
+coupling is read off it at the end.  When the plain iteration slows to a
+crawl, safeguarded Anderson extrapolation over its last few iterates takes
+over (default relaxations only).  A ``rho`` equal to ``inf`` is a
 symbolic sentinel for a hard marginal constraint: the corresponding
 potential switches to its rescaled limit parametrization (coefficient one
 inside the kernel, additive updates) and ``rho * x`` is never evaluated
@@ -14,6 +16,7 @@ numerically.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -26,6 +29,7 @@ from .measure import (
     primal_objective,
 )
 from .sym import (
+    KERNEL_TOL,
     _reconstruct,
     eig_sym,
     exp_sym,
@@ -54,6 +58,18 @@ _DEFAULT_TAU_FACTOR = 1.8
 _EXP_SAT = 700.0
 _SATURATION_NOTE = "coupling saturated at exp(700) in unconverged directions"
 
+# Safeguarded type-II Anderson extrapolation of the scaling map (Walker and
+# Ni, SIAM J. Numer. Anal. 2011; restart safeguard of Zhang, O'Donoghue and
+# Boyd, SIAM J. Optim. 2020).  It keeps the last _AA_MEMORY pairs
+# (x, G(x)), engages once _AA_SLOW_STEPS consecutive plain steps each shrank
+# the residual norm by less than 5 %, and solves its least-squares fit with
+# a relative singular-value cut-off of _AA_RCOND, so that histories that
+# become rank-deficient near round-off stay stable.
+_AA_MEMORY = 5
+_AA_SLOW_RATIO = 0.95
+_AA_SLOW_STEPS = 10
+_AA_RCOND = 1e-12
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -63,8 +79,11 @@ class SolverConfig:
     hard constraint).  ``tau1`` / ``tau2`` default to
     ``1.8 * eps / (eps + rho)`` for finite ``rho`` and to ``1.8`` for the
     hard-constraint side (both are 1.8x the step that solves the scalar
-    fixed point exactly).  ``tol`` is the sup-norm threshold on the
-    per-iteration change of the second potential.
+    fixed point exactly).  With both left at their defaults the solvers
+    accelerate the scaling map (see :class:`_Anderson`); an explicit
+    ``tau1`` or ``tau2`` runs exactly the plain relaxed iteration.  ``tol``
+    is the sup-norm threshold on the per-iteration change of the second
+    potential.
     """
 
     eps: float = 0.08**2
@@ -139,11 +158,14 @@ class DualState:
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Convergence diagnostics: ``residual_history[t]`` is the sup-norm of
-    the column-potential change at iteration t (the quantity whose log10
-    decays linearly for contractive relaxations).  ``notes`` name the
-    hard constraints and trace mode in use, every exponential capped at
-    exp(700), and each objective value that is not finite."""
+    """Convergence diagnostics: ``iterations`` counts evaluations of the
+    scaling map, rejected extrapolations included, and
+    ``residual_history[t]`` is the sup-norm of the column-potential change
+    made by evaluation t (the quantity whose log10 decays linearly for
+    contractive relaxations).  ``notes`` name the hard constraints and
+    trace mode in use, the Anderson acceleration if it engaged, every
+    exponential capped at exp(700), and each objective value that is not
+    finite."""
 
     iterations: int
     residual_history: np.ndarray
@@ -189,11 +211,127 @@ def _exp_capped(mats):
     return _reconstruct(np.exp(np.minimum(vals, _EXP_SAT)), vecs), hit
 
 
+def _range_projectors(tensors: np.ndarray):
+    """Orthogonal projectors onto the ranges of PSD tensors, with the
+    kernel of :func:`quantum_kl` (eigenvalues at most ``KERNEL_TOL``
+    times the largest), and whether each tensor has a kernel."""
+    vals, vecs = eig_sym(tensors)
+    live = vals > KERNEL_TOL * np.maximum(vals[..., :1], 0.0)
+    return _reconstruct(live.astype(float), vecs), ~live.all(axis=-1)
+
+
+def _coupling(k: np.ndarray, row_tensors: np.ndarray, col_tensors: np.ndarray):
+    """The coupling ``exp(K)``, capped as in :func:`_exp_capped`, with
+    entry (i, j) restricted to ``range(mu_i) & range(nu_j)`` when that
+    removes only round-off; returns it and the notes on both.
+
+    The loop takes ``log 0`` as ``log(EIG_FLOOR)``, which leaves mass of
+    about 1e-15 on the kernel of a singular tensor, where the exact
+    coupling has none; the primal's quantum KL prices any such mass at
+    ``+inf``.  The restriction is made only if the removed trace is at
+    most ``KERNEL_TOL`` of the total: more means the floor changed the
+    problem (ranges that do not line up), and the coupling is kept as the
+    loop left it.  Entries between two full-rank tensors keep every bit.
+    """
+    gamma, hit = _exp_capped(k)
+    notes = [_SATURATION_NOTE] if hit else []
+    p, p_kernel = _range_projectors(row_tensors)
+    q, q_kernel = _range_projectors(col_tensors)
+    rows, cols = np.nonzero(p_kernel[:, None] | q_kernel[None, :])
+    if rows.size:
+        # The intersection of the ranges is the eigenvalue-2 eigenspace of
+        # P + Q (principal angle zero).
+        vals, vecs = eig_sym(p[rows] + q[cols])
+        both = _reconstruct((vals > 2.0 - 0.5 * KERNEL_TOL).astype(float), vecs)
+        kept = both @ gamma[rows, cols] @ both
+        kept = 0.5 * (kept + np.swapaxes(kept, -1, -2))
+        traces = np.trace(gamma, axis1=-2, axis2=-1)
+        removed = float(traces[rows, cols].sum()
+                        - np.trace(kept, axis1=-2, axis2=-1).sum())
+        if removed <= KERNEL_TOL * float(traces.sum()):
+            gamma[rows, cols] = kept
+            notes.append(f"coupling restricted to the ranges of singular "
+                         f"tensors ({removed:.3g} of trace removed)")
+    return Coupling(gamma), notes
+
+
 def _objective_notes(primal: float, dual: float) -> list:
     """One note per objective value that is not finite."""
     return [f"{key} is not finite ({value})"
             for key, value in (("primal_value", primal), ("dual_value", dual))
             if not math.isfinite(value)]
+
+
+class _Anderson:
+    """Safeguarded Anderson acceleration of a fixed-point map ``x -> G(x)``
+    whose state is a tuple of arrays.
+
+    :meth:`step` receives a point ``x`` and its image ``G(x)`` and returns
+    the next point to evaluate.  Until it engages that is ``G(x)`` itself,
+    the very tuple it was given, so an un-engaged solve is the plain
+    iteration bit for bit.  Once engaged it returns
+    ``G(x_k) - dG gamma``, with ``gamma`` the least-squares fit of
+    ``dF gamma ~ F_k`` over the differences of the kept pairs
+    (``F = G(x) - x``).  A point whose residual norm ``|F|_2`` exceeds the
+    last accepted point's is rejected: the history restarts from it and
+    the next point is its image, so a rejection costs no extra map
+    evaluation.  An explicit ``tau1`` or ``tau2`` in ``cfg`` asks for
+    exactly that relaxed iteration, so then every step is plain.
+    """
+
+    def __init__(self, cfg: SolverConfig):
+        self.enabled = cfg.tau1 is None and cfg.tau2 is None
+        self.pairs = deque(maxlen=_AA_MEMORY)
+        self.last = math.inf
+        self.slow = 0
+        self.evaluations = 0
+        self.engaged_at = None
+        self.accepted = 0
+        self.restarted = 0
+
+    def step(self, x: tuple, gx: tuple) -> tuple:
+        self.evaluations += 1
+        if not self.enabled:
+            return gx
+        flat_x = np.concatenate([a.ravel() for a in x])
+        flat_g = np.concatenate([a.ravel() for a in gx])
+        f = flat_g - flat_x
+        norm = float(np.sqrt(f @ f))
+        if self.engaged_at is None:
+            self.slow = self.slow + 1 if norm > _AA_SLOW_RATIO * self.last else 0
+            self.last = norm
+            self.pairs.append((flat_g, f))
+            if self.slow < _AA_SLOW_STEPS:
+                return gx
+            self.engaged_at = self.evaluations
+        elif norm <= self.last:
+            self.accepted += 1
+            self.last = norm
+            self.pairs.append((flat_g, f))
+        else:
+            self.restarted += 1
+            self.last = norm
+            self.pairs.clear()
+            self.pairs.append((flat_g, f))
+            return gx
+        if len(self.pairs) < 2:
+            return gx
+        g_hist = np.stack([g for g, _ in self.pairs], axis=1)
+        f_hist = np.stack([f for _, f in self.pairs], axis=1)
+        gamma = np.linalg.lstsq(np.diff(f_hist, axis=1), f, rcond=_AA_RCOND)[0]
+        candidate = flat_g - np.diff(g_hist, axis=1) @ gamma
+        out, start = [], 0
+        for a in gx:
+            out.append(candidate[start:start + a.size].reshape(a.shape))
+            start += a.size
+        return tuple(out)
+
+    def notes(self) -> list:
+        """One note if the extrapolation engaged, none otherwise."""
+        if self.engaged_at is None:
+            return []
+        return [f"anderson: engaged at iteration {self.engaged_at}, "
+                f"{self.accepted} accepted, {self.restarted} restarted"]
 
 
 def _dual_kernel(u, v, alpha, beta, cost: GroundCost, cfg: SolverConfig) -> np.ndarray:
@@ -212,7 +350,12 @@ def sinkhorn_solve(mu: TensorMeasure, nu: TensorMeasure, cost: GroundCost,
     Each iteration relaxes the row potential toward ``LSE_j(K) - log mu``,
     recomputes the dual kernel ``K``, and relaxes the column potential
     toward ``LSE_i(K) - log nu``; it stops when the sup-norm of the
-    column-potential change drops below ``cfg.tol``.
+    column-potential change drops below ``cfg.tol``.  One iteration is a
+    map ``x -> G(x)`` of the stacked dual variables; with the default
+    relaxations the next ``x`` may be an Anderson extrapolation of the
+    last few images instead of ``G(x)`` itself (see :class:`_Anderson`).
+    The stopping test is always that of the plain step from ``x``, and the
+    returned state is ``G(x)`` at the last iteration.
 
     With ``cfg.trace_constrained`` the marginals' traces are pinned to the
     inputs' traces: after each potential update the matching scalar
@@ -232,7 +375,8 @@ def sinkhorn_solve(mu: TensorMeasure, nu: TensorMeasure, cost: GroundCost,
     Returns
     -------
     (Coupling, DualState, SolveReport)
-        The coupling is ``exp(K)`` at the final dual variables.
+        The coupling is ``exp(K)`` at the final dual variables (on
+        singular tensors restricted to their ranges, see :func:`_coupling`).
         Non-convergence within ``max_iter`` is reported, not raised.
     """
     cfg = cfg or SolverConfig()
@@ -259,14 +403,14 @@ def sinkhorn_solve(mu: TensorMeasure, nu: TensorMeasure, cost: GroundCost,
     tau1, tau2 = cfg.tau(1), cfg.tau(2)
     fin1, fin2 = math.isfinite(cfg.rho1), math.isfinite(cfg.rho2)
 
-    u = np.zeros((rows, d, d))
-    v = np.zeros((cols, d, d))
-    alpha = np.zeros(rows)
-    beta = np.zeros(cols)
+    point = (np.zeros((rows, d, d)), np.zeros((cols, d, d)),
+             np.zeros(rows), np.zeros(cols))
+    accel = _Anderson(cfg)
     residuals = []
     converged = False
     iterations = 0
     for it in range(cfg.max_iter):
+        u, v, alpha, beta = point
         k = _dual_kernel(u, v, alpha, beta, cost, cfg)
         u = _update(u, lse_reduce(k, axis=1) - log_mu, tau1, cfg.eps, fin1)
         if cfg.trace_constrained:
@@ -296,9 +440,10 @@ def sinkhorn_solve(mu: TensorMeasure, nu: TensorMeasure, cost: GroundCost,
         if res < cfg.tol:
             converged = True
             break
+        point = accel.step(point, (u, v, alpha, beta))
 
-    gamma, saturated = _exp_capped(_dual_kernel(u, v, alpha, beta, cost, cfg))
-    coupling = Coupling(gamma)
+    coupling, coupling_notes = _coupling(
+        _dual_kernel(u, v, alpha, beta, cost, cfg), mu.tensors, nu.tensors)
     state = DualState(u, v, alpha, beta)
     primal = primal_objective(coupling, mu, nu, cost, cfg)
     dual = dual_objective(state, mu, nu, cost, cfg)
@@ -306,8 +451,7 @@ def sinkhorn_solve(mu: TensorMeasure, nu: TensorMeasure, cost: GroundCost,
         (not fin1, "rho1=inf: hard row-marginal constraint"),
         (not fin2, "rho2=inf: hard column-marginal constraint"),
         (cfg.trace_constrained, "trace-constrained marginals"),
-        (saturated, _SATURATION_NOTE),
-    ) if flag]
+    ) if flag] + accel.notes() + coupling_notes
     report = SolveReport(
         iterations=iterations,
         residual_history=np.asarray(residuals),

@@ -124,19 +124,22 @@ def _eig2_parts(a00, a01, a11):
 
     # (A - w1 I) v = 0 has the two algebraically equivalent solutions
     # (a01, w1-a00) and (w1-a11, a01); pick the better-conditioned one.
-    # The arrays made by np.where are normalized in place, which spares
-    # the page faults of fresh temporaries on the large stacks of a solve.
-    # Entries beyond about 1e154 overflow the squared norms (the PSD check
-    # of a capped coupling meets entries up to 1e304); the eigenvalues
-    # above do not depend on them.
-    d00 = w1 - a00
-    d11 = w1 - a11
-    with np.errstate(over="ignore"):
-        n1 = a01 * a01 + d00 * d00
-        n2 = d11 * d11 + a01 * a01
+    # Both are first scaled by the power of two of |big| = max |lambda|,
+    # which bounds each of their entries by 2 |big|, so the squared norms
+    # cannot overflow (the PSD check of a capped coupling meets entries up
+    # to 1e304); the scaling is exact, so it changes no bit of an in-range
+    # result.  The arrays made by np.where are normalized in place, which
+    # spares the page faults of fresh temporaries on the large stacks of a
+    # solve.
+    expo = -np.frexp(big)[1]
+    d00 = np.ldexp(w1 - a00, expo)
+    d11 = np.ldexp(w1 - a11, expo)
+    s01 = np.ldexp(a01, expo)
+    n1 = s01 * s01 + d00 * d00
+    n2 = d11 * d11 + s01 * s01
     first = n1 >= n2
-    x = np.where(first, a01, d11)
-    y = np.where(first, d00, a01)
+    x = np.where(first, s01, d11)
+    y = np.where(first, d00, s01)
     norm = np.where(first, n1, n2)
     np.sqrt(norm, out=norm)
     isotropic = norm <= 0.0

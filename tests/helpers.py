@@ -46,6 +46,14 @@ def trace_balanced_instance(rng, rows, cols, d, ambient=2, alpha=2.0):
     return mu, nu, cost
 
 
+def heavy_line_measure(n=40, mass=1e305):
+    """``n`` atoms on the unit segment, each carrying ``mass * I`` (d = 2):
+    the default solve converges with a finite dual value, but the coupling's
+    entropy overflows, so the primal value is ``+inf``."""
+    points = np.stack([np.linspace(0.0, 1.0, n), np.zeros(n)], axis=1)
+    return TensorMeasure(points, np.stack([mass * np.eye(2)] * n))
+
+
 def scalar_measure(masses, points=None):
     """A d=1 measure from positive scalar masses on a 1-D axis."""
     masses = np.asarray(masses, dtype=float)

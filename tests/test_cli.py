@@ -8,7 +8,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from helpers import bump_grid_measure, random_psd
+from helpers import bump_grid_measure, heavy_line_measure, random_psd
 
 from qot.cli import main
 from qot.fileio import load_coupling, load_field, save_field
@@ -27,6 +27,10 @@ def scalar_field(path, masses, points=None):
     if points is None:
         points = np.linspace(0.0, 1.0, len(masses))[:, None]
     return write_field(path, points, masses[:, None, None])
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
 
 
 @pytest.fixture
@@ -89,23 +93,50 @@ class TestTransport:
         assert code == 2
 
     def test_non_finite_primal_is_null_and_exits_2(self, tmp_path):
-        # The all-zero tensor makes the row KL term +inf: the coupling row
-        # keeps mass ~1e-15 from the solver's log floor.
+        # Masses of 1e305 make the coupling's entropy overflow: the solve
+        # converges, but the primal value is +inf.
+        heavy = heavy_line_measure()
+        mu = write_field(tmp_path / "mu.json", heavy.points, heavy.tensors)
+        report = tmp_path / "report.json"
+        code = main(["transport", "--mu", mu, "--nu", mu,
+                     "--out", str(tmp_path / "c.json"), "--report", str(report)])
+        assert code == 2
+
+        doc = json.loads(report.read_text(), parse_constant=_reject_constant)
+        assert doc["primal_value"] is None
+        assert [note for note in doc["notes"] if "primal_value" in note] == [
+            "primal_value is not finite (inf)", "primal_value written as null"]
+
+    def test_zero_tensor_certificate_exits_0(self, tmp_path):
+        # The coupling row of the zero tensor is restricted to its (empty)
+        # range, so the primal matches the dual.
         points = [[0.0, 0.0], [1.0, 0.0]]
         mu = write_field(tmp_path / "mu.json", points, [np.eye(2), np.zeros((2, 2))])
         nu = write_field(tmp_path / "nu.json", points, [np.eye(2), np.eye(2)])
         report = tmp_path / "report.json"
         code = main(["transport", "--mu", mu, "--nu", nu,
                      "--out", str(tmp_path / "c.json"), "--report", str(report)])
-        assert code == 2
+        assert code == 0
+        doc = json.loads(report.read_text(), parse_constant=_reject_constant)
+        gap = abs(doc["primal_value"] - doc["dual_value"]) / abs(doc["dual_value"])
+        assert gap < 1e-6
 
-        def reject(name):
-            raise ValueError(f"non-standard JSON constant {name}")
-
-        doc = json.loads(report.read_text(), parse_constant=reject)
-        assert doc["primal_value"] is None
-        assert [note for note in doc["notes"] if "primal_value" in note] == [
-            "primal_value is not finite (inf)", "primal_value written as null"]
+    def test_anderson_note_reaches_the_report(self, tmp_path):
+        rng = np.random.default_rng(3)
+        mu = write_field(tmp_path / "mu.json", rng.uniform(size=(3, 2)),
+                         random_psd(rng, 2, n=3))
+        nu = write_field(tmp_path / "nu.json", rng.uniform(size=(4, 2)),
+                         random_psd(rng, 2, n=4))
+        report = tmp_path / "report.json"
+        code = main(["transport", "--mu", mu, "--nu", nu,
+                     "--out", str(tmp_path / "c.json"), "--report", str(report)])
+        assert code == 0
+        doc = json.loads(report.read_text())
+        notes = [n for n in doc["notes"] if n.startswith("anderson:")]
+        assert len(notes) == 1
+        assert re.fullmatch(
+            r"anderson: engaged at iteration \d+, \d+ accepted, \d+ restarted",
+            notes[0])
 
     def test_malformed_file_exits_1(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -299,6 +330,48 @@ class TestBarycenterCommand:
         assert code == 2
         assert np.all(np.isfinite(load_field(out).tensors))
 
+    def test_report_has_one_entry_per_weight_set(self, tmp_path):
+        paths = self.make_inputs(tmp_path, n_inputs=4)
+        report = tmp_path / "report.json"
+        code = main(["barycenter", "--inputs", ",".join(paths), "--grid", "2",
+                     "--rho", "0.1", "--out", str(tmp_path / "b-{i}.json"),
+                     "--report", str(report)])
+        assert code == 0
+        doc = json.loads(report.read_text(), parse_constant=_reject_constant)
+        assert [entry["index"] for entry in doc] == [0, 1, 2, 3]
+        assert doc[1]["weights"] == [0.0, 1.0, 0.0, 0.0]
+        for entry in doc:
+            assert entry["converged"] is True
+            assert entry["iterations"] == len(entry["residual_history"])
+            assert math.isfinite(entry["primal_value"])
+            assert math.isfinite(entry["dual_value"])
+            assert "barycenter side uses a hard marginal constraint" in entry["notes"]
+            assert entry["config"]["rho1"] == 0.1
+            assert entry["config"]["rho2"] == "inf"
+
+    def test_saturated_barycenter_report_keeps_the_notes(self, tmp_path):
+        # The far-apart input of test_saturated_barycenter_exits_2.
+        a = write_field(tmp_path / "a.json", [[0.0, 0.0], [1.0, 0.0]],
+                        [np.eye(2), 2.0 * np.eye(2)])
+        b = write_field(tmp_path / "b.json", [[10.0, 0.0], [11.0, 0.0]],
+                        [np.eye(2), np.diag([3.0, 0.1])])
+        support = write_field(tmp_path / "s.json", [[5.0, 0.0], [6.0, 0.0]],
+                              [np.eye(2), np.eye(2)])
+        report = tmp_path / "report.json"
+        code = main(["barycenter", "--inputs", f"{a},{b}", "--weights", "0.5,0.5",
+                     "--support", support, "--rho", "0.1", "--eps", "0.001",
+                     "--max-iter", "5", "--out", str(tmp_path / "bary.json"),
+                     "--report", str(report)])
+        assert code == 2
+        (entry,) = json.loads(report.read_text(), parse_constant=_reject_constant)
+        assert entry["converged"] is False
+        assert entry["iterations"] == 5
+        assert entry["weights"] == [0.5, 0.5]
+        assert entry["dual_value"] is None
+        for prefix in ("barycenter saturated", "coupling saturated",
+                       "dual_value is not finite", "dual_value written as null"):
+            assert any(n.startswith(prefix) for n in entry["notes"]), prefix
+
     @pytest.mark.parametrize("flag", ["--rho1", "--rho2"])
     def test_pair_fidelity_flags_rejected(self, tmp_path, flag):
         paths = self.make_inputs(tmp_path)
@@ -367,10 +440,9 @@ class TestDistanceCommand:
     def test_non_finite_value_exits_2(self, tmp_path, capsys):
         # The input of TestTransport.test_non_finite_primal_is_null_and_exits_2:
         # the solve converges, but the primal value is +inf.
-        points = [[0.0, 0.0], [1.0, 0.0]]
-        mu = write_field(tmp_path / "mu.json", points, [np.eye(2), np.zeros((2, 2))])
-        nu = write_field(tmp_path / "nu.json", points, [np.eye(2), np.eye(2)])
-        code = main(["distance", "--mu", mu, "--nu", nu])
+        heavy = heavy_line_measure()
+        mu = write_field(tmp_path / "mu.json", heavy.points, heavy.tensors)
+        code = main(["distance", "--mu", mu, "--nu", mu])
         assert code == 2
         assert "W_eps inf" in capsys.readouterr().out
 

@@ -1,6 +1,7 @@
 """Unit tests for the tensor Sinkhorn solver."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +9,10 @@ import pytest
 
 from helpers import (
     fit_log_slope,
+    grid_points,
+    heavy_line_measure,
+    oriented_tensor,
+    random_psd,
     random_instance,
     scalar_measure,
     trace_balanced_instance,
@@ -444,13 +449,11 @@ class TestValidation:
 
 class TestReportNotes:
     def test_non_finite_primal_is_noted(self):
-        # The all-zero tensor makes the row KL term +inf: the coupling row
-        # keeps mass ~1e-15 from the solver's log floor.
-        points = np.array([[0.0, 0.0], [1.0, 0.0]])
-        mu = TensorMeasure(points, np.stack([np.eye(2), np.zeros((2, 2))]))
-        nu = TensorMeasure(points, np.stack([np.eye(2), np.eye(2)]))
-        cost = euclidean_cost(points, points, alpha=2.0)
-        _, _, report = sinkhorn_solve(mu, nu, cost, SolverConfig())
+        # Masses of 1e305 make the coupling's entropy overflow.
+        mu = heavy_line_measure()
+        cost = euclidean_cost(mu.points, mu.points, alpha=2.0)
+        _, _, report = sinkhorn_solve(mu, mu, cost, SolverConfig())
+        assert report.converged
         assert report.primal_value == math.inf
         assert report.notes == ("primal_value is not finite (inf)",)
 
@@ -460,3 +463,109 @@ class TestReportNotes:
         assert math.isfinite(report.primal_value)
         assert math.isfinite(report.dual_value)
         assert report.notes == ()
+
+
+def _plain(cfg):
+    """``cfg`` with its default relaxations written out: the same relaxed
+    iteration, run without acceleration."""
+    return replace(cfg, tau1=cfg.tau(1), tau2=cfg.tau(2))
+
+
+_ANDERSON_NOTE = re.compile(
+    r"anderson: engaged at iteration (\d+), (\d+) accepted, (\d+) restarted")
+
+
+def _anderson_counts(report):
+    notes = [m for m in map(_ANDERSON_NOTE.fullmatch, report.notes) if m]
+    assert len(notes) == 1, report.notes
+    return tuple(int(g) for g in notes[0].groups())
+
+
+def _slow_trace_instance():
+    """Random 5x5-grid fields of 3x3 tensors with equal total traces: at
+    eps = 0.02 the plain trace-constrained iteration contracts slowly."""
+    rng = np.random.default_rng(1)
+    points = grid_points(5)
+    mu_t = random_psd(rng, 3, n=25)
+    nu_t = random_psd(rng, 3, n=25)
+    nu_t = nu_t * (np.trace(mu_t, axis1=-2, axis2=-1).sum()
+                   / np.trace(nu_t, axis1=-2, axis2=-1).sum())
+    mu, nu = TensorMeasure(points, mu_t), TensorMeasure(points, nu_t)
+    return mu, nu, euclidean_cost(points, points, alpha=2.0)
+
+
+class TestAnderson:
+    def test_unengaged_solve_is_the_plain_iteration(self):
+        mu, nu, cost = random_instance(np.random.default_rng(3), 3, 4, 2)
+        cfg = SolverConfig(eps=0.1)
+        runs = [sinkhorn_solve(mu, nu, cost, c) for c in (cfg, _plain(cfg))]
+        (g_a, s_a, r_a), (g_b, s_b, r_b) = runs
+        assert np.array_equal(g_a.entries, g_b.entries)
+        for name in ("u", "v", "alpha", "beta"):
+            assert np.array_equal(getattr(s_a, name), getattr(s_b, name))
+        assert r_a.iterations == r_b.iterations
+        assert np.array_equal(r_a.residual_history, r_b.residual_history)
+        assert (r_a.primal_value, r_a.dual_value) == (r_b.primal_value, r_b.dual_value)
+        assert r_a.notes == r_b.notes == ()
+
+    def test_slow_trace_constrained_solve(self):
+        mu, nu, cost = _slow_trace_instance()
+        cfg = SolverConfig(eps=0.02, trace_constrained=True)
+        coupling, state, report = sinkhorn_solve(mu, nu, cost, cfg)
+        assert report.converged
+        engaged, accepted, restarted = _anderson_counts(report)
+        # The last evaluation passes the stopping test and is not judged.
+        assert engaged + accepted + restarted == report.iterations - 1
+        # The plain iteration is not done in twice the evaluations.
+        _, _, plain = sinkhorn_solve(
+            mu, nu, cost, replace(_plain(cfg), max_iter=2 * report.iterations))
+        assert not plain.converged
+        gap = abs(report.primal_value - report.dual_value) / abs(report.dual_value)
+        assert gap < 1e-6
+        assert fixed_point_residual(state, mu, nu, cost, cfg) < 1e-7
+        again, state2, report2 = sinkhorn_solve(mu, nu, cost, cfg)
+        assert np.array_equal(coupling.entries, again.entries)
+        assert np.array_equal(state.alpha, state2.alpha)
+        assert np.array_equal(report.residual_history, report2.residual_history)
+        assert report.notes == report2.notes
+
+    def test_small_eps_accelerated_solve_stays_finite(self):
+        # The extrapolation engages and restarts often on this solve, which
+        # does not converge at eps = 1e-4; every iterate stays finite.
+        mu, nu, cost = random_instance(np.random.default_rng(41), 8, 8, 2)
+        cfg = SolverConfig(eps=1e-4, max_iter=1000)
+        coupling, state, report = sinkhorn_solve(mu, nu, cost, cfg)
+        _, accepted, restarted = _anderson_counts(report)
+        assert accepted > 0 and restarted > 0
+        assert np.all(np.isfinite(coupling.entries))
+        assert np.all(np.isfinite(state.u)) and np.all(np.isfinite(state.v))
+        assert np.all(np.isfinite(report.residual_history))
+
+
+class TestSingularTensors:
+    def test_zero_tensor_keeps_a_finite_certificate(self):
+        points = np.array([[0.0, 0.0], [1.0, 0.0]])
+        mu = TensorMeasure(points, np.stack([np.eye(2), np.zeros((2, 2))]))
+        nu = TensorMeasure(points, np.stack([np.eye(2), np.eye(2)]))
+        cost = euclidean_cost(points, points, alpha=2.0)
+        coupling, _, report = sinkhorn_solve(mu, nu, cost, SolverConfig())
+        assert report.converged
+        assert len(report.notes) == 1
+        assert report.notes[0].startswith("coupling restricted to the ranges")
+        gap = abs(report.primal_value - report.dual_value) / abs(report.dual_value)
+        assert gap < 1e-6
+        assert np.all(coupling.entries[1] == 0.0)
+
+    def test_misaligned_ranks_keep_the_escape(self):
+        # Rank-one tensors along different directions: under the loop's
+        # log floor real mass (about 1e-2 of the trace) leaves the ranges,
+        # so the coupling is not restricted and the primal stays +inf.
+        e = np.array([[1.0, 0.0], [0.0, 0.0]])
+        points = np.array([[0.0, 0.0], [0.5, 0.0]])
+        mu = TensorMeasure(points, np.stack([e, np.eye(2)]))
+        nu = TensorMeasure(points, np.stack([oriented_tensor(0.7, 1.0, 0.0), e]))
+        cost = euclidean_cost(points, points, alpha=2.0)
+        _, _, report = sinkhorn_solve(mu, nu, cost, SolverConfig(eps=0.05))
+        assert report.converged
+        assert report.primal_value == math.inf
+        assert report.notes == ("primal_value is not finite (inf)",)

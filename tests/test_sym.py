@@ -199,6 +199,56 @@ class TestEig2Property:
         assert abs(got - small) <= 4.0 * 2.0**-52 * scale
 
 
+class TestEig2Range:
+    """Entries beyond about 1e154 used to overflow the squared norms of the
+    eigenvector candidates, leaving a zero "unit" vector."""
+
+    def test_log_of_huge_rotated_matrix(self):
+        # R diag(1e200, 1) R^T: the stored entries keep the top eigenpair
+        # exactly, but its small eigenvalue lies far below their round-off
+        # (about 1e184), so only the top eigen-direction of the logarithm,
+        # log(1e200) along R e1, is exact.
+        c, s = math.cos(0.3), math.sin(0.3)
+        r = np.array([[c, -s], [s, c]])
+        a = r @ np.diag([1e200, 1.0]) @ r.T
+        a = 0.5 * (a + a.T)
+        log_a = log_sym(a)
+        top = r[:, 0]
+        assert abs(top @ log_a @ top - math.log(1e200)) < 1e-12 * math.log(1e200)
+        exact = r @ np.diag([math.log(1e200), 0.0]) @ r.T
+        assert abs(top @ (log_a - exact) @ top) < 1e-12 * math.log(1e200)
+        assert np.abs(log_a @ top - math.log(1e200) * top).max() < 1e-12 * math.log(1e200)
+        assert np.allclose(eig_sym(a).vectors[:, 0], top, rtol=0.0, atol=1e-15)
+
+    def test_log_of_exact_power_of_two_scaling(self):
+        # 2^660 [[2, 1], [1, 2]] is stored exactly: its logarithm is
+        # 660 log 2 I + log [[2, 1], [1, 2]], eigenvalues log 3 and 0 on
+        # top of the shift.
+        b = np.array([[2.0, 1.0], [1.0, 2.0]])
+        got = log_sym(np.ldexp(b, 660))
+        w = 1.0 / math.sqrt(2.0)
+        v = np.array([[w, w], [w, -w]])
+        exact = 660 * math.log(2.0) * np.eye(2) + v @ np.diag([math.log(3.0), 0.0]) @ v.T
+        assert np.abs(got - exact).max() < 4e-15 * np.abs(exact).max()
+
+    def test_unit_vectors_across_the_range(self):
+        rng = np.random.default_rng(17)
+        a = random_sym(rng, 2, n=200)
+        scales = np.ldexp(1.0, rng.integers(-1000, 1000, size=200))
+        vecs = eig_sym(a * scales[:, None, None]).vectors
+        norms = np.linalg.norm(vecs, axis=-2)
+        assert np.abs(norms - 1.0).max() < 4e-16
+
+    def test_in_range_bits_unchanged_by_a_power_of_two(self):
+        # The candidates are scaled by a power of two, so scaling the
+        # input by one changes no bit of the eigenvectors.
+        rng = np.random.default_rng(23)
+        a = random_sym(rng, 2, n=500, scale=50.0)
+        base = eig_sym(a).vectors
+        for k in (-300, -40, 40, 300):
+            assert np.array_equal(eig_sym(np.ldexp(a, k)).vectors, base)
+
+
 class TestFunctionalCalculus:
     def test_exp_zero_is_identity(self):
         assert np.allclose(exp_sym(np.zeros((2, 2))), np.eye(2))
