@@ -61,10 +61,11 @@ _SATURATION_NOTE = "coupling saturated at exp(700) in unconverged directions"
 # Safeguarded type-II Anderson extrapolation of the scaling map (Walker and
 # Ni, SIAM J. Numer. Anal. 2011; restart safeguard of Zhang, O'Donoghue and
 # Boyd, SIAM J. Optim. 2020).  It keeps the last _AA_MEMORY pairs
-# (x, G(x)), engages once _AA_SLOW_STEPS consecutive plain steps each shrank
-# the residual norm by less than 5 %, and solves its least-squares fit with
-# a relative singular-value cut-off of _AA_RCOND, so that histories that
-# become rank-deficient near round-off stay stable.
+# (x, G(x)), extrapolates once _AA_SLOW_STEPS consecutive plain steps each
+# shrank the residual norm by less than 5 % (again after every rejected
+# point), and solves its least-squares fit with a relative singular-value
+# cut-off of _AA_RCOND, so that histories that become rank-deficient near
+# round-off stay stable.
 _AA_MEMORY = 5
 _AA_SLOW_RATIO = 0.95
 _AA_SLOW_STEPS = 10
@@ -267,23 +268,27 @@ class _Anderson:
     whose state is a tuple of arrays.
 
     :meth:`step` receives a point ``x`` and its image ``G(x)`` and returns
-    the next point to evaluate.  Until it engages that is ``G(x)`` itself,
-    the very tuple it was given, so an un-engaged solve is the plain
-    iteration bit for bit.  Once engaged it returns
-    ``G(x_k) - dG gamma``, with ``gamma`` the least-squares fit of
+    the next point to evaluate.  While the plain iteration makes progress
+    that is ``G(x)`` itself, the very tuple it was given, so an un-engaged
+    solve is the plain iteration bit for bit.  Once it crawls, the next
+    point is ``G(x_k) - dG gamma``, with ``gamma`` the least-squares fit of
     ``dF gamma ~ F_k`` over the differences of the kept pairs
-    (``F = G(x) - x``).  A point whose residual norm ``|F|_2`` exceeds the
-    last accepted point's is rejected: the history restarts from it and
-    the next point is its image, so a rejection costs no extra map
-    evaluation.  An explicit ``tau1`` or ``tau2`` in ``cfg`` asks for
+    (``F = G(x) - x``).  An extrapolated point whose residual norm
+    ``|F|_2`` exceeds the last accepted point's (or is not finite) is
+    rejected: the next point is the accepted point's image, already known,
+    so a rejection costs only the rejected evaluation, and the history
+    restarts from the accepted pair, with plain steps until the iteration
+    crawls again.  An explicit ``tau1`` or ``tau2`` in ``cfg`` asks for
     exactly that relaxed iteration, so then every step is plain.
     """
 
     def __init__(self, cfg: SolverConfig):
         self.enabled = cfg.tau1 is None and cfg.tau2 is None
         self.pairs = deque(maxlen=_AA_MEMORY)
-        self.last = math.inf
+        self.last = math.inf  # residual norm of the last accepted point
+        self.image = None  # and its image
         self.slow = 0
+        self.extrapolating = False
         self.evaluations = 0
         self.engaged_at = None
         self.accepted = 0
@@ -293,29 +298,31 @@ class _Anderson:
         self.evaluations += 1
         if not self.enabled:
             return gx
-        flat_x = np.concatenate([a.ravel() for a in x])
         flat_g = np.concatenate([a.ravel() for a in gx])
-        f = flat_g - flat_x
+        f = flat_g - np.concatenate([a.ravel() for a in x])
         norm = float(np.sqrt(f @ f))
-        if self.engaged_at is None:
+        if self.extrapolating and not norm <= self.last:
+            self.restarted += 1
+            self.extrapolating = False
+            self.slow = 0
+            accepted = self.pairs[-1]
+            self.pairs.clear()
+            self.pairs.append(accepted)
+            return self.image
+        if self.extrapolating:
+            self.accepted += 1
+        else:
             self.slow = self.slow + 1 if norm > _AA_SLOW_RATIO * self.last else 0
-            self.last = norm
-            self.pairs.append((flat_g, f))
+        self.last, self.image = norm, gx
+        self.pairs.append((flat_g, f))
+        if not self.extrapolating:
             if self.slow < _AA_SLOW_STEPS:
                 return gx
-            self.engaged_at = self.evaluations
-        elif norm <= self.last:
-            self.accepted += 1
-            self.last = norm
-            self.pairs.append((flat_g, f))
-        else:
-            self.restarted += 1
-            self.last = norm
-            self.pairs.clear()
-            self.pairs.append((flat_g, f))
-            return gx
-        if len(self.pairs) < 2:
-            return gx
+            self.extrapolating = True
+            if self.engaged_at is None:
+                self.engaged_at = self.evaluations
+        # At least _AA_SLOW_STEPS plain pairs came since the start or the
+        # last restart, so the history is full.
         g_hist = np.stack([g for g, _ in self.pairs], axis=1)
         f_hist = np.stack([f for _, f in self.pairs], axis=1)
         gamma = np.linalg.lstsq(np.diff(f_hist, axis=1), f, rcond=_AA_RCOND)[0]
@@ -327,7 +334,9 @@ class _Anderson:
         return tuple(out)
 
     def notes(self) -> list:
-        """One note if the extrapolation engaged, none otherwise."""
+        """One note if the extrapolation engaged, none otherwise: the
+        evaluation after which it first engaged, and how many extrapolated
+        points were accepted and rejected."""
         if self.engaged_at is None:
             return []
         return [f"anderson: engaged at iteration {self.engaged_at}, "

@@ -514,8 +514,11 @@ class TestAnderson:
         coupling, state, report = sinkhorn_solve(mu, nu, cost, cfg)
         assert report.converged
         engaged, accepted, restarted = _anderson_counts(report)
-        # The last evaluation passes the stopping test and is not judged.
-        assert engaged + accepted + restarted == report.iterations - 1
+        # Every evaluation after the first engagement is an extrapolated
+        # point (accepted or rejected) or a plain step after a rejection;
+        # the last one passes the stopping test and is not judged.
+        assert accepted > 0
+        assert engaged + accepted + restarted <= report.iterations - 1
         # The plain iteration is not done in twice the evaluations.
         _, _, plain = sinkhorn_solve(
             mu, nu, cost, replace(_plain(cfg), max_iter=2 * report.iterations))
@@ -528,6 +531,23 @@ class TestAnderson:
         assert np.array_equal(state.alpha, state2.alpha)
         assert np.array_equal(report.residual_history, report2.residual_history)
         assert report.notes == report2.notes
+
+    def test_rejected_points_fall_back_to_the_accepted_image(self):
+        # At eps = 1e-3 extrapolated points are often rejected here; each
+        # rejection resumes from the last accepted point's image, so the
+        # solve still converges, in fewer evaluations than the plain one
+        # (continuing from the rejected point instead never converged).
+        mu, nu, cost = random_instance(np.random.default_rng(2), 6, 2, 2)
+        cfg = SolverConfig(eps=1e-3)
+        _, _, report = sinkhorn_solve(mu, nu, cost, cfg)
+        assert report.converged
+        _, accepted, restarted = _anderson_counts(report)
+        assert accepted > 0 and restarted > 0
+        gap = abs(report.primal_value - report.dual_value) / abs(report.dual_value)
+        assert gap < 1e-6
+        _, _, plain = sinkhorn_solve(
+            mu, nu, cost, replace(_plain(cfg), max_iter=report.iterations))
+        assert not plain.converged
 
     def test_small_eps_accelerated_solve_stays_finite(self):
         # The extrapolation engages and restarts often on this solve, which
