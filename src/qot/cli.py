@@ -5,9 +5,6 @@ interpolation, barycenters, distance reporting, SVG rendering and the
 diffusion noise demo.  Exit codes: 0 success, 1 input error, 2 a solve
 that is not certified: it hit the iteration limit without converging or
 ended with a non-finite objective.
-
-The environment variable ``QOT_THREADS`` caps worker parallelism for
-batch frame/grid loops (default 1, i.e. sequential).
 """
 
 from __future__ import annotations
@@ -15,9 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -58,33 +53,6 @@ class _Parser(argparse.ArgumentParser):
     # the non-convergence code; route through CliError instead.
     def error(self, message):
         raise CliError(message)
-
-
-def worker_limit() -> int:
-    """Parallelism cap from QOT_THREADS (>= 1); defaults to sequential."""
-    raw = os.environ.get("QOT_THREADS")
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise CliError(f"QOT_THREADS must be an integer, got {raw!r}")
-    if value < 1:
-        raise CliError(f"QOT_THREADS must be >= 1, got {value}")
-    return value
-
-
-def _run_batch(tasks):
-    """Run no-argument callables, in parallel when QOT_THREADS allows."""
-    limit = worker_limit()
-    tasks = list(tasks)
-    if limit == 1 or len(tasks) <= 1:
-        for task in tasks:
-            task()
-        return
-    with ThreadPoolExecutor(max_workers=min(limit, len(tasks))) as pool:
-        for future in [pool.submit(task) for task in tasks]:
-            future.result()
 
 
 def _float_or_inf(text: str) -> float:
@@ -232,24 +200,20 @@ def _cmd_interpolate(args) -> int:
             raise CliError("either --t or --steps is required")
         ts = np.array([args.t])
 
-    def build_frame(index, t):
-        def task():
-            try:
-                params = InterpolationParams(
-                    t=float(t), trace_threshold=args.trace_threshold,
-                    merge_radius=args.merge_radius,
-                )
-            except ValueError as exc:
-                raise CliError(str(exc))
-            frame = displacement_interpolate(mu, nu, coupling, params)
-            out = _frame_path(args.out, index, len(ts))
-            save_field(out, frame)
-            if args.render:
-                svg = render_field_svg(frame, scale=args.scale)
-                out.with_suffix(".svg").write_text(svg)
-        return task
-
-    _run_batch(build_frame(i, t) for i, t in enumerate(ts))
+    for index, t in enumerate(ts):
+        try:
+            params = InterpolationParams(
+                t=float(t), trace_threshold=args.trace_threshold,
+                merge_radius=args.merge_radius,
+            )
+        except ValueError as exc:
+            raise CliError(str(exc))
+        frame = displacement_interpolate(mu, nu, coupling, params)
+        out = _frame_path(args.out, index, len(ts))
+        save_field(out, frame)
+        if args.render:
+            svg = render_field_svg(frame, scale=args.scale)
+            out.with_suffix(".svg").write_text(svg)
     return EXIT_OK
 
 
@@ -291,37 +255,31 @@ def _cmd_barycenter(args) -> int:
     )
     cfg = _solver_config(args)
 
-    uncertified = []
-    entries = {}
-
-    def build(index, weights):
-        def task():
-            w = np.asarray(weights, dtype=float)
-            w = w / w.sum()
-            try:
-                prob = BarycenterProblem(tuple(inputs), w, support, costs,
-                                         rho=args.rho)
-            except ValueError as exc:
-                raise CliError(str(exc))
-            nu, report = barycenter_solve(prob, cfg)
-            out = _frame_path(args.out, index, len(weight_sets))
-            save_field(out, nu)
-            if args.render:
-                out.with_suffix(".svg").write_text(
-                    render_field_svg(nu, scale=args.scale))
-            if _exit_code(report) != EXIT_OK:
-                uncertified.append(index)
-            # The report states the fidelities the barycenter solve used.
-            used = replace(cfg, rho1=prob.rho, rho2=math.inf)
-            entries[index] = {"index": index, "weights": w.tolist(),
-                              **_report_dict(report, used)}
-        return task
-
-    _run_batch(build(i, w) for i, w in enumerate(weight_sets))
+    code = EXIT_OK
+    doc = []
+    for index, weights in enumerate(weight_sets):
+        w = np.asarray(weights, dtype=float)
+        w = w / w.sum()
+        try:
+            prob = BarycenterProblem(tuple(inputs), w, support, costs,
+                                     rho=args.rho)
+        except ValueError as exc:
+            raise CliError(str(exc))
+        nu, report = barycenter_solve(prob, cfg)
+        out = _frame_path(args.out, index, len(weight_sets))
+        save_field(out, nu)
+        if args.render:
+            out.with_suffix(".svg").write_text(
+                render_field_svg(nu, scale=args.scale))
+        if _exit_code(report) != EXIT_OK:
+            code = EXIT_NO_CONVERGENCE
+        # The report states the fidelities the barycenter solve used.
+        used = replace(cfg, rho1=prob.rho, rho2=math.inf)
+        doc.append({"index": index, "weights": w.tolist(),
+                    **_report_dict(report, used)})
     if args.report:
-        doc = [entries[i] for i in sorted(entries)]
         Path(args.report).write_text(json.dumps(doc, allow_nan=False) + "\n")
-    return EXIT_NO_CONVERGENCE if uncertified else EXIT_OK
+    return code
 
 
 def _cmd_distance(args) -> int:

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .measure import _check_symmetric
+
 __all__ = [
     "GroundCost",
     "euclidean_cost",
@@ -44,12 +46,7 @@ class GroundCost:
                 raise ValueError(
                     f"matrix cost must be (I, J, d, d), got {values.shape}"
                 )
-            if not np.all(np.isfinite(values)):
-                raise ValueError("matrix cost values must be finite")
-            if np.abs(values - np.swapaxes(values, -1, -2)).max(initial=0.0) > 1e-9 * (
-                1.0 + np.abs(values).max(initial=0.0)
-            ):
-                raise ValueError("matrix cost entries must be symmetric")
+            _check_symmetric(values, "matrix cost")
         else:
             raise ValueError(f"unknown cost kind {self.kind!r}")
         values.flags.writeable = False

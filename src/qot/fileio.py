@@ -102,9 +102,8 @@ def load_field(path) -> TensorMeasure:
         raise FileFormatError(f"{path}: {exc}") from exc
 
 
-def save_coupling(path, coupling: Coupling, threshold: float | None = None) -> None:
-    """Write a coupling document (flat row-major packed entries); the
-    optional ``threshold`` records an applied sparsification level."""
+def save_coupling(path, coupling: Coupling) -> None:
+    """Write a coupling document (flat row-major packed entries)."""
     flat = coupling.entries.reshape(-1, coupling.tensor_dim, coupling.tensor_dim)
     doc = {
         "rows": coupling.rows,
@@ -112,8 +111,6 @@ def save_coupling(path, coupling: Coupling, threshold: float | None = None) -> N
         "d": coupling.tensor_dim,
         "entries": pack_upper(flat).tolist(),
     }
-    if threshold is not None:
-        doc["threshold"] = threshold
     Path(path).write_text(json.dumps(doc) + "\n")
 
 

@@ -22,10 +22,8 @@ __all__ = [
     "InterpolationParams",
     "NumericalConsistencyError",
     "displacement_interpolate",
-    "raw_interpolation_products",
     "single_dirac_distance",
     "anisotropic_diffuse",
-    "grid_shape",
 ]
 
 
@@ -69,8 +67,8 @@ def _clamped_inverse(mats: np.ndarray, rel_floor: float = 1e-12) -> np.ndarray:
     return _reconstruct(inv, vecs)
 
 
-def raw_interpolation_products(mu: TensorMeasure, nu: TensorMeasure,
-                               g: Coupling, t: float) -> np.ndarray:
+def _raw_interpolation_products(mu: TensorMeasure, nu: TensorMeasure,
+                                g: Coupling, t: float) -> np.ndarray:
     """The unsymmetrized per-pair products
     ``[(1-t) mu_i (sum_j gamma_ij)^-1 + t nu_j (sum_i gamma_ij)^-1] gamma_ij``
     (diagnostic view; the interpolant symmetrizes and PSD-projects them)."""
@@ -165,7 +163,7 @@ def displacement_interpolate(mu: TensorMeasure, nu: TensorMeasure,
         )
     keep = traces >= p.trace_threshold * max_trace
 
-    raw = raw_interpolation_products(mu, nu, g, t)
+    raw = _raw_interpolation_products(mu, nu, g, t)
     sym = 0.5 * (raw + np.swapaxes(raw, -1, -2))
     positions = (1.0 - t) * mu.points[:, None] + t * nu.points[None, :]
 
@@ -202,7 +200,7 @@ def single_dirac_distance(p, q) -> float:
     return math.sqrt(max(radicand, 0.0))
 
 
-def grid_shape(field: TensorMeasure):
+def _grid_shape(field: TensorMeasure):
     """Recognize a regular 2-D grid layout; returns ``(nx, ny, order)``
     with ``order`` mapping grid sites (row-major in y, then x) to atom
     indices.  Raises ``ValueError`` for non-grid fields."""
@@ -238,7 +236,7 @@ def anisotropic_diffuse(field: TensorMeasure, noise_seed: int, steps: int,
     """
     if field.tensor_dim != 2:
         raise ValueError("diffusion requires 2x2 tensors")
-    nx, ny, order = grid_shape(field)
+    nx, ny, order = _grid_shape(field)
     if steps < 0:
         raise ValueError("steps must be >= 0")
     conduct = field.tensors[order].reshape(ny, nx, 2, 2)

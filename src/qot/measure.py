@@ -27,18 +27,26 @@ __all__ = [
 ]
 
 
+def _check_symmetric(arr: np.ndarray, what: str) -> None:
+    """Reject a stack of square matrices ``(..., d, d)`` with a non-finite
+    entry or with a matrix that is not symmetric within
+    ``1e-9 * (1 + max |entry|)``; the one symmetry check of the package."""
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{what}: non-finite entry")
+    rows, cols = np.triu_indices(arr.shape[-1], 1)
+    asym = np.abs(arr[..., rows, cols] - arr[..., cols, rows]).max(initial=0.0)
+    scale = 1.0 + max(arr.max(initial=0.0), -arr.min(initial=0.0))
+    if asym > 1e-9 * scale:
+        raise ValueError(f"{what}: non-symmetric matrix")
+
+
 def _as_tensor_stack(tensors, what: str = "tensor") -> np.ndarray:
     arr = np.asarray(tensors, dtype=float)
     if arr.ndim == 2:
         arr = arr[None]
     if arr.ndim != 3 or arr.shape[-1] != arr.shape[-2]:
         raise ValueError(f"expected a stack of square matrices, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{what} stack contains a non-finite entry")
-    asym = np.abs(arr - np.swapaxes(arr, -1, -2)).max(initial=0.0)
-    scale = 1.0 + np.abs(arr).max(initial=0.0)
-    if asym > 1e-9 * scale:
-        raise ValueError(f"{what} stack contains a non-symmetric matrix")
+    _check_symmetric(arr, f"{what} stack")
     return arr
 
 
@@ -69,12 +77,9 @@ class TensorMeasure:
             raise ValueError(
                 f"{len(points)} points but {len(tensors)} tensors"
             )
-        if not (np.all(np.isfinite(points)) and np.all(np.isfinite(tensors))):
-            raise ValueError("points and tensors must be finite")
-        if len(tensors):
-            asym = np.abs(tensors - np.swapaxes(tensors, -1, -2)).max()
-            if asym > 1e-9 * (1.0 + np.abs(tensors).max()):
-                raise ValueError("tensors must be symmetric")
+        if not np.all(np.isfinite(points)):
+            raise ValueError("points must be finite")
+        _check_symmetric(tensors, "tensors")
         bad = psd_violations(tensors)
         if bad.size:
             idx = int(bad[0])
@@ -111,8 +116,7 @@ class Coupling:
         entries = np.ascontiguousarray(self.entries, dtype=float)
         if entries.ndim != 4 or entries.shape[-1] != entries.shape[-2]:
             raise ValueError(f"entries must be (I, J, d, d), got {entries.shape}")
-        if not np.all(np.isfinite(entries)):
-            raise ValueError("entries must be finite")
+        _check_symmetric(entries, "coupling entries")
         bad = psd_violations(entries)
         if bad.size:
             i, j = divmod(int(bad[0]), entries.shape[1])

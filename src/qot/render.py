@@ -4,7 +4,8 @@ output for scalar grids.
 Each atom draws as an ellipse centered at its point: semi-axes
 proportional to the tensor's eigenvalues, axes along its eigenvectors.
 3x3 tensors are projected onto their XY block (noted in the output);
-1x1 tensors draw as circles.
+1x1 tensors draw as circles.  The rotation angle is the one output of the
+package that depends on an eigenvector's sign, so this module fixes it.
 """
 
 from __future__ import annotations
@@ -60,7 +61,13 @@ def render_field_svg(field: TensorMeasure, scale: float = 0.05,
     if len(points):
         vals, vecs = eig_sym(tensors)
         radii = scale * np.maximum(vals, 0.0)
-        angles = np.degrees(np.arctan2(vecs[:, 1, 0], vecs[:, 0, 0]))
+        # eig_sym fixes no eigenvector sign: flip each leading axis so
+        # that its largest-magnitude component is nonnegative (the first
+        # wins ties).
+        lead = vecs[:, :, 0]
+        big = np.take_along_axis(lead, np.argmax(np.abs(lead), axis=1)[:, None], axis=1)
+        lead = lead * np.where(big < 0.0, -1.0, 1.0)
+        angles = np.degrees(np.arctan2(lead[:, 1], lead[:, 0]))
         xy = points[:, :2]
         pad = float(radii.max(initial=0.0)) + 0.05
         lo = xy.min(axis=0) - pad

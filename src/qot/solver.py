@@ -32,7 +32,6 @@ from .sym import (
     KERNEL_TOL,
     _reconstruct,
     eig_sym,
-    exp_sym,
     log_sym,
     lse_reduce,
     lste_reduce,
@@ -493,17 +492,18 @@ def dual_objective(state: DualState, mu: TensorMeasure, nu: TensorMeasure,
     ``-sum_i alpha_i tr(mu_i) - sum_j beta_j tr(nu_j)`` are added.
     """
     k = _dual_kernel(state.u, state.v, state.alpha, state.beta, cost, cfg)
-    k_vals = eig_sym(k).values
+    # tr exp(M) is the sum of exp over the eigenvalues of M; one that
+    # overflows makes the dual -inf, which the report notes.
     with np.errstate(over="ignore"):
-        total = cfg.eps * float(np.exp(k_vals).sum())
-
-    for rho, pot, target in ((cfg.rho1, state.u, mu.tensors),
-                             (cfg.rho2, state.v, nu.tensors)):
-        if math.isfinite(rho):
-            grown = exp_sym(pot + log_sym(target))
-            total += rho * float(np.trace(grown - target, axis1=-2, axis2=-1).sum())
-        else:
-            total += inner(target, pot)
+        total = cfg.eps * float(np.exp(eig_sym(k).values).sum())
+        for rho, pot, target in ((cfg.rho1, state.u, mu.tensors),
+                                 (cfg.rho2, state.v, nu.tensors)):
+            if math.isfinite(rho):
+                grown = np.exp(eig_sym(pot + log_sym(target)).values).sum(axis=-1)
+                mass = np.trace(target, axis1=-2, axis2=-1)
+                total += rho * float((grown - mass).sum())
+            else:
+                total += inner(target, pot)
 
     value = -total
     if cfg.trace_constrained:

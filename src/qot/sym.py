@@ -2,13 +2,14 @@
 
 Eigendecompositions of 2x2 matrices use a vectorized closed form; every
 other size goes to LAPACK (``np.linalg.eigh``), reordered to descending
-eigenvalues with the same deterministic sign convention.  Matrix exp / log
-are spectral; eigenvalue clamping stands in for the singular-matrix limit
-(see :func:`log_sym`).  The matrix log-sum-exp of 2x2 stacks, the hot path
-of every d = 2 solve, works on the entry arrays alone: the closed form's
+eigenvalues.  Eigenvectors carry no sign convention: every function here
+depends only on eigenvalues and eigenprojectors ``v v^T``, which are
+bitwise unchanged when ``v`` flips sign.  Matrix exp / log are spectral;
+eigenvalue clamping stands in for the singular-matrix limit (see
+:func:`log_sym`).  The matrix log-sum-exp of 2x2 stacks, the hot path of
+every d = 2 solve, works on the entry arrays alone: the closed form's
 eigenvalues and top eigenvector feed a projector form of exp and log, with
-no eigenvector matrices, sign fixing or matrix products (see
-:func:`lse_reduce`).
+no eigenvector matrices or matrix products (see :func:`lse_reduce`).
 
 Every operation is a pure function of its inputs and accepts either a
 single ``(d, d)`` symmetric matrix or a stack shaped ``(..., d, d)``.
@@ -78,7 +79,7 @@ def unpack_upper(coeffs: np.ndarray, dim: int) -> np.ndarray:
 class EigenPair(NamedTuple):
     """Spectral factorization ``V @ diag(values) @ V.T`` of a symmetric
     matrix (or stack): eigenvalues sorted descending, eigenvectors as
-    orthonormal columns."""
+    orthonormal columns of no particular sign."""
 
     values: np.ndarray
     vectors: np.ndarray
@@ -90,15 +91,6 @@ def _dense(x) -> np.ndarray:
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected (..., d, d) matrices, got shape {a.shape}")
     return a
-
-
-def _fix_signs(vecs: np.ndarray) -> np.ndarray:
-    """Flip eigenvector signs so the largest-magnitude component of each
-    column is nonnegative (first index wins ties); keeps output
-    deterministic across runs."""
-    idx = np.argmax(np.abs(vecs), axis=-2)
-    lead = np.take_along_axis(vecs, idx[..., None, :], axis=-2)
-    return vecs * np.where(lead < 0.0, -1.0, 1.0)
 
 
 def _eig2_values(a00, a01, a11):
@@ -124,7 +116,7 @@ def _eig2_parts(a00, a01, a11):
     """Closed-form eigensystem of symmetric 2x2 matrices given by their
     entry arrays: returns ``(w1, w2, x, y)`` with eigenvalues
     ``w1 >= w2`` and ``(x, y)`` a unit eigenvector of ``w1``; ``(-y, x)``
-    spans the other eigenspace (its sign is left unfixed)."""
+    spans the other eigenspace."""
     # The eigenvalue temporaries are freed on return (2 MB less peak
     # memory in a desk transport).
     w1, w2, big = _eig2_values(a00, a01, a11)
@@ -163,18 +155,15 @@ def _eig2(a: np.ndarray) -> EigenPair:
     vals = np.stack([w1, w2], axis=-1)
     vecs = np.stack([np.stack([x, -y], axis=-1), np.stack([y, x], axis=-1)],
                     axis=-2)
-    # Freed before the sign fixing, whose temporaries set the peak memory
-    # of a large stack (the PSD check of a desk coupling: 3 MB less).
-    del w1, w2, x, y
-    return EigenPair(vals, _fix_signs(vecs))
+    return EigenPair(vals, vecs)
 
 
 def eig_sym(mats) -> EigenPair:
     """Eigendecomposition of symmetric matrices.
 
-    2x2 stacks use the closed form of :func:`_eig2`, about twice as fast
-    as ``np.linalg.eigh`` plus sign fixing on large stacks; every other
-    size uses ``np.linalg.eigh``.  Both give the same sign convention.
+    2x2 stacks use the closed form of :func:`_eig2`, faster than
+    ``np.linalg.eigh`` on large stacks; every other size uses
+    ``np.linalg.eigh``.
 
     Parameters
     ----------
@@ -185,14 +174,16 @@ def eig_sym(mats) -> EigenPair:
     -------
     EigenPair
         ``values`` sorted descending with shape ``(..., d)``;
-        ``vectors`` orthonormal columns with shape ``(..., d, d)``.
-        Deterministic: identical input bits give identical output bits.
+        ``vectors`` orthonormal columns with shape ``(..., d, d)``, with
+        no sign convention (a caller that draws a direction picks its
+        own).  Deterministic: identical input bits give identical output
+        bits.
     """
     a = _dense(mats)
     if a.shape[-1] == 2:
         return _eig2(a)
     vals, vecs = np.linalg.eigh(a)
-    return EigenPair(vals[..., ::-1], _fix_signs(vecs[..., ::-1]))
+    return EigenPair(vals[..., ::-1], vecs[..., ::-1])
 
 
 def _reconstruct(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:

@@ -10,10 +10,12 @@ import pytest
 
 from helpers import bump_grid_measure, heavy_line_measure, random_psd
 
+import qot.render
 from qot.cli import main
 from qot.fileio import load_coupling, load_field, save_field
 from qot.measure import TensorMeasure
 from qot.render import render_field_svg, write_pgm
+from qot.sym import EigenPair, eig_sym
 
 
 def write_field(path, points, tensors):
@@ -106,6 +108,20 @@ class TestTransport:
         assert doc["primal_value"] is None
         assert [note for note in doc["notes"] if "primal_value" in note] == [
             "primal_value is not finite (inf)", "primal_value written as null"]
+
+    def test_overflowing_dual_is_null_and_exits_2(self, tmp_path):
+        mu = write_field(tmp_path / "mu.json", [[0.0, 0.0]], np.eye(2)[None])
+        nu = write_field(tmp_path / "nu.json", [[30.0, 0.0]], np.eye(2)[None])
+        report = tmp_path / "report.json"
+        code = main(["transport", "--mu", mu, "--nu", nu, "--eps", "0.01",
+                     "--max-iter", "1", "--out", str(tmp_path / "c.json"),
+                     "--report", str(report)])
+        assert code == 2
+
+        doc = json.loads(report.read_text(), parse_constant=_reject_constant)
+        assert doc["dual_value"] is None
+        assert [note for note in doc["notes"] if "dual_value" in note] == [
+            "dual_value is not finite (-inf)", "dual_value written as null"]
 
     def test_zero_tensor_certificate_exits_0(self, tmp_path):
         # The coupling row of the zero tensor is restricted to its (empty)
@@ -228,20 +244,6 @@ class TestInterpolate:
                      "--coupling", str(tmp_path / "absent.json"),
                      "--t", "0.5", "--out", str(tmp_path / "f.json")])
         assert code == 1
-
-    def test_parallel_frames_match_sequential(self, tmp_path, monkeypatch):
-        mu, nu, coupling = self.make_solved(tmp_path)
-        seq = str(tmp_path / "seq-{i}.json")
-        par = str(tmp_path / "par-{i}.json")
-        args = ["interpolate", "--mu", mu, "--nu", nu, "--coupling", coupling,
-                "--steps", "5"]
-        assert main(args + ["--out", seq]) == 0
-        monkeypatch.setenv("QOT_THREADS", "4")
-        assert main(args + ["--out", par]) == 0
-        for i in range(5):
-            a = (tmp_path / f"seq-{i}.json").read_bytes()
-            b = (tmp_path / f"par-{i}.json").read_bytes()
-            assert a == b
 
 
 class TestBarycenterCommand:
@@ -524,6 +526,27 @@ class TestRenderCommand:
         field = TensorMeasure(rng.uniform(size=(4, 2)), random_psd(rng, 2, n=4))
         assert render_field_svg(field) == render_field_svg(field)
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_bytes_independent_of_eigenvector_signs(self, monkeypatch, d):
+        # Random tensors plus the ties of the sign rule: isotropic,
+        # axis-aligned and diagonal (equal-magnitude) leading axes.
+        rng = np.random.default_rng(23 + d)
+        ties = np.array([np.eye(2), np.diag([2.0, 1.0]),
+                         [[2.0, 1.0], [1.0, 2.0]], [[2.0, -1.0], [-1.0, 2.0]]])
+        tensors = np.zeros((4, d, d))
+        tensors[:, :2, :2] = ties
+        tensors[:, 2:, 2:] = np.eye(d - 2)
+        tensors = np.concatenate([tensors, random_psd(rng, d, n=12)])
+        field = TensorMeasure(rng.uniform(size=(16, 2)), tensors)
+        expected = render_field_svg(field)
+
+        def negated(mats):
+            vals, vecs = eig_sym(mats)
+            return EigenPair(vals, -vecs)
+
+        monkeypatch.setattr(qot.render, "eig_sym", negated)
+        assert render_field_svg(field) == expected
+
 
 class TestNoiseCommand:
     def test_steps_zero_reproducible(self, tmp_path):
@@ -557,17 +580,3 @@ class TestNoiseCommand:
         levels = [int(tok) for tok in body.split()]
         assert len(levels) == 30
         assert min(levels) == 0 and max(levels) == 255
-
-
-class TestWorkerLimit:
-    def test_invalid_env_rejected(self, tmp_path, monkeypatch, small_pair):
-        mu, nu = small_pair
-        coupling = tmp_path / "c.json"
-        assert main(["transport", "--mu", mu, "--nu", nu, "--eps", "0.05",
-                     "--tol", "1e-6", "--max-iter", "20000",
-                     "--out", str(coupling)]) in (0, 2)
-        monkeypatch.setenv("QOT_THREADS", "zero")
-        code = main(["interpolate", "--mu", mu, "--nu", nu,
-                     "--coupling", str(coupling), "--t", "0.5",
-                     "--out", str(tmp_path / "f.json")])
-        assert code == 1

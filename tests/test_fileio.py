@@ -80,7 +80,7 @@ class TestCouplingRoundTrip:
         rng = np.random.default_rng(5)
         coupling = Coupling(random_psd(rng, 2, n=6).reshape(2, 3, 2, 2))
         path = tmp_path / "coupling.json"
-        save_coupling(path, coupling, threshold=1e-8)
+        save_coupling(path, coupling)
         loaded = load_coupling(path)
         assert loaded.rows == 2 and loaded.cols == 3
         assert np.array_equal(loaded.entries, coupling.entries)

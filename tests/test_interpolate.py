@@ -10,9 +10,9 @@ from helpers import random_instance, random_psd
 
 from qot.interpolate import (
     InterpolationParams,
+    _grid_shape,
     anisotropic_diffuse,
     displacement_interpolate,
-    grid_shape,
     single_dirac_distance,
 )
 from qot.measure import Coupling, TensorMeasure
@@ -177,7 +177,7 @@ class TestGridShape:
         gx, gy = np.meshgrid(xs, ys)
         pts = np.stack([gx.ravel(), gy.ravel()], axis=-1)
         field = TensorMeasure(pts, np.broadcast_to(np.eye(2), (12, 2, 2)).copy())
-        nx, ny, order = grid_shape(field)
+        nx, ny, order = _grid_shape(field)
         assert (nx, ny) == (4, 3)
         assert np.array_equal(
             field.points[order],
@@ -189,7 +189,7 @@ class TestGridShape:
         pts = rng.uniform(size=(7, 2))
         field = TensorMeasure(pts, np.broadcast_to(np.eye(2), (7, 2, 2)).copy())
         with pytest.raises(ValueError):
-            grid_shape(field)
+            _grid_shape(field)
 
 
 def grid_field(n, tensor):
@@ -255,10 +255,10 @@ class TestAnisotropicDiffuse:
 
 class TestRawProducts:
     def test_sym_projection_is_noop_for_commuting(self):
-        from qot.interpolate import raw_interpolation_products
+        from qot.interpolate import _raw_interpolation_products
 
         mu = TensorMeasure(np.zeros((1, 2)), np.diag([2.0, 1.0])[None])
         nu = TensorMeasure(np.ones((1, 2)), np.diag([4.0, 3.0])[None])
         g = Coupling(np.diag([1.0, 0.5])[None, None])
-        raw = raw_interpolation_products(mu, nu, g, 0.5)
+        raw = _raw_interpolation_products(mu, nu, g, 0.5)
         assert np.allclose(raw[0, 0], raw[0, 0].T)

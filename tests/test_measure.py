@@ -53,6 +53,14 @@ class TestTensorMeasure:
             m.points[0, 0] = 1.0
 
 
+class TestCoupling:
+    def test_non_symmetric_entry_rejected(self):
+        # The 2x2 eigensolver reads only the upper off-diagonal entry, so
+        # the PSD check alone does not see this asymmetry.
+        with pytest.raises(ValueError, match="non-symmetric"):
+            Coupling(np.array([[[[1.0, 0.0], [3.0, 1.0]]]]))
+
+
 class TestMarginals:
     def test_single_entry(self):
         rng = np.random.default_rng(0)

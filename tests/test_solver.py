@@ -457,6 +457,18 @@ class TestReportNotes:
         assert report.primal_value == math.inf
         assert report.notes == ("primal_value is not finite (inf)",)
 
+    def test_overflowing_dual_is_noted(self):
+        # One step between atoms 30 apart leaves u + log mu with an
+        # eigenvalue of about 1,254, whose exponential overflows.
+        mu = TensorMeasure(np.zeros((1, 2)), np.eye(2)[None])
+        nu = TensorMeasure(np.array([[30.0, 0.0]]), np.eye(2)[None])
+        cost = euclidean_cost(mu.points, nu.points, alpha=2.0)
+        _, _, report = sinkhorn_solve(mu, nu, cost,
+                                      SolverConfig(eps=0.01, max_iter=1))
+        assert not report.converged
+        assert report.dual_value == -math.inf
+        assert "dual_value is not finite (-inf)" in report.notes
+
     def test_finite_objectives_add_no_note(self):
         mu, nu, cost = random_instance(np.random.default_rng(3), 3, 4, 2)
         _, _, report = sinkhorn_solve(mu, nu, cost, SolverConfig(eps=0.1))

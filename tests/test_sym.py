@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from qot.sym import (
     EIG_FLOOR,
     _eig2,
+    _reconstruct,
     clamp_psd,
     eig_sym,
     exp_sym,
@@ -88,7 +89,9 @@ class TestEig:
         s = 1.0 / math.sqrt(2.0)
         assert np.allclose(pair.values, [3.0, 1.0], atol=1e-14)
         assert np.allclose(pair.vectors[:, 0], [s, s], atol=1e-14)
-        assert np.allclose(pair.vectors[:, 1], [s, -s], atol=1e-14)
+        # eig_sym fixes no eigenvector sign.
+        second = pair.vectors[:, 1] * np.sign(pair.vectors[0, 1])
+        assert np.allclose(second, [s, -s], atol=1e-14)
 
     def test_isotropic_3x3(self):
         pair = eig_sym(np.diag([5.0, 5.0, 5.0]))
@@ -136,6 +139,16 @@ class TestEig:
         recon = (vecs * vals[..., None, :]) @ np.swapaxes(vecs, -1, -2)
         assert np.abs(recon - mats).max() < 1e-12 * 2.0
         del base
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_reconstruct_ignores_column_signs(self, d):
+        # eig_sym fixes no eigenvector sign: every spectral function goes
+        # through _reconstruct, which must not see one.
+        rng = np.random.default_rng(31 + d)
+        vals, vecs = eig_sym(random_sym(rng, d, n=200))
+        signs = rng.choice([-1.0, 1.0], size=(200, 1, d))
+        assert np.array_equal(_reconstruct(vals, vecs * signs),
+                              _reconstruct(vals, vecs))
 
     def test_deterministic(self):
         rng = np.random.default_rng(11)
