@@ -348,8 +348,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--t", type=float)
     p.add_argument("--steps", type=int,
                    help="number of frames over t in [0, 1]")
-    p.add_argument("--trace-threshold", type=float, default=1e-8)
-    p.add_argument("--merge-radius", type=float, default=0.0)
+    p.add_argument("--trace-threshold", type=float, default=1e-8,
+                   help="drop coupling pairs whose trace is below this "
+                        "fraction of the largest pair trace (finite, >= 0)")
+    p.add_argument("--merge-radius", type=float, default=0.0,
+                   help="merge output atoms strictly closer than this, "
+                        "greedily in atom order (0: off, inf: one atom)")
     p.add_argument("--render", action="store_true",
                    help="also write an SVG per frame")
     p.add_argument("--scale", type=float, default=0.05)

@@ -36,10 +36,11 @@ class NumericalConsistencyError(ArithmeticError):
 class InterpolationParams:
     """Interpolation controls.
 
-    ``trace_threshold`` drops coupling pairs whose trace falls below
-    ``trace_threshold * max_pair_trace`` before atoms are built;
+    ``trace_threshold`` (finite, >= 0) drops coupling pairs whose trace
+    falls below ``trace_threshold * max_pair_trace`` before atoms are built;
     ``merge_radius`` merges output atoms strictly closer than the radius,
-    summing their tensors (0 disables merging).
+    summing their tensors (0 disables merging, ``inf`` merges every atom
+    into one).
     """
 
     t: float
@@ -49,10 +50,11 @@ class InterpolationParams:
     def __post_init__(self):
         if not 0.0 <= self.t <= 1.0:
             raise ValueError("t must lie in [0, 1]")
-        if self.trace_threshold < 0.0:
-            raise ValueError("trace_threshold must be >= 0")
-        if self.merge_radius < 0.0:
-            raise ValueError("merge_radius must be >= 0")
+        if not (math.isfinite(self.trace_threshold)
+                and self.trace_threshold >= 0.0):
+            raise ValueError("trace_threshold must be finite and >= 0")
+        if not self.merge_radius >= 0.0:
+            raise ValueError("merge_radius must be >= 0 (inf merges all)")
 
 
 def _clamped_inverse(mats: np.ndarray, rel_floor: float = 1e-12) -> np.ndarray:
@@ -83,16 +85,176 @@ def _raw_interpolation_products(mu: TensorMeasure, nu: TensorMeasure,
     return mix @ g.entries
 
 
-def _merge_atoms(points: np.ndarray, tensors: np.ndarray, radius: float):
-    """Greedy sequential clustering: an atom joins the earliest-created
-    cluster whose representative lies strictly within ``radius`` (found
-    through a spatial hash with cells of size ``radius``); positions merge
-    by trace weight (plain mean for zero-trace clusters)."""
-    ambient = points.shape[1]
+# Atoms are clustered in index-ordered blocks of this many cell probes
+# (3**k per atom in k dimensions; _greedy_reps).
+_MERGE_PROBES = 1 << 13
+# A block is cut short where its atoms would have more candidate pairs than
+# this, which bounds the memory of dense blocks.
+_MERGE_PAIRS = 1 << 16
+# Clusters with at least this many members take numpy's own reductions,
+# which sum 1-D runs of 8 or more terms pairwise; smaller ones are summed
+# in array form in the same (sequential, from 0.0) order.
+_PAIRWISE_MIN = 8
 
+
+def _cell_keys(points: np.ndarray, radius: float):
+    """Integer keys of grid cells and the key offsets of the ``3**k``
+    neighbouring cells.  Cells are at least ``2 * radius`` wide, so a pair
+    closer than ``radius`` lies in the same or adjacent cells despite the
+    rounding of the cell coordinates, and no finer than ``2**-bits`` of the
+    points' extent, so the keys fit in int64 at any radius."""
+    k = points.shape[1]
+    if k > 12:
+        raise ValueError(f"cannot merge atoms in {k} dimensions (at most 12)")
+    bits = min(31, 60 // k)
+    lo = points.min(axis=0)
+    extent = max(float(h) - float(l) for h, l in zip(points.max(axis=0), lo))
+    cell = max(2.0 * radius, math.ldexp(extent, -bits))
+    base = (1 << bits) + 3
+    weights = base ** np.arange(k, dtype=np.int64)
+    keys = (np.floor((points - lo) / cell).astype(np.int64) + 1) @ weights
+    offsets = np.array(list(_cell_offsets_product((-1, 0, 1), repeat=k)),
+                       dtype=np.int64) @ weights
+    return keys, offsets
+
+
+def _probe(sorted_keys: np.ndarray, keys: np.ndarray, offsets: np.ndarray):
+    """Ranges ``[lo, hi)`` of ``sorted_keys`` in each neighbouring cell of
+    each key; both have shape ``(len(keys), len(offsets))``."""
+    cells = keys[:, None] + offsets
+    return (np.searchsorted(sorted_keys, cells, side="left"),
+            np.searchsorted(sorted_keys, cells, side="right"))
+
+
+def _expand(lo: np.ndarray, hi: np.ndarray):
+    """All pairs ``(row, position)`` with ``lo[row] <= position < hi[row]``."""
+    span = hi - lo
+    rows = np.repeat(np.arange(len(lo)), span.sum(axis=1))
+    flat = span.ravel()
+    starts = np.cumsum(flat) - flat
+    pos = np.arange(int(flat.sum())) + np.repeat(lo.ravel() - starts, flat)
+    return rows, pos
+
+
+def _cut(lo: np.ndarray, hi: np.ndarray) -> int:
+    """How many leading rows of a probe keep their candidate pairs within
+    ``_MERGE_PAIRS`` (at least one)."""
+    counts = np.cumsum((hi - lo).sum(axis=1))
+    return max(1, int(np.searchsorted(counts, _MERGE_PAIRS, side="right")))
+
+
+def _closer(points: np.ndarray, a: np.ndarray, b: np.ndarray,
+            radius: float) -> np.ndarray:
+    """``np.linalg.norm(points[a] - points[b]) < radius`` for each pair.
+    The norm takes a BLAS dot product whose rounding (FMA or not) the
+    array form cannot promise to match, so distances within 2^-40 relative
+    (plus 1e-160, the round-off of subnormal squares) of the radius are
+    recomputed with the norm itself."""
+    diff = points[a] - points[b]
+    with np.errstate(over="ignore"):
+        dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    slack = 2.0**-40
+    near = dist < radius * (1.0 - slack) - 1e-160
+    unsure = ~near & ~(dist > radius * (1.0 + slack) + 1e-160)
+    for u in np.flatnonzero(unsure):
+        near[u] = np.linalg.norm(diff[u]) < radius
+    return near
+
+
+def _greedy_reps(points: np.ndarray, radius: float) -> np.ndarray:
+    """The representative of each atom under the sequential greedy rule:
+    in index order, an atom joins the earliest representative strictly
+    closer than ``radius``, or else becomes one.
+
+    Blocks of atoms are settled in index order.  An atom joins the earliest
+    representative within ``radius`` among those of earlier blocks, found
+    by probing the neighbouring cells (representatives are pairwise
+    ``radius`` apart, so a cell of ``2 * radius`` holds a bounded number;
+    a block is cut short where its candidate pairs would pass
+    ``_MERGE_PAIRS``, which bounds the memory when cells are coarser or
+    the atoms dense).  The block's other atoms settle
+    among themselves by the rounds of the lexicographically-first maximal
+    independent set (Blelloch, Fineman & Shun, SPAA 2012): an atom with an
+    earlier representative neighbour joins, one with no undecided earlier
+    neighbour becomes a representative."""
+    n = len(points)
+    keys, offsets = _cell_keys(points, radius)
+    rep_of = np.full(n, n)
+    rep_keys = np.empty(0, dtype=np.int64)
+    rep_ids = np.empty(0, dtype=np.int64)
+    block_len = max(1, _MERGE_PROBES // len(offsets))
+    start = 0
+    while start < n:
+        block = np.arange(start, min(start + block_len, n))
+        lo, hi = _probe(rep_keys, keys[block], offsets)
+        cut = _cut(lo, hi)
+        block = block[:cut]
+        start = block[-1] + 1
+        rows, pos = _expand(lo[:cut], hi[:cut])
+        reps = rep_ids[pos]
+        near = _closer(points, block[rows], reps, radius)
+        np.minimum.at(rep_of, block[rows[near]], reps[near])
+        free = block[rep_of[block] == n]
+        if not len(free):
+            continue
+
+        # Pairs (later, earlier) of free atoms, as positions in ``free``;
+        # rows past the cut wait for the next block.
+        order = np.argsort(keys[free], kind="stable")
+        lo, hi = _probe(keys[free][order], keys[free], offsets)
+        cut = _cut(lo, hi)
+        if cut < len(free):
+            start = free[cut]
+            free = free[:cut]
+        later, earlier = _expand(lo[:cut], hi[:cut])
+        earlier = order[earlier]
+        keep = earlier < later
+        later, earlier = later[keep], earlier[keep]
+        near = _closer(points, free[later], free[earlier], radius)
+        later, earlier = later[near], earlier[near]
+
+        m = len(free)
+        undecided = np.ones(m, dtype=bool)
+        is_rep = np.zeros(m, dtype=bool)
+        live_l, live_e = later, earlier
+        while True:
+            blocked = np.zeros(m, dtype=bool)
+            blocked[live_l[undecided[live_e]]] = True
+            is_rep |= undecided & ~blocked
+            joined = np.zeros(m, dtype=bool)
+            joined[live_l[is_rep[live_e]]] = True
+            undecided &= ~(is_rep | joined)
+            if not undecided.any():
+                break
+            live = undecided[live_l] & undecided[live_e]
+            live_l, live_e = live_l[live], live_e[live]
+
+        first = np.full(m, m)
+        to_rep = is_rep[earlier]
+        np.minimum.at(first, later[to_rep], earlier[to_rep])
+        first[is_rep] = np.flatnonzero(is_rep)
+        rep_of[free] = free[first]
+        rep_keys = np.concatenate([rep_keys, keys[free[is_rep]]])
+        rep_ids = np.concatenate([rep_ids, free[is_rep]])
+        order = np.argsort(rep_keys, kind="stable")
+        rep_keys, rep_ids = rep_keys[order], rep_ids[order]
+    return rep_of
+
+
+def _merge_atoms(points: np.ndarray, tensors: np.ndarray, radius: float):
+    """Merge atoms strictly closer than ``radius``, greedily: in index
+    order, each atom joins the earliest-created cluster whose
+    representative (its first atom) lies strictly within ``radius``
+    (``np.linalg.norm(x - rep) < radius``), or starts a new cluster.
+    Clusters come out in creation order, with summed tensors and
+    trace-weighted mean positions (the plain mean for clusters whose
+    total trace is not positive).  Exactly coincident atoms collapse
+    first.  The cost grows with the number of atom pairs closer than the
+    radius; ``radius = inf`` gives one cluster.  The tests compare the
+    result byte for byte with a per-atom reference loop."""
     # Exactly coincident positions always join the same cluster, so they
-    # collapse first (vectorized); the greedy pass then runs on the
-    # first-occurrence-ordered reduced set.
+    # collapse first; the greedy pass runs on the first-occurrence-ordered
+    # reduced set.
     uniq, first, inverse = np.unique(points, axis=0, return_index=True,
                                      return_inverse=True)
     if len(uniq) < len(points):
@@ -104,32 +266,39 @@ def _merge_atoms(points: np.ndarray, tensors: np.ndarray, radius: float):
         points = uniq[order]
         tensors = summed
 
-    offsets = list(_cell_offsets_product((-1, 0, 1), repeat=ambient))
-    cells: dict[tuple, list[int]] = {}
-    reps: list[np.ndarray] = []
-    members: list[list[int]] = []
-    grid = np.floor(points / radius).astype(np.int64)
-    for idx in range(len(points)):
-        key = tuple(grid[idx])
-        best = -1
-        for off in offsets:
-            neighbor = tuple(k + o for k, o in zip(key, off))
-            for cid in cells.get(neighbor, ()):
-                if (best == -1 or cid < best) and (
-                    np.linalg.norm(points[idx] - reps[cid]) < radius
-                ):
-                    best = cid
-        if best >= 0:
-            members[best].append(idx)
-        else:
-            cid = len(reps)
-            reps.append(points[idx])
-            members.append([idx])
-            cells.setdefault(key, []).append(cid)
-    out_points = np.empty((len(reps), ambient))
-    out_tensors = np.empty((len(reps),) + tensors.shape[1:])
-    for c, idxs in enumerate(members):
-        sel = np.asarray(idxs)
+    rep_of = _greedy_reps(points, radius)
+    is_rep = rep_of == np.arange(len(points))
+    cluster = (np.cumsum(is_rep) - 1)[rep_of]
+    n_out = int(is_rep.sum())
+    sizes = np.bincount(cluster, minlength=n_out)
+    members = np.argsort(cluster, kind="stable")
+    starts = np.cumsum(sizes) - sizes
+
+    # numpy's sums start from 0.0 and add in order below _PAIRWISE_MIN
+    # terms; each step r adds the r-th member of every cluster that has one.
+    small = np.flatnonzero(sizes < _PAIRWISE_MIN)
+    steps = []
+    for r in range(int(sizes[small].max(initial=0))):
+        rows = small[sizes[small] > r]
+        steps.append((rows, members[starts[rows] + r]))
+    weights = np.trace(tensors, axis1=-2, axis2=-1)
+    out_tensors = np.zeros((n_out,) + tensors.shape[1:])
+    totals = np.zeros(n_out)
+    for rows, at in steps:
+        out_tensors[rows] += tensors[at]
+        totals[rows] += weights[at]
+    weighted = totals > 0.0
+    out_points = np.zeros((n_out, points.shape[1]))
+    for rows, at in steps:
+        w = weighted[rows]
+        out_points[rows[w]] += points[at[w]] * (
+            weights[at[w]] / totals[rows[w]])[:, None]
+        out_points[rows[~w]] += points[at[~w]]
+    plain = small[~weighted[small]]
+    out_points[plain] /= sizes[plain][:, None]
+
+    for c in np.flatnonzero(sizes >= _PAIRWISE_MIN):
+        sel = members[starts[c]:starts[c] + sizes[c]]
         out_tensors[c] = tensors[sel].sum(axis=0)
         w = np.trace(tensors[sel], axis1=-2, axis2=-1)
         total = w.sum()

@@ -91,18 +91,18 @@ def render_field_svg(field: TensorMeasure, scale: float = 0.05,
     ]
     if note:
         lines.append(f"<desc>{note}</desc>")
-    stroke_width = max(0.002 * unit * scale / 0.05, 0.2)
-    for k in range(len(xy)):
-        cx = (xy[k, 0] - lo[0]) * unit
-        cy = (hi[1] - xy[k, 1]) * unit
-        rx = max(radii[k, 0] * unit, 1e-6)
-        ry = max(radii[k, 1] * unit, 1e-6)
-        rot = -angles[k]
-        lines.append(
-            f'<ellipse cx="{_fmt(cx)}" cy="{_fmt(cy)}" rx="{_fmt(rx)}" '
-            f'ry="{_fmt(ry)}" transform="rotate({_fmt(rot)} {_fmt(cx)} '
-            f'{_fmt(cy)})" {_STYLE} stroke-width="{_fmt(stroke_width)}"/>'
-        )
+    stroke_width = _fmt(max(0.002 * unit * scale / 0.05, 0.2))
+    cxs = ((xy[:, 0] - lo[0]) * unit).tolist()
+    cys = ((hi[1] - xy[:, 1]) * unit).tolist()
+    rxs = np.maximum(radii[:, 0] * unit, 1e-6).tolist()
+    rys = np.maximum(radii[:, 1] * unit, 1e-6).tolist()
+    rots = (-angles).tolist()
+    lines.extend(
+        f'<ellipse cx="{cx:.6f}" cy="{cy:.6f}" rx="{rx:.6f}" ry="{ry:.6f}" '
+        f'transform="rotate({rot:.6f} {cx:.6f} {cy:.6f})" {_STYLE} '
+        f'stroke-width="{stroke_width}"/>'
+        for cx, cy, rx, ry, rot in zip(cxs, cys, rxs, rys, rots)
+    )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
 

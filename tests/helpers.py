@@ -1,5 +1,7 @@
 """Shared instance builders for solver, barycenter and acceptance tests."""
 
+from itertools import product as _cell_offsets_product
+
 import numpy as np
 
 from qot.cost import euclidean_cost
@@ -112,3 +114,62 @@ def fit_log_slope(residuals, skip=10):
     ss_tot = float(((y - y.mean()) ** 2).sum())
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     return float(coef[0]), r2
+
+
+def merge_atoms_loop(points, tensors, radius):
+    """Reference for ``qot.interpolate._merge_atoms``: the per-atom greedy
+    loop it replaced, kept verbatim.  Greedy sequential clustering: an atom
+    joins the earliest-created cluster whose representative lies strictly
+    within ``radius`` (found through a spatial hash with cells of size
+    ``radius``); positions merge by trace weight (plain mean for zero-trace
+    clusters)."""
+    ambient = points.shape[1]
+
+    # Exactly coincident positions always join the same cluster, so they
+    # collapse first (vectorized); the greedy pass then runs on the
+    # first-occurrence-ordered reduced set.
+    uniq, first, inverse = np.unique(points, axis=0, return_index=True,
+                                     return_inverse=True)
+    if len(uniq) < len(points):
+        order = np.argsort(first, kind="stable")
+        rank = np.empty(len(uniq), dtype=np.int64)
+        rank[order] = np.arange(len(uniq))
+        summed = np.zeros((len(uniq),) + tensors.shape[1:])
+        np.add.at(summed, rank[inverse], tensors)
+        points = uniq[order]
+        tensors = summed
+
+    offsets = list(_cell_offsets_product((-1, 0, 1), repeat=ambient))
+    cells: dict[tuple, list[int]] = {}
+    reps: list[np.ndarray] = []
+    members: list[list[int]] = []
+    grid = np.floor(points / radius).astype(np.int64)
+    for idx in range(len(points)):
+        key = tuple(grid[idx])
+        best = -1
+        for off in offsets:
+            neighbor = tuple(k + o for k, o in zip(key, off))
+            for cid in cells.get(neighbor, ()):
+                if (best == -1 or cid < best) and (
+                    np.linalg.norm(points[idx] - reps[cid]) < radius
+                ):
+                    best = cid
+        if best >= 0:
+            members[best].append(idx)
+        else:
+            cid = len(reps)
+            reps.append(points[idx])
+            members.append([idx])
+            cells.setdefault(key, []).append(cid)
+    out_points = np.empty((len(reps), ambient))
+    out_tensors = np.empty((len(reps),) + tensors.shape[1:])
+    for c, idxs in enumerate(members):
+        sel = np.asarray(idxs)
+        out_tensors[c] = tensors[sel].sum(axis=0)
+        w = np.trace(tensors[sel], axis1=-2, axis2=-1)
+        total = w.sum()
+        if total > 0.0:
+            out_points[c] = (points[sel] * (w / total)[:, None]).sum(axis=0)
+        else:
+            out_points[c] = points[sel].mean(axis=0)
+    return out_points, out_tensors

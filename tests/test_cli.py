@@ -238,6 +238,26 @@ class TestInterpolate:
                      "--out", str(tmp_path / "f.json")])
         assert code == 1
 
+    @pytest.mark.parametrize("flag", ["--trace-threshold", "--merge-radius"])
+    def test_nan_parameter_exits_1(self, tmp_path, flag):
+        mu, nu, coupling = self.make_solved(tmp_path)
+        out = tmp_path / "f.json"
+        code = main(["interpolate", "--mu", mu, "--nu", nu,
+                     "--coupling", coupling, "--t", "0.5", flag, "nan",
+                     "--out", str(out)])
+        assert code == 1
+        assert not out.exists()
+
+    def test_tiny_merge_radius_runs_without_warnings(self, tmp_path):
+        mu, nu, coupling = self.make_solved(tmp_path)
+        out = tmp_path / "f.json"
+        code = main(["interpolate", "--mu", mu, "--nu", nu,
+                     "--coupling", coupling, "--t", "0.5",
+                     "--trace-threshold", "0", "--merge-radius", "1e-300",
+                     "--out", str(out)])
+        assert code == 0
+        assert load_field(out).n_atoms == 4
+
     def test_missing_coupling_exits_1(self, tmp_path):
         mu, nu, _ = self.make_solved(tmp_path)
         code = main(["interpolate", "--mu", mu, "--nu", nu,

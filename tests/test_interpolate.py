@@ -2,15 +2,19 @@
 the diffusion texture demo."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import random_instance, random_psd
+from helpers import merge_atoms_loop, random_instance, random_psd
 
 from qot.interpolate import (
     InterpolationParams,
     _grid_shape,
+    _merge_atoms,
     anisotropic_diffuse,
     displacement_interpolate,
     single_dirac_distance,
@@ -34,6 +38,18 @@ class TestParams:
             InterpolationParams(t=1.5)
         with pytest.raises(ValueError):
             InterpolationParams(t=0.5, merge_radius=-1.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("trace_threshold", math.nan),
+        ("trace_threshold", math.inf),
+        ("merge_radius", math.nan),
+    ])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            InterpolationParams(t=0.5, **{field: value})
+
+    def test_infinite_radius_accepted(self):
+        assert InterpolationParams(t=0.5, merge_radius=math.inf).merge_radius == math.inf
 
 
 class TestEndpoints:
@@ -125,6 +141,123 @@ class TestThresholdAndMerge:
         lo = min(totals[0], totals[-1]) * 0.9
         hi = max(totals[0], totals[-1]) * 1.1
         assert all(lo <= s <= hi for s in totals)
+
+
+@st.composite
+def merge_cases(draw):
+    """Atoms for ``_merge_atoms``: round-off-jittered clusters (with exact
+    duplicates, clusters of 8 or more, zero-trace and negative-trace
+    clusters), chains spaced 0.9 radius, and rings of atoms within a few
+    ulps of the radius from a centre; some coordinates and tensor entries
+    are -0.0."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.integers(1, 3))
+    d = draw(st.integers(1, 3))
+    radius = draw(st.one_of(
+        st.sampled_from([1e-12, 1e-3, 3e-2, 0.3, math.inf]),
+        st.floats(1e-12, 1e3)))
+    layout = draw(st.sampled_from(["clusters", "chain", "ring"]))
+    if layout == "chain":
+        n = int(rng.integers(2, 60))
+        step = 0.9 * radius if math.isfinite(radius) else 1.0
+        points = np.zeros((n, k))
+        points[:, 0] = np.arange(n) * step
+        points[:, 1:] = rng.uniform(-0.4, 0.4, (n, k - 1)) * step
+    elif layout == "ring" and math.isfinite(radius):
+        n = int(rng.integers(2, 40))
+        dirs = rng.standard_normal((n, k))
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        ulps = 1.0 + rng.integers(-3, 4, (n, 1)) * 2.0**-52
+        points = rng.uniform(-1, 1, k) + radius * dirs * ulps
+        points[0] = points[1:].mean(axis=0) if n > 1 else points[0]
+    else:
+        sizes = rng.integers(1, 13, int(rng.integers(1, 6)))
+        centres = rng.uniform(-1.0, 1.0, (len(sizes), k))
+        points = np.repeat(centres, sizes, axis=0)
+        points *= 1.0 + rng.integers(-4, 5, points.shape) * 2.0**-52
+        points = points[rng.permutation(len(points))]
+    n = len(points)
+    kind = rng.integers(0, 3, n)  # 0: PSD, 1: zero, 2: indefinite
+    tensors = random_psd(rng, d, n=n)
+    tensors[kind == 1] = 0.0
+    sym = rng.standard_normal((n, d, d))
+    sym = sym + np.swapaxes(sym, -1, -2)
+    tensors[kind == 2] = sym[kind == 2]
+    tensors[rng.uniform(size=tensors.shape) < 0.1] = -0.0
+    points[rng.uniform(size=points.shape) < 0.05] = -0.0
+    points[rng.uniform(size=points.shape) < 0.05] = 0.0
+    return points, tensors, radius
+
+
+class TestMergeAtoms:
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(merge_cases())
+    def test_bytes_match_the_loop(self, case):
+        points, tensors, radius = case
+        want_points, want_tensors = merge_atoms_loop(points, tensors, radius)
+        got_points, got_tensors = _merge_atoms(points, tensors, radius)
+        assert got_points.tobytes() == want_points.tobytes()
+        assert got_tensors.tobytes() == want_tensors.tobytes()
+        assert got_points.shape == want_points.shape
+
+    @pytest.mark.parametrize("layout", ["dense", "chain", "coarse_cells"])
+    def test_many_blocks_match_the_loop(self, layout):
+        # several blocks, and blocks cut short by the pair budget
+        rng = np.random.default_rng(2)
+        if layout == "dense":
+            points, radius = rng.uniform(size=(3000, 2)), 0.05
+        elif layout == "chain":
+            points, radius = np.arange(6000.0)[:, None] * 0.9, 1.0
+        else:  # 3-D cells far coarser than the radius, crowded
+            points, radius = rng.uniform(size=(1500, 3)) * 1e-7, 1e-12
+            points[0] = 1.0
+        tensors = random_psd(rng, 2, n=len(points))
+        want_points, want_tensors = merge_atoms_loop(points, tensors, radius)
+        got_points, got_tensors = _merge_atoms(points, tensors, radius)
+        assert got_points.tobytes() == want_points.tobytes()
+        assert got_tensors.tobytes() == want_tensors.tobytes()
+
+    @pytest.mark.parametrize("radius", [1e-300, 5e-324])
+    def test_tiny_radius_merges_only_duplicates(self, radius):
+        # runs with warnings as errors: the cell index must not overflow
+        rng = np.random.default_rng(0)
+        points = rng.uniform(size=(50, 2))
+        points = np.concatenate(
+            [points, points[:10], points[:5] * (1.0 + 2.0**-50)])
+        tensors = random_psd(rng, 2, n=len(points))
+        out_points, out_tensors = _merge_atoms(points, tensors, radius)
+        assert len(out_points) == 55
+        assert np.array_equal(out_tensors[:10], tensors[:10] + tensors[50:60])
+        assert np.array_equal(out_tensors[50:], tensors[60:])
+
+    def test_infinite_radius_is_one_cluster_in_bounded_memory(self):
+        rng = np.random.default_rng(1)
+        points = rng.uniform(size=(20000, 2))
+        tensors = random_psd(rng, 2, n=len(points))
+        tracemalloc.start()
+        try:
+            out_points, out_tensors = _merge_atoms(points, tensors, math.inf)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        weights = np.trace(tensors, axis1=-2, axis2=-1)
+        assert out_points.shape == (1, 2)
+        assert np.allclose(out_points[0], weights @ points / weights.sum())
+        assert np.allclose(out_tensors[0], tensors.sum(axis=0))
+        # all-pairs arrays for one 1024-atom block would take ~50 MB
+        assert peak < 16 * 2**20
+
+    def test_more_than_twelve_dimensions_rejected(self):
+        # 3**13 cell probes per atom, and keys that would overflow int64
+        with pytest.raises(ValueError, match="13 dimensions"):
+            _merge_atoms(np.zeros((2, 13)), np.ones((2, 1, 1)), 0.1)
+
+    def test_infinite_radius_interpolates_to_one_atom(self):
+        mu, nu, coupling = solved_instance(seed=11)
+        out = displacement_interpolate(
+            mu, nu, coupling,
+            InterpolationParams(t=0.4, trace_threshold=0.0, merge_radius=math.inf))
+        assert out.n_atoms == 1
 
 
 class TestSingleDiracDistance:
