@@ -2,9 +2,11 @@
 
 The barycenter measure is optimized jointly with one transport problem
 per input, each with a hard marginal constraint on the barycenter side.
-The iteration below cycles over three phases: per-input row-potential
+One iteration cycles over three phases: per-input row-potential
 updates, aggregation of the barycenter's log-tensors, and per-input
-column-potential updates pulled toward that aggregate.
+column-potential updates pulled toward that aggregate.  The solver's
+scaling loop runs it, and the solver's finalisation certifies each
+input's transport problem against the result.
 """
 
 from __future__ import annotations
@@ -14,10 +16,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .measure import TensorMeasure, primal_objective
-from .solver import (DualState, SolveReport, SolverConfig, _Anderson,
-                     _coupling, _dual_kernel, _exp_capped, _objective_notes,
-                     _update, dual_objective)
+from .measure import TensorMeasure
+from .solver import (DualState, SolverConfig, _certify, _dual_kernel,
+                     _exp_capped, _report, _scale, _update)
 from .sym import exp_sym, log_sym, lse_reduce
 
 __all__ = [
@@ -97,16 +98,16 @@ def barycenter_solve(prob: BarycenterProblem, cfg: SolverConfig | None = None):
     Returns ``(TensorMeasure, SolveReport)``.  The report's
     ``dual_states`` carries the per-input dual potentials (the weighted
     sum of the column potentials vanishes at convergence, which serves as
-    a convergence certificate), and its residual history records the
-    largest potential change per iteration across all inputs.  The
-    barycenter's log-tensors are the aggregation variable, so the
-    returned tensors are positive definite by construction.  Like the
-    couplings, they are exponentials capped at exp(700), and a note says
-    when an unconverged solve hits the cap.
+    a convergence certificate), its residual history records the largest
+    potential change per iteration across all inputs, and its objective
+    values are the weighted sums of the inputs' transport values against
+    the barycenter.  The barycenter's log-tensors are the aggregation
+    variable, so the returned tensors are positive definite by
+    construction.  Like the couplings, they are exponentials capped at
+    exp(700), and a note says when an unconverged solve hits the cap.
 
-    One iteration is a map of the stacked per-input potentials; with the
-    default relaxations it is Anderson-accelerated like
-    :func:`qot.solver.sinkhorn_solve`, with the same stopping test.
+    One iteration is a map of the stacked per-input potentials, run by
+    the scaling loop of :func:`qot.solver.sinkhorn_solve`.
     """
     cfg = replace(cfg or SolverConfig(), rho1=prob.rho, rho2=math.inf,
                   trace_constrained=False)
@@ -115,16 +116,11 @@ def barycenter_solve(prob: BarycenterProblem, cfg: SolverConfig | None = None):
     d = prob.tensor_dim
     n_support = len(prob.support)
     n_inputs = prob.n_inputs
-
     log_mu = [log_sym(m.tensors) for m in prob.inputs]
-    point = (tuple(np.zeros((m.n_atoms, d, d)) for m in prob.inputs)
-             + tuple(np.zeros((n_support, d, d)) for _ in range(n_inputs)))
-    accel = _Anderson(cfg)
+    log_nu = None
 
-    residuals = []
-    converged = False
-    iterations = 0
-    for it in range(cfg.max_iter):
+    def step(point):
+        nonlocal log_nu
         u, v = list(point[:n_inputs]), list(point[n_inputs:])
         lse_cols = []
         res = 0.0
@@ -149,50 +145,29 @@ def barycenter_solve(prob: BarycenterProblem, cfg: SolverConfig | None = None):
             v_new = _update(v[idx], lse_cols[idx] - log_nu, tau2, eps, False)
             res = max(res, float(np.abs(v_new - v[idx]).max()))
             v[idx] = v_new
-        residuals.append(res)
-        iterations = it + 1
-        if res < cfg.tol:
-            converged = True
-            break
-        point = accel.step(point, tuple(u) + tuple(v))
+        return tuple(u) + tuple(v), res
 
-    notes = ["barycenter side uses a hard marginal constraint"] + accel.notes()
+    point = (tuple(np.zeros((m.n_atoms, d, d)) for m in prob.inputs)
+             + tuple(np.zeros((n_support, d, d)) for _ in range(n_inputs)))
+    image, history, converged, loop_notes = _scale(step, point, cfg)
+
+    notes = ["barycenter side uses a hard marginal constraint"] + loop_notes
     tensors, hit = _exp_capped(log_nu)
     if hit:
         notes.append("barycenter saturated at exp(700) in unconverged directions")
     nu = TensorMeasure(prob.support, tensors)
 
-    states = []
-    primal = 0.0
-    dual = 0.0
-    coupling_notes = []
-    for idx in range(n_inputs):
-        k = _dual_kernel(u[idx], v[idx], None, None, prob.costs[idx], cfg)
-        coupling, extra = _coupling(k, prob.inputs[idx].tensors, tensors)
-        coupling_notes += [note for note in extra if note not in coupling_notes]
-        state = DualState(
-            u[idx], v[idx],
-            np.zeros(prob.inputs[idx].n_atoms), np.zeros(n_support),
-        )
-        states.append(state)
-        w = float(prob.weights[idx])
-        primal += w * primal_objective(coupling, prob.inputs[idx], nu,
-                                       prob.costs[idx], cfg)
-        dual += w * dual_objective(state, prob.inputs[idx], nu,
-                                   prob.costs[idx], cfg)
-    notes += coupling_notes
-    notes += _objective_notes(primal, dual)
-
-    report = SolveReport(
-        iterations=iterations,
-        residual_history=np.asarray(residuals),
-        converged=converged,
-        primal_value=primal,
-        dual_value=dual,
-        notes=tuple(notes),
-        dual_states=tuple(states),
-    )
-    return nu, report
+    states = tuple(
+        DualState(u, v, np.zeros(len(u)), np.zeros(n_support))
+        for u, v in zip(image[:n_inputs], image[n_inputs:]))
+    primal = dual = 0.0
+    for state, measure, cost, w in zip(states, prob.inputs, prob.costs,
+                                       prob.weights):
+        _, extra, p, q = _certify(state, measure, nu, cost, cfg)
+        notes += [note for note in extra if note not in notes]
+        primal += float(w) * p
+        dual += float(w) * q
+    return nu, _report(history, converged, primal, dual, notes, states)
 
 
 def pointwise_barycenter(tensors, weights, energy: float, rho: float) -> np.ndarray:

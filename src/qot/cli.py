@@ -21,7 +21,6 @@ import numpy as np
 from .barycenter import BarycenterProblem, barycenter_solve, bilinear_weights
 from .cost import euclidean_cost, from_distance_matrix
 from .fileio import (
-    FileFormatError,
     load_coupling,
     load_distance_matrix,
     load_field,
@@ -91,12 +90,9 @@ _CONFIG_FLAGS = ("eps", "rho1", "rho2", "tau1", "tau2", "max_iter", "tol",
 
 
 def _solver_config(args) -> SolverConfig:
-    try:
-        return SolverConfig(**{
-            key: getattr(args, key) for key in _CONFIG_FLAGS if hasattr(args, key)
-        })
-    except ValueError as exc:
-        raise CliError(str(exc))
+    return SolverConfig(**{
+        key: getattr(args, key) for key in _CONFIG_FLAGS if hasattr(args, key)
+    })
 
 
 def _exit_code(report: SolveReport) -> int:
@@ -139,10 +135,6 @@ def _load_pair(args):
     nu = load_field(args.nu)
     if mu.n_atoms == 0 or nu.n_atoms == 0:
         raise CliError("input measures must not be empty")
-    if mu.tensor_dim != nu.tensor_dim:
-        raise CliError(
-            f"tensor dimensions differ: {mu.tensor_dim} vs {nu.tensor_dim}"
-        )
     return mu, nu
 
 
@@ -172,10 +164,7 @@ def _frame_path(pattern: str, index: int, count: int) -> Path:
 def _cmd_transport(args) -> int:
     mu, nu = _load_pair(args)
     cfg = _solver_config(args)
-    try:
-        coupling, _, report = sinkhorn_solve(mu, nu, _pair_cost(args, mu, nu), cfg)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    coupling, _, report = sinkhorn_solve(mu, nu, _pair_cost(args, mu, nu), cfg)
     save_coupling(args.out, coupling)
     if args.report:
         doc = _report_dict(report, cfg)
@@ -186,11 +175,6 @@ def _cmd_transport(args) -> int:
 def _cmd_interpolate(args) -> int:
     mu, nu = _load_pair(args)
     coupling = load_coupling(args.coupling)
-    if coupling.rows != mu.n_atoms or coupling.cols != nu.n_atoms:
-        raise CliError(
-            f"coupling is {coupling.rows}x{coupling.cols} but measures have "
-            f"{mu.n_atoms} and {nu.n_atoms} atoms"
-        )
     if args.steps is not None:
         if args.steps < 2:
             raise CliError("--steps must be >= 2")
@@ -201,13 +185,10 @@ def _cmd_interpolate(args) -> int:
         ts = np.array([args.t])
 
     for index, t in enumerate(ts):
-        try:
-            params = InterpolationParams(
-                t=float(t), trace_threshold=args.trace_threshold,
-                merge_radius=args.merge_radius,
-            )
-        except ValueError as exc:
-            raise CliError(str(exc))
+        params = InterpolationParams(
+            t=float(t), trace_threshold=args.trace_threshold,
+            merge_radius=args.merge_radius,
+        )
         frame = displacement_interpolate(mu, nu, coupling, params)
         out = _frame_path(args.out, index, len(ts))
         save_field(out, frame)
@@ -260,11 +241,7 @@ def _cmd_barycenter(args) -> int:
     for index, weights in enumerate(weight_sets):
         w = np.asarray(weights, dtype=float)
         w = w / w.sum()
-        try:
-            prob = BarycenterProblem(tuple(inputs), w, support, costs,
-                                     rho=args.rho)
-        except ValueError as exc:
-            raise CliError(str(exc))
+        prob = BarycenterProblem(tuple(inputs), w, support, costs, rho=args.rho)
         nu, report = barycenter_solve(prob, cfg)
         out = _frame_path(args.out, index, len(weight_sets))
         save_field(out, nu)
@@ -292,10 +269,7 @@ def _cmd_distance(args) -> int:
                 f"({mu.n_atoms}, {nu.n_atoms})"
             )
     cfg = _solver_config(args)
-    try:
-        _, _, report = sinkhorn_solve(mu, nu, _pair_cost(args, mu, nu), cfg)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    _, _, report = sinkhorn_solve(mu, nu, _pair_cost(args, mu, nu), cfg)
     print(f"W_eps {report.primal_value:.11e}")
     if args.pointwise is not None:
         i, j = args.pointwise
@@ -306,21 +280,15 @@ def _cmd_distance(args) -> int:
 
 def _cmd_render(args) -> int:
     field = load_field(args.field)
-    try:
-        svg = render_field_svg(field, scale=args.scale, subsample=args.subsample)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    svg = render_field_svg(field, scale=args.scale, subsample=args.subsample)
     Path(args.out).write_text(svg)
     return EXIT_OK
 
 
 def _cmd_noise(args) -> int:
     field = load_field(args.field)
-    try:
-        grid = anisotropic_diffuse(field, noise_seed=args.seed,
-                                   steps=args.steps, dt=args.dt)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    grid = anisotropic_diffuse(field, noise_seed=args.seed,
+                               steps=args.steps, dt=args.dt)
     write_pgm(args.out, grid)
     return EXIT_OK
 
@@ -413,13 +381,12 @@ def _build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     parser = _build_parser()
+    # Every input the library rejects raises ValueError (FileFormatError
+    # and LinAlgError among them), which maps to exit 1 like a usage error.
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (CliError, FileFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except OSError as exc:
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

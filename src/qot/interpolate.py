@@ -74,11 +74,6 @@ def _raw_interpolation_products(mu: TensorMeasure, nu: TensorMeasure,
     """The unsymmetrized per-pair products
     ``[(1-t) mu_i (sum_j gamma_ij)^-1 + t nu_j (sum_i gamma_ij)^-1] gamma_ij``
     (diagnostic view; the interpolant symmetrizes and PSD-projects them)."""
-    if g.rows != mu.n_atoms or g.cols != nu.n_atoms:
-        raise ValueError(
-            f"coupling is {g.rows}x{g.cols} but measures have "
-            f"{mu.n_atoms} and {nu.n_atoms} atoms"
-        )
     mu_bar = mu.tensors @ _clamped_inverse(marginal_rows(g))
     nu_bar = nu.tensors @ _clamped_inverse(marginal_cols(g))
     mix = (1.0 - t) * mu_bar[:, None] + t * nu_bar[None, :]
@@ -323,6 +318,14 @@ def displacement_interpolate(mu: TensorMeasure, nu: TensorMeasure,
     """
     if mu.ambient_dim != nu.ambient_dim:
         raise ValueError("ambient dimensions differ")
+    if not mu.tensor_dim == nu.tensor_dim == g.tensor_dim:
+        raise ValueError(f"tensor dimensions differ: {mu.tensor_dim} vs "
+                         f"{nu.tensor_dim}, coupling {g.tensor_dim}")
+    if g.rows != mu.n_atoms or g.cols != nu.n_atoms:
+        raise ValueError(
+            f"coupling is {g.rows}x{g.cols} but measures have "
+            f"{mu.n_atoms} and {nu.n_atoms} atoms"
+        )
     t = p.t
     traces = np.trace(g.entries, axis1=-2, axis2=-1)
     max_trace = float(traces.max(initial=0.0))

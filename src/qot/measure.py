@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sym import _dense, _not_psd, _plog_parts, eig_sym, psd_violations
+from .sym import (EIG_FLOOR, KERNEL_TOL, _dense, _not_psd, eig_sym,
+                  psd_violations)
 
 __all__ = [
     "TensorMeasure",
@@ -166,6 +167,26 @@ def quantum_entropy(tensors) -> float:
         return float((lam - xlogx).sum())
 
 
+def _tr_plogq(p: np.ndarray, q: np.ndarray):
+    """Per matrix, ``tr(P log Q)`` extended to singular ``Q`` with
+    ``0 * log 0 = 0``, and whether ``ker Q`` lies in ``ker P`` (within
+    ``KERNEL_TOL``), the only case in which that trace is finite."""
+    q_vals, q_vecs = eig_sym(q)
+    is_ker = q_vals <= KERNEL_TOL * np.maximum(q_vals[..., :1], 0.0)
+    p_tilde = np.swapaxes(q_vecs, -1, -2) @ p @ q_vecs
+    scale = np.abs(p_tilde).max(axis=(-2, -1))
+    col_mass = np.abs(p_tilde).max(axis=-2)
+    contained = np.all(
+        np.where(is_ker, col_mass, 0.0) <= KERNEL_TOL * scale[..., None], axis=-1
+    )
+    # Zero the kernel rows and columns.  The diagonal stays a strided view:
+    # einsum sums a contiguous copy in another order, which moves last bits.
+    p_tilde = np.where(is_ker[..., None, :] | is_ker[..., :, None], 0.0, p_tilde)
+    diag = np.diagonal(p_tilde, axis1=-2, axis2=-1)
+    log_vals = np.where(is_ker, 0.0, np.log(np.maximum(q_vals, EIG_FLOOR)))
+    return np.einsum("...s,...s->...", diag, log_vals), contained
+
+
 def quantum_kl(a, b) -> float:
     """Quantum relative entropy ``sum_i tr(P log P - P log Q - P + Q)``.
 
@@ -191,11 +212,9 @@ def quantum_kl(a, b) -> float:
             lam > 0.0, lam * np.log(np.where(lam > 0.0, lam, 1.0)), 0.0
         ).sum(axis=-1)
 
-        _, p_tilde, log_vals, _, contained = _plog_parts(p, q)
+        tr_plogq, contained = _tr_plogq(p, q)
         if not np.all(contained):
             return math.inf
-        diag = np.diagonal(p_tilde, axis1=-2, axis2=-1)
-        tr_plogq = np.einsum("...s,...s->...", diag, log_vals)
 
         tr_p = np.trace(p, axis1=-2, axis2=-1)
         tr_q = np.trace(q, axis1=-2, axis2=-1)

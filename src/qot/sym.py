@@ -210,15 +210,15 @@ def exp_sym(mats) -> np.ndarray:
     return _reconstruct(ev, vecs)
 
 
-def log_sym(mats, eig_floor: float = EIG_FLOOR) -> np.ndarray:
+def log_sym(mats) -> np.ndarray:
     """Matrix logarithm of positive semidefinite matrices.
 
-    Eigenvalues below ``eig_floor`` are clamped to it before taking the
+    Eigenvalues below ``EIG_FLOOR`` are clamped to it before taking the
     log, so singular directions come out as large negative log-eigenvalues
-    (about -34.5 at the default floor) instead of -inf.
+    (about -34.5) instead of -inf.
     """
     vals, vecs = eig_sym(mats)
-    return _reconstruct(np.log(np.maximum(vals, eig_floor)), vecs)
+    return _reconstruct(np.log(np.maximum(vals, EIG_FLOOR)), vecs)
 
 
 def clamp_psd(mats) -> np.ndarray:
@@ -243,28 +243,6 @@ def psd_violations(mats) -> np.ndarray:
     if flat.shape[0] == 0:
         return np.empty(0, dtype=np.intp)
     return np.nonzero(_not_psd(eig_sym(flat).values))[0]
-
-
-def _plog_parts(p: np.ndarray, q: np.ndarray):
-    """The product ``P log(Q)`` in the eigenbasis of ``Q``, extended to
-    singular ``Q`` with ``0 * log 0 = 0``: returns (q_vecs, p_tilde,
-    log_vals, kernel mask, containment mask) with kernel rows and columns
-    of p_tilde zeroed; the product is finite only where ``ker Q`` lies in
-    ``ker P`` (within ``KERNEL_TOL``)."""
-    q_vals, q_vecs = eig_sym(q)
-    lam_max = np.maximum(q_vals[..., :1], 0.0)
-    is_ker = q_vals <= KERNEL_TOL * lam_max
-    p_tilde = np.swapaxes(q_vecs, -1, -2) @ p @ q_vecs
-
-    scale = np.abs(p_tilde).max(axis=(-2, -1))
-    col_mass = np.abs(p_tilde).max(axis=-2)
-    contained = np.all(
-        np.where(is_ker, col_mass, 0.0) <= KERNEL_TOL * scale[..., None], axis=-1
-    )
-    p_tilde = np.where(is_ker[..., None, :], 0.0, p_tilde)
-    p_tilde = np.where(is_ker[..., :, None], 0.0, p_tilde)
-    log_vals = np.where(is_ker, 0.0, np.log(np.maximum(q_vals, EIG_FLOOR)))
-    return q_vecs, p_tilde, log_vals, is_ker, contained
 
 
 def _normalize_reduce_axis(a: np.ndarray, axis: int) -> int:
@@ -324,8 +302,8 @@ def lse_reduce(mats, axis: int = 0) -> np.ndarray:
     vals, vecs = eig_sym(a)
     shift = vals[..., 0].max(axis=axis, keepdims=True)
     ev = np.exp(vals - shift[..., None])
-    total = _reconstruct(ev, vecs).sum(axis=axis)
-    out = log_sym(total, eig_floor=tiny)
+    vals, vecs = eig_sym(_reconstruct(ev, vecs).sum(axis=axis))
+    out = _reconstruct(np.log(np.maximum(vals, tiny)), vecs)
     return out + np.squeeze(shift, axis=axis)[..., None, None] * np.eye(d)
 
 

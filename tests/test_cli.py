@@ -12,8 +12,8 @@ from helpers import bump_grid_measure, heavy_line_measure, random_psd
 
 import qot.render
 from qot.cli import main
-from qot.fileio import load_coupling, load_field, save_field
-from qot.measure import TensorMeasure
+from qot.fileio import load_coupling, load_field, save_coupling, save_field
+from qot.measure import Coupling, TensorMeasure
 from qot.render import render_field_svg, write_pgm
 from qot.sym import EigenPair, eig_sym
 
@@ -258,6 +258,29 @@ class TestInterpolate:
         assert code == 0
         assert load_field(out).n_atoms == 4
 
+    def test_ambient_dimension_mismatch_exits_1(self, tmp_path, capsys):
+        mu = write_field(tmp_path / "mu.json", [[0.0, 0.0], [1.0, 0.0]],
+                         [np.eye(2)] * 2)
+        nu = write_field(tmp_path / "nu.json", [[0.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+                         [np.eye(2)] * 2)
+        coupling = tmp_path / "coupling.json"
+        save_coupling(coupling, Coupling(np.broadcast_to(0.5 * np.eye(2), (2, 2, 2, 2))))
+        code = main(["interpolate", "--mu", mu, "--nu", nu,
+                     "--coupling", str(coupling), "--t", "0.5",
+                     "--out", str(tmp_path / "f.json")])
+        assert code == 1
+        assert "error: ambient dimensions differ" in capsys.readouterr().err
+
+    def test_coupling_of_other_tensor_dimension_exits_1(self, tmp_path, capsys):
+        mu, nu, _ = self.make_solved(tmp_path)
+        coupling = tmp_path / "coupling3.json"
+        save_coupling(coupling, Coupling(np.broadcast_to(np.eye(3), (2, 2, 3, 3))))
+        code = main(["interpolate", "--mu", mu, "--nu", nu,
+                     "--coupling", str(coupling), "--t", "0.5",
+                     "--out", str(tmp_path / "f.json")])
+        assert code == 1
+        assert "error: tensor dimensions differ" in capsys.readouterr().err
+
     def test_missing_coupling_exits_1(self, tmp_path):
         mu, nu, _ = self.make_solved(tmp_path)
         code = main(["interpolate", "--mu", mu, "--nu", nu,
@@ -291,6 +314,23 @@ class TestBarycenterCommand:
         a = load_field(out_pair)
         b = load_field(out_single)
         assert np.abs(a.tensors - b.tensors).max() < 1e-8
+
+    def test_non_numeric_weights_exit_1(self, tmp_path, capsys):
+        paths = self.make_inputs(tmp_path)
+        code = main(["barycenter", "--inputs", ",".join(paths),
+                     "--weights", "x,y", "--out", str(tmp_path / "b.json")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_support_of_other_ambient_dimension_exits_1(self, tmp_path, capsys):
+        paths = self.make_inputs(tmp_path)
+        support = write_field(tmp_path / "support.json",
+                              [[0.2, 0.2, 0.0], [0.8, 0.8, 0.0]], [np.eye(2)] * 2)
+        code = main(["barycenter", "--inputs", ",".join(paths),
+                     "--weights", "0.5,0.5", "--support", support,
+                     "--out", str(tmp_path / "b.json")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_bad_weight_sum_exits_1(self, tmp_path):
         paths = self.make_inputs(tmp_path)

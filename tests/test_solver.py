@@ -20,6 +20,8 @@ from helpers import (
 )
 from scalar_ot import unbalanced_sinkhorn_log
 
+from qot import solver
+from qot.barycenter import BarycenterProblem, barycenter_solve
 from qot.cost import euclidean_cost, GroundCost
 from qot.measure import TensorMeasure, marginal_cols, marginal_rows
 from qot.solver import (
@@ -601,3 +603,41 @@ class TestSingularTensors:
         assert report.converged
         assert report.primal_value == math.inf
         assert report.notes == ("primal_value is not finite (inf)",)
+
+
+def _loop_solve(kind, cfg):
+    """A small plain, trace-constrained or barycenter solve; its report."""
+    rng = np.random.default_rng(0)
+    if kind == "barycenter":
+        points = grid_points(3)
+        inputs = tuple(TensorMeasure(points, random_psd(rng, 2, n=9))
+                       for _ in range(2))
+        costs = tuple(euclidean_cost(points, points) for _ in inputs)
+        prob = BarycenterProblem(inputs, np.array([0.3, 0.7]), points, costs)
+        return barycenter_solve(prob, cfg)[1]
+    mu, nu, cost = trace_balanced_instance(rng, 3, 4, 2)
+    cfg = replace(cfg, trace_constrained=kind == "trace")
+    return sinkhorn_solve(mu, nu, cost, cfg)[2]
+
+
+@pytest.mark.parametrize("kind", ["plain", "trace", "barycenter"])
+@pytest.mark.parametrize("cfg,converges", [
+    (SolverConfig(), True),
+    (SolverConfig(max_iter=30, tol=2e-3), False),
+], ids=["converged", "max_iter"])
+def test_one_scaling_loop(monkeypatch, kind, cfg, converges):
+    # Every solver runs the one loop: its report's history is what the
+    # stopping test read, and the accelerator it built notes engagement.
+    made = []
+    anderson = solver._Anderson
+    monkeypatch.setattr(solver, "_Anderson",
+                        lambda c: made.append(anderson(c)) or made[-1])
+    report = _loop_solve(kind, cfg)
+    assert report.converged == converges
+    if not converges:
+        assert report.iterations == cfg.max_iter
+    assert len(report.residual_history) == report.iterations
+    assert report.converged == (report.residual_history[-1] < cfg.tol)
+    assert len(made) == 1
+    noted = [n for n in report.notes if n.startswith("anderson:")]
+    assert len(noted) == (made[0].engaged_at is not None)
