@@ -29,15 +29,22 @@ __all__ = [
 ]
 
 
+def _check_weights(w: np.ndarray) -> None:
+    """Reject weights that are not nonnegative or do not sum to one within
+    1e-12; a NaN weight fails both."""
+    if not (np.all(w >= 0.0) and abs(w.sum() - 1.0) <= 1e-12):
+        raise ValueError("weights must be nonnegative and sum to 1")
+
+
 @dataclass(frozen=True)
 class BarycenterProblem:
     """Inputs of a barycenter computation.
 
-    ``weights`` must be nonnegative and sum to one within 1e-12.  The
-    barycenter lives on the fixed ``support`` points; ``costs[l]`` maps
-    input ``l``'s atoms to the support.  ``rho`` is the fidelity strength
-    on the input side; the barycenter side is always a hard marginal
-    constraint.
+    ``weights`` must be nonnegative and sum to one within 1e-12, and
+    every input must have an atom.  The barycenter lives on the fixed
+    ``support`` points; ``costs[l]`` maps input ``l``'s atoms to the
+    support.  ``rho`` is the fidelity strength on the input side; the
+    barycenter side is always a hard marginal constraint.
     """
 
     inputs: tuple
@@ -55,14 +62,15 @@ class BarycenterProblem:
             raise ValueError("at least one input measure is required")
         if len(weights) != len(inputs) or len(costs) != len(inputs):
             raise ValueError("inputs, weights and costs must have equal length")
-        if np.any(weights < 0.0) or abs(weights.sum() - 1.0) > 1e-12:
-            raise ValueError("weights must be nonnegative and sum to 1")
+        _check_weights(weights)
         if support.ndim != 2 or len(support) == 0:
             raise ValueError(f"support must be (J, ambient_dim), got {support.shape}")
         if not (math.isfinite(self.rho) and self.rho > 0.0):
             raise ValueError("rho must be positive and finite")
         d = inputs[0].tensor_dim
         for idx, (measure, cost) in enumerate(zip(inputs, costs)):
+            if measure.n_atoms == 0:
+                raise ValueError(f"input {idx} is empty")
             if measure.tensor_dim != d:
                 raise ValueError(f"input {idx} has tensor dim {measure.tensor_dim} != {d}")
             if cost.rows != measure.n_atoms or cost.cols != len(support):
@@ -183,8 +191,7 @@ def pointwise_barycenter(tensors, weights, energy: float, rho: float) -> np.ndar
     w = np.asarray(weights, dtype=float)
     if stack.ndim != 3 or len(stack) != len(w):
         raise ValueError("expected one weight per tensor")
-    if abs(w.sum() - 1.0) > 1e-12 or np.any(w < 0.0):
-        raise ValueError("weights must be nonnegative and sum to 1")
+    _check_weights(w)
     if energy < 0.0:
         raise ValueError("energy must be >= 0")
     if not rho > 0.0:

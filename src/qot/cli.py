@@ -2,9 +2,11 @@
 
 Subcommands cover the full pipeline: transport solves, displacement
 interpolation, barycenters, distance reporting, SVG rendering and the
-diffusion noise demo.  Exit codes: 0 success, 1 input error, 2 a solve
-that is not certified: it hit the iteration limit without converging or
-ended with a non-finite objective.
+diffusion noise demo.  The driver parses flags, calls the library,
+writes files and maps exit codes: a flag left out takes the library's
+default, and the library checks the inputs.  Exit codes: 0 success, 1
+input error, 2 a solve that is not certified: it hit the iteration limit
+without converging or ended with a non-finite objective.
 """
 
 from __future__ import annotations
@@ -54,45 +56,29 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _float_or_inf(text: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid number {text!r}")
-
-
 def _add_solver_flags(parser, pair=True):
     """Solver flags; ``--rho1``, ``--rho2`` and ``--trace-constrained``
     only for a two-field solve (``pair``), since a barycenter takes its
     fidelity from ``--rho`` and has no trace mode."""
-    parser.add_argument("--eps", type=float, default=0.08**2,
-                        help="entropic strength (default 0.0064)")
+    parser.add_argument("--eps", type=float,
+                        help=f"entropic strength (default {SolverConfig.eps:g})")
     if pair:
-        parser.add_argument("--rho1", type=_float_or_inf, default=1.0,
+        parser.add_argument("--rho1", type=float,
                             help="row marginal fidelity, 'inf' for hard")
-        parser.add_argument("--rho2", type=_float_or_inf, default=1.0,
+        parser.add_argument("--rho2", type=float,
                             help="column marginal fidelity, 'inf' for hard")
-    for side, name in (("1", "row"), ("2", "column")):
-        parser.add_argument(
-            f"--tau{side}", type=float, default=None,
-            help=f"{name} update relaxation; when either tau is given the "
-                 "plain relaxed iteration runs, without Anderson acceleration "
-                 "(default: 1.8 eps/(eps+rho), accelerated)")
-    parser.add_argument("--max-iter", type=int, default=10000)
-    parser.add_argument("--tol", type=float, default=1e-9)
+    parser.add_argument("--max-iter", type=int)
+    parser.add_argument("--tol", type=float)
     if pair:
         parser.add_argument("--trace-constrained", action="store_true",
                             help="pin marginal traces to the input traces")
 
 
-_CONFIG_FLAGS = ("eps", "rho1", "rho2", "tau1", "tau2", "max_iter", "tol",
-                 "trace_constrained")
-
-
-def _solver_config(args) -> SolverConfig:
-    return SolverConfig(**{
-        key: getattr(args, key) for key in _CONFIG_FLAGS if hasattr(args, key)
-    })
+def _given(args, *names) -> dict:
+    """The flags among ``names`` that the command line set, as keyword
+    arguments; the library supplies the value of every other one."""
+    values = vars(args)
+    return {name: values[name] for name in names if values[name] is not None}
 
 
 def _exit_code(report: SolveReport) -> int:
@@ -130,26 +116,18 @@ def _report_dict(report: SolveReport, cfg: SolverConfig) -> dict:
     }
 
 
-def _load_pair(args):
-    mu = load_field(args.mu)
-    nu = load_field(args.nu)
-    if mu.n_atoms == 0 or nu.n_atoms == 0:
-        raise CliError("input measures must not be empty")
-    return mu, nu
-
-
-def _pair_cost(args, mu, nu):
-    if getattr(args, "cost", None):
-        dist = load_distance_matrix(args.cost)
-        if dist.shape != (mu.n_atoms, nu.n_atoms):
-            raise CliError(
-                f"distance matrix {dist.shape} does not match measure sizes "
-                f"({mu.n_atoms}, {nu.n_atoms})"
-            )
-        return from_distance_matrix(dist, alpha=args.alpha)
-    if mu.ambient_dim != nu.ambient_dim:
-        raise CliError("ambient dimensions differ; supply --cost instead")
-    return euclidean_cost(mu.points, nu.points, alpha=args.alpha)
+def _solve_pair(args, mu, nu):
+    """The transport solve of ``transport`` and ``distance``:
+    ``(coupling, report, config)``."""
+    cfg = SolverConfig(**_given(args, "eps", "rho1", "rho2", "max_iter", "tol",
+                                "trace_constrained"))
+    alpha = _given(args, "alpha")
+    if args.cost:
+        cost = from_distance_matrix(load_distance_matrix(args.cost), **alpha)
+    else:
+        cost = euclidean_cost(mu.points, nu.points, **alpha)
+    coupling, _, report = sinkhorn_solve(mu, nu, cost, cfg)
+    return coupling, report, cfg
 
 
 def _frame_path(pattern: str, index: int, count: int) -> Path:
@@ -162,9 +140,8 @@ def _frame_path(pattern: str, index: int, count: int) -> Path:
 
 
 def _cmd_transport(args) -> int:
-    mu, nu = _load_pair(args)
-    cfg = _solver_config(args)
-    coupling, _, report = sinkhorn_solve(mu, nu, _pair_cost(args, mu, nu), cfg)
+    coupling, report, cfg = _solve_pair(args, load_field(args.mu),
+                                        load_field(args.nu))
     save_coupling(args.out, coupling)
     if args.report:
         doc = _report_dict(report, cfg)
@@ -173,7 +150,7 @@ def _cmd_transport(args) -> int:
 
 
 def _cmd_interpolate(args) -> int:
-    mu, nu = _load_pair(args)
+    mu, nu = load_field(args.mu), load_field(args.nu)
     coupling = load_coupling(args.coupling)
     if args.steps is not None:
         if args.steps < 2:
@@ -184,30 +161,22 @@ def _cmd_interpolate(args) -> int:
             raise CliError("either --t or --steps is required")
         ts = np.array([args.t])
 
+    knobs = _given(args, "trace_threshold", "merge_radius")
     for index, t in enumerate(ts):
-        params = InterpolationParams(
-            t=float(t), trace_threshold=args.trace_threshold,
-            merge_radius=args.merge_radius,
-        )
+        params = InterpolationParams(float(t), **knobs)
         frame = displacement_interpolate(mu, nu, coupling, params)
         out = _frame_path(args.out, index, len(ts))
         save_field(out, frame)
         if args.render:
-            svg = render_field_svg(frame, scale=args.scale)
+            svg = render_field_svg(frame, **_given(args, "scale"))
             out.with_suffix(".svg").write_text(svg)
     return EXIT_OK
 
 
 def _cmd_barycenter(args) -> int:
-    paths = [p for p in args.inputs.split(",") if p]
-    inputs = [load_field(p) for p in paths]
+    inputs = [load_field(p) for p in args.inputs.split(",") if p]
     if not inputs:
         raise CliError("--inputs must list at least one field")
-    for idx, measure in enumerate(inputs):
-        if measure.n_atoms == 0:
-            raise CliError(f"input {idx} is empty")
-        if measure.tensor_dim != inputs[0].tensor_dim:
-            raise CliError("inputs must share the tensor dimension")
 
     if (args.weights is None) == (args.grid is None):
         raise CliError("exactly one of --weights or --grid is required")
@@ -220,34 +189,28 @@ def _cmd_barycenter(args) -> int:
         weight_sets = [bilinear_weights(t1, t2) for t1 in ts for t2 in ts]
     else:
         weights = [float(w) for w in args.weights.split(",") if w]
-        if len(weights) != len(inputs):
-            raise CliError(
-                f"{len(weights)} weights for {len(inputs)} inputs"
-            )
         if abs(sum(weights) - 1.0) > 1e-9:
             raise CliError(f"weights sum to {sum(weights):.12g}, expected 1")
         weight_sets = [tuple(weights)]
 
     support = load_field(args.support).points if args.support else inputs[0].points
-    if len(support) == 0:
-        raise CliError("support must not be empty")
-    costs = tuple(
-        euclidean_cost(m.points, support, alpha=args.alpha) for m in inputs
-    )
-    cfg = _solver_config(args)
+    alpha = _given(args, "alpha")
+    costs = tuple(euclidean_cost(m.points, support, **alpha) for m in inputs)
+    cfg = SolverConfig(**_given(args, "eps", "max_iter", "tol"))
 
     code = EXIT_OK
     doc = []
     for index, weights in enumerate(weight_sets):
         w = np.asarray(weights, dtype=float)
         w = w / w.sum()
-        prob = BarycenterProblem(tuple(inputs), w, support, costs, rho=args.rho)
+        prob = BarycenterProblem(tuple(inputs), w, support, costs,
+                                 **_given(args, "rho"))
         nu, report = barycenter_solve(prob, cfg)
         out = _frame_path(args.out, index, len(weight_sets))
         save_field(out, nu)
         if args.render:
             out.with_suffix(".svg").write_text(
-                render_field_svg(nu, scale=args.scale))
+                render_field_svg(nu, **_given(args, "scale")))
         if _exit_code(report) != EXIT_OK:
             code = EXIT_NO_CONVERGENCE
         # The report states the fidelities the barycenter solve used.
@@ -260,7 +223,7 @@ def _cmd_barycenter(args) -> int:
 
 
 def _cmd_distance(args) -> int:
-    mu, nu = _load_pair(args)
+    mu, nu = load_field(args.mu), load_field(args.nu)
     if args.pointwise is not None:
         i, j = args.pointwise
         if not (0 <= i < mu.n_atoms and 0 <= j < nu.n_atoms):
@@ -268,8 +231,7 @@ def _cmd_distance(args) -> int:
                 f"pointwise indices ({i}, {j}) out of range "
                 f"({mu.n_atoms}, {nu.n_atoms})"
             )
-    cfg = _solver_config(args)
-    _, _, report = sinkhorn_solve(mu, nu, _pair_cost(args, mu, nu), cfg)
+    _, report, _ = _solve_pair(args, mu, nu)
     print(f"W_eps {report.primal_value:.11e}")
     if args.pointwise is not None:
         i, j = args.pointwise
@@ -280,7 +242,7 @@ def _cmd_distance(args) -> int:
 
 def _cmd_render(args) -> int:
     field = load_field(args.field)
-    svg = render_field_svg(field, scale=args.scale, subsample=args.subsample)
+    svg = render_field_svg(field, **_given(args, "scale", "subsample"))
     Path(args.out).write_text(svg)
     return EXIT_OK
 
@@ -302,8 +264,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--mu", required=True)
     p.add_argument("--nu", required=True)
     p.add_argument("--cost", help="distance matrix file (else Euclidean)")
-    p.add_argument("--alpha", type=float, default=2.0,
-                   help="distance exponent (default 2)")
+    p.add_argument("--alpha", type=float, help="distance exponent")
     _add_solver_flags(p)
     p.add_argument("--out", required=True, help="coupling output file")
     p.add_argument("--report", help="convergence report output file")
@@ -316,15 +277,15 @@ def _build_parser() -> _Parser:
     p.add_argument("--t", type=float)
     p.add_argument("--steps", type=int,
                    help="number of frames over t in [0, 1]")
-    p.add_argument("--trace-threshold", type=float, default=1e-8,
+    p.add_argument("--trace-threshold", type=float,
                    help="drop coupling pairs whose trace is below this "
                         "fraction of the largest pair trace (finite, >= 0)")
-    p.add_argument("--merge-radius", type=float, default=0.0,
+    p.add_argument("--merge-radius", type=float,
                    help="merge output atoms strictly closer than this, "
                         "greedily in atom order (0: off, inf: one atom)")
     p.add_argument("--render", action="store_true",
                    help="also write an SVG per frame")
-    p.add_argument("--scale", type=float, default=0.05)
+    p.add_argument("--scale", type=float)
     p.add_argument("--out", required=True,
                    help="output pattern; '{i}' expands to the frame index")
     p.set_defaults(func=_cmd_interpolate)
@@ -338,12 +299,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--support",
                    help="field file whose points define the support "
                         "(default: first input)")
-    p.add_argument("--alpha", type=float, default=2.0)
-    p.add_argument("--rho", type=_float_or_inf, default=1.0,
+    p.add_argument("--alpha", type=float)
+    p.add_argument("--rho", type=float,
                    help="input-side marginal fidelity")
     _add_solver_flags(p, pair=False)
     p.add_argument("--render", action="store_true")
-    p.add_argument("--scale", type=float, default=0.05)
+    p.add_argument("--scale", type=float)
     p.add_argument("--out", required=True,
                    help="output pattern; '{i}' expands to the weight index")
     p.add_argument("--report",
@@ -355,7 +316,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--mu", required=True)
     p.add_argument("--nu", required=True)
     p.add_argument("--cost")
-    p.add_argument("--alpha", type=float, default=2.0)
+    p.add_argument("--alpha", type=float)
     p.add_argument("--pointwise", nargs=2, type=int, metavar=("I", "J"),
                    help="also print the single-atom tensor distance")
     _add_solver_flags(p)
@@ -364,8 +325,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("render", help="draw a field as SVG ellipses")
     p.add_argument("--field", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--scale", type=float, default=0.05)
-    p.add_argument("--subsample", type=int, default=1)
+    p.add_argument("--scale", type=float)
+    p.add_argument("--subsample", type=int)
     p.set_defaults(func=_cmd_render)
 
     p = sub.add_parser("noise", help="diffusion texture from a grid field")

@@ -89,10 +89,11 @@ def euclidean_cost(xs, ys, alpha: float = 2.0) -> GroundCost:
     return GroundCost("isotropic", dist**alpha)
 
 
-def from_distance_matrix(dist, alpha: float = 1.0) -> GroundCost:
+def from_distance_matrix(dist, alpha: float = 2.0) -> GroundCost:
     """Isotropic cost ``d_ij^alpha`` from a precomputed distance matrix;
     this is the supported path for curved domains (e.g. geodesic
-    distances)."""
+    distances).  The exponent defaults to 2, as in
+    :func:`euclidean_cost`."""
     dist = np.asarray(dist, dtype=float)
     if dist.ndim != 2:
         raise ValueError(f"distance matrix must be 2-D, got {dist.shape}")

@@ -57,14 +57,19 @@ class InterpolationParams:
             raise ValueError("merge_radius must be >= 0 (inf merges all)")
 
 
-def _clamped_inverse(mats: np.ndarray, rel_floor: float = 1e-12) -> np.ndarray:
+# Eigenvalues below this fraction of the largest are clamped before a
+# marginal is inverted.
+_INV_FLOOR = 1e-12
+
+
+def _clamped_inverse(mats: np.ndarray) -> np.ndarray:
     """Inverses of near-PSD matrices with eigenvalues clamped at
-    ``rel_floor * lambda_max``; an (all-but-)zero matrix inverts to zero,
+    ``_INV_FLOOR * lambda_max``; an (all-but-)zero matrix inverts to zero,
     which silently drops the corresponding massless coupling row."""
     vals, vecs = eig_sym(mats)
     lam_max = vals[..., :1]
     dead = lam_max <= 1e-300
-    floor = np.where(dead, 1.0, rel_floor * np.abs(lam_max))
+    floor = np.where(dead, 1.0, _INV_FLOOR * np.abs(lam_max))
     inv = np.where(dead, 0.0, 1.0 / np.maximum(vals, floor))
     return _reconstruct(inv, vecs)
 
@@ -353,8 +358,13 @@ def single_dirac_distance(p, q) -> float:
     location: ``sqrt(tr(P + Q - 2 exp(log P / 2 + log Q / 2)))``.
 
     For commuting inputs this equals the Frobenius distance of the matrix
-    square roots.  A radicand in [-1e-12, 0) is clamped to zero; anything
-    more negative raises :class:`NumericalConsistencyError`.
+    square roots.  The value is homogeneous of degree 1/2: it is computed
+    on ``P / c`` and ``Q / c``, with ``c`` the largest entry magnitude of
+    either, and scaled back by ``sqrt(c)``, so the eigenvalue floor of the
+    logarithm and the round-off tolerance are relative to the pair's
+    scale, and no entry can overflow.  A normalised radicand in
+    [-1e-12, 0) is clamped to zero; anything more negative raises
+    :class:`NumericalConsistencyError`.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -363,13 +373,15 @@ def single_dirac_distance(p, q) -> float:
     if np.array_equal(p, q):
         # exact value; the generic radicand only reaches ~1e-15 tr(P) here
         return 0.0
+    c = max(float(np.abs(p).max()), float(np.abs(q).max()))
+    p, q = p / c, q / c
     mean = exp_sym(0.5 * (log_sym(p) + log_sym(q)))
     radicand = float(np.trace(p + q - 2.0 * mean))
-    if radicand < -1e-9:
+    if radicand < -1e-12:
         raise NumericalConsistencyError(
-            f"squared distance came out {radicand:g} < -1e-9"
+            f"normalised squared distance came out {radicand:g} < -1e-12"
         )
-    return math.sqrt(max(radicand, 0.0))
+    return math.sqrt(c) * math.sqrt(max(radicand, 0.0))
 
 
 def _grid_shape(field: TensorMeasure):
@@ -411,6 +423,8 @@ def anisotropic_diffuse(field: TensorMeasure, noise_seed: int, steps: int,
     nx, ny, order = _grid_shape(field)
     if steps < 0:
         raise ValueError("steps must be >= 0")
+    if not (dt >= 0.0 and math.isfinite(dt)):
+        raise ValueError("dt must be finite and >= 0")
     conduct = field.tensors[order].reshape(ny, nx, 2, 2)
     lam_max = float(eig_sym(conduct).values.max(initial=0.0))
     if lam_max > 0.0 and dt > 0.2 / lam_max:

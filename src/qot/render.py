@@ -10,6 +10,7 @@ package that depends on an eigenvector's sign, so this module fixes it.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -35,8 +36,8 @@ def render_field_svg(field: TensorMeasure, scale: float = 0.05,
     ``subsample`` keeps every K-th atom.  Output bytes are a deterministic
     function of the inputs.  Tensor dimensions above 3 are rejected.
     """
-    if scale <= 0.0:
-        raise ValueError("scale must be > 0")
+    if not (scale > 0.0 and math.isfinite(scale)):
+        raise ValueError("scale must be positive and finite")
     if subsample < 1:
         raise ValueError("subsample must be >= 1")
     d = field.tensor_dim if field.n_atoms else 0

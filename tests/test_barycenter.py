@@ -69,6 +69,9 @@ class TestPointwiseBarycenter:
     def test_weight_validation(self):
         with pytest.raises(ValueError):
             pointwise_barycenter(np.eye(2)[None], [0.5], 0.0, 1.0)
+        with pytest.raises(ValueError, match="weights must be nonnegative"):
+            pointwise_barycenter(np.stack([np.eye(2)] * 2), [math.nan, 1.0],
+                                 0.0, 1.0)
 
 
 class TestBarycenterProblem:
@@ -78,6 +81,15 @@ class TestBarycenterProblem:
         support = m.points
         with pytest.raises(ValueError):
             make_problem([m, m], [0.6, 0.6], support)
+        with pytest.raises(ValueError, match="weights must be nonnegative"):
+            make_problem([m, m], [math.nan, 1.0], support)
+
+    def test_empty_input_rejected_by_index(self):
+        rng = np.random.default_rng(4)
+        m = random_measure(rng, 3, 2)
+        empty = TensorMeasure(np.empty((0, 2)), np.empty((0, 2, 2)))
+        with pytest.raises(ValueError, match="input 1 is empty"):
+            make_problem([m, empty], [0.5, 0.5], m.points)
 
     def test_cost_shape_validation(self):
         rng = np.random.default_rng(3)

@@ -10,11 +10,17 @@ import pytest
 
 from helpers import bump_grid_measure, heavy_line_measure, random_psd
 
+import qot
 import qot.render
+from qot.barycenter import BarycenterProblem, barycenter_solve
 from qot.cli import main
-from qot.fileio import load_coupling, load_field, save_coupling, save_field
+from qot.cost import euclidean_cost, from_distance_matrix
+from qot.fileio import (load_coupling, load_distance_matrix, load_field,
+                        save_coupling, save_field)
+from qot.interpolate import InterpolationParams, displacement_interpolate
 from qot.measure import Coupling, TensorMeasure
 from qot.render import render_field_svg, write_pgm
+from qot.solver import SolverConfig, sinkhorn_solve
 from qot.sym import EigenPair, eig_sym
 
 
@@ -43,6 +49,102 @@ def small_pair(tmp_path):
     nu = write_field(tmp_path / "nu.json", rng.uniform(size=(3, 2)),
                      random_psd(rng, 2, n=3))
     return mu, nu
+
+
+class TestLibraryDefaults:
+    """A flag left out takes the library's default: with no flags the
+    command writes what the library call with no keywords gives."""
+
+    def test_transport_with_distance_matrix(self, tmp_path, small_pair):
+        mu, nu = small_pair
+        dist = tmp_path / "dist.json"
+        dist.write_text('{"rows": 3, "cols": 3, "values": '
+                        '[[0.0, 0.5, 0.3], [0.5, 0.0, 0.4], [0.3, 0.4, 0.0]]}')
+        out, report = tmp_path / "c.json", tmp_path / "report.json"
+        code = main(["transport", "--mu", mu, "--nu", nu, "--cost", str(dist),
+                     "--out", str(out), "--report", str(report)])
+        assert code == 0
+        coupling, _, _ = sinkhorn_solve(
+            load_field(mu), load_field(nu),
+            from_distance_matrix(load_distance_matrix(dist)), SolverConfig())
+        save_coupling(tmp_path / "lib.json", coupling)
+        assert out.read_bytes() == (tmp_path / "lib.json").read_bytes()
+
+        cfg = SolverConfig()
+        assert json.loads(report.read_text())["config"] == {
+            "eps": cfg.eps, "rho1": cfg.rho1, "rho2": cfg.rho2,
+            "tau1": cfg.tau(1), "tau2": cfg.tau(2), "max_iter": cfg.max_iter,
+            "tol": cfg.tol, "trace_constrained": cfg.trace_constrained}
+
+    def test_interpolate(self, tmp_path, small_pair):
+        mu, nu = small_pair
+        coupling = tmp_path / "c.json"
+        assert main(["transport", "--mu", mu, "--nu", nu,
+                     "--out", str(coupling)]) == 0
+        out = tmp_path / "frame.json"
+        assert main(["interpolate", "--mu", mu, "--nu", nu, "--coupling",
+                     str(coupling), "--t", "0.5", "--render",
+                     "--out", str(out)]) == 0
+        frame = displacement_interpolate(load_field(mu), load_field(nu),
+                                         load_coupling(coupling),
+                                         InterpolationParams(0.5))
+        save_field(tmp_path / "lib.json", frame)
+        assert out.read_bytes() == (tmp_path / "lib.json").read_bytes()
+        assert out.with_suffix(".svg").read_text() == render_field_svg(frame)
+
+    def test_barycenter(self, tmp_path, small_pair):
+        out = tmp_path / "b.json"
+        assert main(["barycenter", "--inputs", ",".join(small_pair),
+                     "--weights", "0.5,0.5", "--out", str(out)]) == 0
+        inputs = tuple(load_field(p) for p in small_pair)
+        support = inputs[0].points
+        prob = BarycenterProblem(
+            inputs, np.array([0.5, 0.5]), support,
+            tuple(euclidean_cost(m.points, support) for m in inputs))
+        nu, _ = barycenter_solve(prob)
+        save_field(tmp_path / "lib.json", nu)
+        assert out.read_bytes() == (tmp_path / "lib.json").read_bytes()
+
+    def test_render(self, tmp_path):
+        rng = np.random.default_rng(5)
+        field = TensorMeasure(rng.uniform(size=(4, 2)), random_psd(rng, 2, n=4))
+        save_field(tmp_path / "f.json", field)
+        out = tmp_path / "f.svg"
+        assert main(["render", "--field", str(tmp_path / "f.json"),
+                     "--out", str(out)]) == 0
+        assert out.read_text() == render_field_svg(field)
+
+
+@pytest.mark.parametrize("command", ["transport", "distance", "barycenter"])
+@pytest.mark.parametrize("flag", ["--tau1", "--tau2"])
+def test_relaxation_flags_rejected(tmp_path, small_pair, command, flag, capsys):
+    mu, nu = small_pair
+    inputs = {"barycenter": ["--inputs", f"{mu},{nu}", "--weights", "0.5,0.5"]}
+    args = inputs.get(command, ["--mu", mu, "--nu", nu])
+    out = [] if command == "distance" else ["--out", str(tmp_path / "o.json")]
+    assert main([command] + args + out + [flag, "1.0"]) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "o.json").exists()
+
+
+@pytest.mark.parametrize("command", ["transport", "interpolate", "barycenter",
+                                     "distance", "render", "noise"])
+def test_help_renders(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: qot {command}")
+
+
+def test_top_level_exports_each_module_name_once():
+    modules = [qot.barycenter, qot.cost, qot.fileio, qot.interpolate,
+               qot.measure, qot.render, qot.solver, qot.sym]
+    names = [name for module in modules for name in module.__all__]
+    assert len(set(names)) == len(names)
+    assert sorted(qot.__all__) == sorted(names)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(qot, name) is getattr(module, name)
 
 
 class TestTransport:
@@ -322,6 +424,15 @@ class TestBarycenterCommand:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_nan_weight_exits_1(self, tmp_path, capsys):
+        paths = self.make_inputs(tmp_path)
+        code = main(["barycenter", "--inputs", ",".join(paths),
+                     "--weights", "nan,1", "--out", str(tmp_path / "b.json")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: weights must be nonnegative and sum to 1\n")
+        assert not (tmp_path / "b.json").exists()
+
     def test_support_of_other_ambient_dimension_exits_1(self, tmp_path, capsys):
         paths = self.make_inputs(tmp_path)
         support = write_field(tmp_path / "support.json",
@@ -573,6 +684,17 @@ class TestRenderCommand:
         assert main(["render", "--field", str(field), "--out", str(out)]) == 0
         assert "XY block" in out.read_text()
 
+    @pytest.mark.parametrize("scale", ["nan", "inf"])
+    def test_scale_must_be_positive_and_finite(self, tmp_path, scale, capsys):
+        field = tmp_path / "field.json"
+        write_field(field, [[0.0, 0.0]], np.eye(2)[None])
+        out = tmp_path / "out.svg"
+        code = main(["render", "--field", str(field), "--out", str(out),
+                     "--scale", scale])
+        assert code == 1
+        assert "scale must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_d4_rejected(self, tmp_path):
         rng = np.random.default_rng(15)
         field = tmp_path / "field.json"
@@ -622,6 +744,17 @@ class TestNoiseCommand:
         header = out_a.read_text().splitlines()
         assert header[0] == "P2"
         assert header[1] == "8 8"
+
+    @pytest.mark.parametrize("dt", ["nan", "-0.1"])
+    def test_dt_must_be_finite_and_nonnegative(self, tmp_path, dt, capsys):
+        field = tmp_path / "field.json"
+        save_field(field, bump_grid_measure(8, (0.5, 0.5), 0.0))
+        out = tmp_path / "o.pgm"
+        code = main(["noise", "--field", str(field), "--seed", "0",
+                     "--steps", "2", "--dt", dt, "--out", str(out)])
+        assert code == 1
+        assert "dt must be finite and >= 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_non_grid_field_exits_1(self, tmp_path):
         rng = np.random.default_rng(19)

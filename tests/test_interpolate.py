@@ -283,6 +283,27 @@ class TestSingleDiracDistance:
             d_qp = single_dirac_distance(q, p)
             assert abs(d_pq - d_qp) < 1e-12
 
+    @pytest.mark.parametrize("s", [1.0, 1e10, 1e100, 1e300])
+    def test_near_equal_pair_at_any_scale(self, s):
+        # One entry differs by 1e-13 relative: at every scale the result is
+        # round-off of the radicand, never a NumericalConsistencyError.
+        p = s * np.array([[2.0, 0.3], [0.3, 1.0]])
+        q = s * np.array([[2.0, 0.3], [0.3, 1.0 + 1e-13]])
+        assert single_dirac_distance(p, q) < 1e-7 * math.sqrt(s)
+
+    def test_tiny_commuting_pair(self):
+        p, q = 1e-20 * np.diag([4.0, 1.0]), 1e-20 * np.diag([1.0, 4.0])
+        assert abs(single_dirac_distance(p, q) - math.sqrt(2e-20)) < 1e-20
+
+    @pytest.mark.parametrize("s", [1e-20, 1.0, 1e10, 1e308])
+    def test_homogeneous_of_degree_one_half(self, s):
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            p, q = random_psd(rng, 2, n=2)
+            d = single_dirac_distance(p, q)
+            assert abs(single_dirac_distance(s * p, s * q)
+                       - math.sqrt(s) * d) <= 1e-9 * math.sqrt(s) * d
+
     def test_negative_radicand_reported(self):
         from qot.interpolate import NumericalConsistencyError
 
