@@ -17,9 +17,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .measure import TensorMeasure
-from .solver import (DualState, SolverConfig, _certify, _dual_kernel,
-                     _exp_capped, _report, _scale, _update)
-from .sym import exp_sym, log_sym, lse_reduce
+from .solver import (DualState, SolverConfig, _certify, _exp_capped,
+                     _kernel_lse, _report, _scale, _update)
+from .sym import exp_sym, log_sym
 
 __all__ = [
     "BarycenterProblem",
@@ -29,10 +29,11 @@ __all__ = [
 ]
 
 
-def _check_weights(w: np.ndarray) -> None:
+def _check_weights(w: np.ndarray, tol: float = 1e-12) -> None:
     """Reject weights that are not nonnegative or do not sum to one within
-    1e-12; a NaN weight fails both."""
-    if not (np.all(w >= 0.0) and abs(w.sum() - 1.0) <= 1e-12):
+    ``tol``; a NaN weight fails both, and the sum is taken only of
+    nonnegative weights, so ``inf`` and ``-inf`` never meet in it."""
+    if not (np.all(w >= 0.0) and abs(w.sum() - 1.0) <= tol):
         raise ValueError("weights must be nonnegative and sum to 1")
 
 
@@ -133,16 +134,15 @@ def barycenter_solve(prob: BarycenterProblem, cfg: SolverConfig | None = None):
         lse_cols = []
         res = 0.0
         for idx in range(n_inputs):
-            k = _dual_kernel(u[idx], v[idx], None, None, prob.costs[idx], cfg)
-            u_new = _update(u[idx], lse_reduce(k, axis=1) - log_mu[idx], tau1,
-                            eps, True)
+            cost = prob.costs[idx]
+            lse_rows = _kernel_lse(u[idx], v[idx], None, None, cost, cfg, 1)
+            u_new = _update(u[idx], lse_rows - log_mu[idx], tau1, eps, True)
             # The column-potential change alone is blind to row-potential
             # drift (it vanishes identically for a single input), so the
             # residual tracks both.
             res = max(res, float(np.abs(u_new - u[idx]).max()))
             u[idx] = u_new
-            k = _dual_kernel(u[idx], v[idx], None, None, prob.costs[idx], cfg)
-            lse_cols.append(lse_reduce(k, axis=0))
+            lse_cols.append(_kernel_lse(u[idx], v[idx], None, None, cost, cfg, 0))
 
         log_nu = sum(
             w * (lse_cols[idx] + v[idx] / eps)

@@ -104,8 +104,10 @@ def from_distance_matrix(dist, alpha: float = 2.0) -> GroundCost:
     return GroundCost("isotropic", dist**alpha)
 
 
-def _base_kernel(u: np.ndarray, v: np.ndarray, cost: GroundCost,
-                 rho1: float, rho2: float) -> np.ndarray:
+def _kernel_args(u, v, cost: GroundCost, alpha=None, beta=None):
+    """The potentials ``u`` (I, d, d) and ``v`` (J, d, d) of a dual kernel
+    and its trace multipliers ``alpha`` (I,) and ``beta`` (J,), given
+    together or not at all, as float arrays checked against ``cost``."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     if u.ndim != 3 or v.ndim != 3 or u.shape[-1] != v.shape[-1]:
@@ -117,14 +119,15 @@ def _base_kernel(u: np.ndarray, v: np.ndarray, cost: GroundCost,
             f"cost is {cost.rows}x{cost.cols} but potentials have "
             f"{u.shape[0]} and {v.shape[0]} entries"
         )
-    s = rho1 * u[:, None] + rho2 * v[None, :]
-    if cost.kind == "isotropic":
-        d = u.shape[-1]
-        idx = np.arange(d)
-        s[..., idx, idx] += cost.values[..., None]
-    else:
-        s = s + cost.values
-    return s
+    if alpha is not None or beta is not None:
+        alpha = np.asarray(alpha, dtype=float)
+        beta = np.asarray(beta, dtype=float)
+        if alpha.shape != (u.shape[0],) or beta.shape != (v.shape[0],):
+            raise ValueError(
+                f"multipliers must have shapes ({u.shape[0]},) and ({v.shape[0]},), "
+                f"got {alpha.shape}, {beta.shape}"
+            )
+    return u, v, alpha, beta
 
 
 def kernel(u, v, cost: GroundCost, eps: float, rho1: float, rho2: float,
@@ -135,15 +138,13 @@ def kernel(u, v, cost: GroundCost, eps: float, rho1: float, rho2: float,
     (I,)) and ``beta`` (shape (J,)) are given together or not at all."""
     if eps <= 0.0:
         raise ValueError("eps must be > 0")
-    s = _base_kernel(u, v, cost, rho1, rho2)
-    if alpha is not None or beta is not None:
-        alpha = np.asarray(alpha, dtype=float)
-        beta = np.asarray(beta, dtype=float)
-        if alpha.shape != (s.shape[0],) or beta.shape != (s.shape[1],):
-            raise ValueError(
-                f"multipliers must have shapes ({s.shape[0]},) and ({s.shape[1]},), "
-                f"got {alpha.shape}, {beta.shape}"
-            )
-        idx = np.arange(s.shape[-1])
+    u, v, alpha, beta = _kernel_args(u, v, cost, alpha, beta)
+    s = rho1 * u[:, None] + rho2 * v[None, :]
+    idx = np.arange(u.shape[-1])
+    if cost.kind == "isotropic":
+        s[..., idx, idx] += cost.values[..., None]
+    else:
+        s = s + cost.values
+    if alpha is not None:
         s[..., idx, idx] += (alpha[:, None] + beta[None, :])[..., None]
     return s / (-eps)

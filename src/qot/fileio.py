@@ -26,6 +26,12 @@ __all__ = [
 ]
 
 
+# Entries per chunk of a written coupling.  One list and one string for
+# all entries (plus its copy with the newline) would set the peak memory
+# of a transport: about 20 MB on a 256 x 256, d = 2 coupling.
+_CHUNK = 4096
+
+
 class FileFormatError(ValueError):
     """Raised for malformed or inconsistent data files."""
 
@@ -103,15 +109,19 @@ def load_field(path) -> TensorMeasure:
 
 
 def save_coupling(path, coupling: Coupling) -> None:
-    """Write a coupling document (flat row-major packed entries)."""
-    flat = coupling.entries.reshape(-1, coupling.tensor_dim, coupling.tensor_dim)
-    doc = {
-        "rows": coupling.rows,
-        "cols": coupling.cols,
-        "d": coupling.tensor_dim,
-        "entries": pack_upper(flat).tolist(),
-    }
-    Path(path).write_text(json.dumps(doc) + "\n")
+    """Write a coupling document (flat row-major packed entries): the
+    bytes of ``json.dumps(doc) + "\n"``, written ``_CHUNK`` entries at a
+    time."""
+    d = coupling.tensor_dim
+    flat = coupling.entries.reshape(-1, d, d)
+    head = json.dumps({"rows": coupling.rows, "cols": coupling.cols, "d": d,
+                       "entries": []})
+    with open(path, "w") as out:
+        out.write(head[:-2])
+        for start in range(0, len(flat), _CHUNK):
+            chunk = json.dumps(pack_upper(flat[start:start + _CHUNK]).tolist())
+            out.write((", " if start else "") + chunk[1:-1])
+        out.write("]}\n")
 
 
 def load_coupling(path) -> Coupling:

@@ -9,7 +9,9 @@ eigenvalue clamping stands in for the singular-matrix limit (see
 :func:`log_sym`).  The matrix log-sum-exp of 2x2 stacks, the hot path of
 every d = 2 solve, works on the entry arrays alone: the closed form's
 eigenvalues and top eigenvector feed a projector form of exp and log, with
-no eigenvector matrices or matrix products (see :func:`lse_reduce`).
+no eigenvector matrices or matrix products (:func:`_lse2`).  The solvers
+hand it kernel entries built one block at a time, so a d = 2 iteration
+never holds a kernel stack (see ``qot.solver._kernel_lse``).
 
 Every operation is a pure function of its inputs and accepts either a
 single ``(d, d)`` symmetric matrix or a stack shaped ``(..., d, d)``.
@@ -263,6 +265,27 @@ def _projector_form(f1, f2, x, y):
     return f1 * xx + f2 * yy, (f1 - f2) * (x * y), f1 * yy + f2 * xx
 
 
+def _lse2(a00, a01, a11, axis: int) -> np.ndarray:
+    """The 2x2 matrix log-sum-exp of :func:`lse_reduce` along ``axis`` of
+    the entry arrays ``a00``, ``a01``, ``a11`` of a symmetric stack;
+    returns the dense ``(..., 2, 2)`` result.  Each output entry depends
+    only on its own slice along ``axis``."""
+    tiny = float(np.finfo(float).tiny)
+    w1, w2, x, y = _eig2_parts(a00, a01, a11)
+    shift = w1.max(axis=axis, keepdims=True)
+    s00, s01, s11 = (e.sum(axis=axis) for e in _projector_form(
+        np.exp(w1 - shift), np.exp(w2 - shift), x, y))
+    l1, l2, x, y = _eig2_parts(s00, s01, s11)
+    r00, r01, r11 = _projector_form(
+        np.log(np.maximum(l1, tiny)), np.log(np.maximum(l2, tiny)), x, y)
+    shift = np.squeeze(shift, axis=axis)
+    out = np.empty(s00.shape + (2, 2))
+    out[..., 0, 0] = r00 + shift
+    out[..., 1, 1] = r11 + shift
+    out[..., 0, 1] = out[..., 1, 0] = r01
+    return out
+
+
 def lse_reduce(mats, axis: int = 0) -> np.ndarray:
     """Matrix log-sum-exp: ``log(sum_k exp(M_k))`` along a batch axis.
 
@@ -274,31 +297,21 @@ def lse_reduce(mats, axis: int = 0) -> np.ndarray:
     The interior log clamps eigenvalues at the smallest positive normal
     float (``EIG_FLOOR`` is reserved for genuinely singular inputs).
 
-    2x2 stacks form no eigenvector matrices: each ``exp(M_k - m I)`` is
-    ``e1 v v^T + e2 (I - v v^T)`` with the eigenvalues and top eigenvector
-    ``v`` of :func:`_eig2_parts`, its three entries are summed as arrays,
-    and the log of the sum is taken the same way.  Each eigen-direction
-    keeps its own exponential, so one far below the shift is not lost to
-    cancellation as in the ``cosh``/``sinh`` form of ``exp``.
+    2x2 stacks go to :func:`_lse2`, which forms no eigenvector matrices:
+    each ``exp(M_k - m I)`` is ``e1 v v^T + e2 (I - v v^T)`` with the
+    eigenvalues and top eigenvector ``v`` of :func:`_eig2_parts`, its three
+    entries are summed as arrays, and the log of the sum is taken the same
+    way.  Each eigen-direction keeps its own exponential, so one far below
+    the shift is not lost to cancellation as in the ``cosh``/``sinh`` form
+    of ``exp``.  The solvers' d = 2 loops call :func:`_lse2` on kernel
+    entries they build block by block, without a stack.
     """
     a = _dense(mats)
     axis = _normalize_reduce_axis(a, axis)
-    tiny = float(np.finfo(float).tiny)
     d = a.shape[-1]
     if d == 2:
-        w1, w2, x, y = _eig2_parts(a[..., 0, 0], a[..., 0, 1], a[..., 1, 1])
-        shift = w1.max(axis=axis, keepdims=True)
-        s00, s01, s11 = (e.sum(axis=axis) for e in _projector_form(
-            np.exp(w1 - shift), np.exp(w2 - shift), x, y))
-        l1, l2, x, y = _eig2_parts(s00, s01, s11)
-        r00, r01, r11 = _projector_form(
-            np.log(np.maximum(l1, tiny)), np.log(np.maximum(l2, tiny)), x, y)
-        shift = np.squeeze(shift, axis=axis)
-        out = np.empty(s00.shape + (2, 2))
-        out[..., 0, 0] = r00 + shift
-        out[..., 1, 1] = r11 + shift
-        out[..., 0, 1] = out[..., 1, 0] = r01
-        return out
+        return _lse2(a[..., 0, 0], a[..., 0, 1], a[..., 1, 1], axis)
+    tiny = float(np.finfo(float).tiny)
     vals, vecs = eig_sym(a)
     shift = vals[..., 0].max(axis=axis, keepdims=True)
     ev = np.exp(vals - shift[..., None])

@@ -2,8 +2,12 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -431,6 +435,22 @@ class TestBarycenterCommand:
         assert code == 1
         assert capsys.readouterr().err == (
             "error: weights must be nonnegative and sum to 1\n")
+        assert not (tmp_path / "b.json").exists()
+
+    def test_infinite_weights_exit_1_without_a_warning(self, tmp_path):
+        # inf and -inf sum to nan, which no sum rule rejects; under -W error
+        # a warning on the way to the weights rule would end in a traceback.
+        paths = self.make_inputs(tmp_path)
+        src = str(Path(qot.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "qot.cli", "barycenter",
+             "--inputs", ",".join(paths), "--weights", "inf,-inf",
+             "--out", str(tmp_path / "b.json")],
+            env=env, capture_output=True, text=True, check=False)
+        assert proc.returncode == 1
+        assert proc.stderr == "error: weights must be nonnegative and sum to 1\n"
         assert not (tmp_path / "b.json").exists()
 
     def test_support_of_other_ambient_dimension_exits_1(self, tmp_path, capsys):

@@ -1,11 +1,14 @@
 """Unit tests for the text file formats."""
 
+import json
+
 import numpy as np
 import pytest
 
 from helpers import random_psd
 
 from qot.fileio import (
+    _CHUNK,
     FileFormatError,
     load_coupling,
     load_distance_matrix,
@@ -14,6 +17,7 @@ from qot.fileio import (
     save_field,
 )
 from qot.measure import Coupling, TensorMeasure
+from qot.sym import pack_upper
 
 
 def make_field(rng, n=5, d=2):
@@ -84,6 +88,18 @@ class TestCouplingRoundTrip:
         loaded = load_coupling(path)
         assert loaded.rows == 2 and loaded.cols == 3
         assert np.array_equal(loaded.entries, coupling.entries)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("n", [1, _CHUNK - 1, _CHUNK + 1, 2 * _CHUNK])
+    def test_chunks_write_one_json_document(self, tmp_path, d, n):
+        rng = np.random.default_rng(n + d)
+        coupling = Coupling(random_psd(rng, d, n=n)[None])
+        path = tmp_path / "coupling.json"
+        save_coupling(path, coupling)
+        doc = {"rows": 1, "cols": n, "d": d,
+               "entries": pack_upper(coupling.entries[0]).tolist()}
+        assert path.read_text() == json.dumps(doc) + "\n"
+        assert np.array_equal(load_coupling(path).entries, coupling.entries)
 
     def test_shape_mismatch_rejected(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -641,3 +641,68 @@ def test_one_scaling_loop(monkeypatch, kind, cfg, converges):
     assert len(made) == 1
     noted = [n for n in report.notes if n.startswith("anderson:")]
     assert len(noted) == (made[0].engaged_at is not None)
+
+
+def _kernel_lse_case(rng, rows, cols, d=2, kind="isotropic"):
+    """Random symmetric potentials, multipliers and a cost of ``kind``."""
+    def sym(n):
+        a = rng.standard_normal((n, d, d))
+        return a + np.swapaxes(a, -1, -2)
+    if kind == "isotropic":
+        cost = GroundCost("isotropic", rng.uniform(0.0, 2.0, size=(rows, cols)))
+    else:
+        cost = GroundCost("matrix", np.abs(sym(rows * cols)).reshape(
+            rows, cols, d, d))
+    return (sym(rows), sym(cols), rng.standard_normal(rows),
+            rng.standard_normal(cols), cost)
+
+
+class TestKernelLse:
+    # (rows, cols): single rows and columns, kept axes the block does not
+    # divide, and reduced axes longer than the block (a row per block for
+    # axis 1, two columns per block for axis 0, the odd last one merged).
+    SHAPES = [(1, 7), (7, 1), (1, 1), (130, 163), (163, 130), (256, 256),
+              (3, solver._LSE_BLOCK + 9), (solver._LSE_BLOCK + 9, 5)]
+
+    @pytest.mark.parametrize("rows,cols", SHAPES)
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("cfg", [
+        SolverConfig(eps=0.05, rho1=0.7, rho2=1.3),
+        SolverConfig(eps=0.05, rho1=math.inf, rho2=math.inf),
+        SolverConfig(eps=0.3, rho2=math.inf, trace_constrained=True),
+    ], ids=["finite", "hard", "trace"])
+    def test_bit_identical_to_the_kernel_stack(self, monkeypatch, rows, cols,
+                                               axis, cfg):
+        rng = np.random.default_rng(rows * cols + axis)
+        u, v, alpha, beta, cost = _kernel_lse_case(rng, rows, cols)
+        want = solver.lse_reduce(
+            solver._dual_kernel(u, v, alpha, beta, cost, cfg), axis=axis)
+        monkeypatch.setattr(solver, "lse_reduce", None)  # never reached
+        got = solver._kernel_lse(u, v, alpha, beta, cost, cfg, axis)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("d,kind", [(3, "isotropic"), (2, "matrix")])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_other_cases_reduce_the_kernel_stack(self, monkeypatch, d, kind,
+                                                 axis):
+        rng = np.random.default_rng(d)
+        u, v, alpha, beta, cost = _kernel_lse_case(rng, 4, 5, d, kind)
+        cfg = SolverConfig(eps=0.1, trace_constrained=True)
+        reduced = []
+        lse_reduce = solver.lse_reduce
+        monkeypatch.setattr(solver, "lse_reduce", lambda k, axis: (
+            reduced.append(k.shape) or lse_reduce(k, axis=axis)))
+        got = solver._kernel_lse(u, v, alpha, beta, cost, cfg, axis)
+        assert reduced == [(4, 5, d, d)]
+        want = lse_reduce(solver._dual_kernel(u, v, alpha, beta, cost, cfg),
+                          axis=axis)
+        assert np.array_equal(got, want)
+
+    def test_checks_the_potentials_against_the_cost(self):
+        rng = np.random.default_rng(3)
+        u, v, alpha, beta, cost = _kernel_lse_case(rng, 4, 5)
+        cfg = SolverConfig(trace_constrained=True)
+        with pytest.raises(ValueError, match="cost is 4x5"):
+            solver._kernel_lse(u[:3], v, alpha[:3], beta, cost, cfg, 1)
+        with pytest.raises(ValueError, match="multipliers"):
+            solver._kernel_lse(u, v, alpha[:3], beta, cost, cfg, 0)
