@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sym import (EIG_FLOOR, KERNEL_TOL, _dense, _not_psd, eig_sym,
-                  psd_violations)
+                  eigvals_sym, psd_violations)
 
 __all__ = [
     "TensorMeasure",
@@ -86,7 +86,7 @@ class TensorMeasure:
             idx = int(bad[0])
             raise ValueError(
                 f"tensor {idx} is not positive semidefinite "
-                f"(min eigenvalue {eig_sym(tensors[idx]).values[-1]:g})"
+                f"(min eigenvalue {eigvals_sym(tensors[idx])[-1]:g})"
             )
         points.flags.writeable = False
         tensors.flags.writeable = False
@@ -158,7 +158,7 @@ def quantum_entropy(tensors) -> float:
     arr = _as_tensor_stack(tensors)
     if arr.shape[0] == 0:
         return 0.0
-    vals = eig_sym(arr).values
+    vals = eigvals_sym(arr)
     if np.any(_not_psd(vals)):
         return -math.inf
     lam = np.maximum(vals, 0.0)
@@ -203,7 +203,7 @@ def quantum_kl(a, b) -> float:
     if p.shape[0] == 0:
         return 0.0
 
-    p_vals = eig_sym(p).values
+    p_vals = eigvals_sym(p)
     if np.any(_not_psd(p_vals)):
         return math.inf
     with np.errstate(over="ignore", invalid="ignore"):

@@ -34,8 +34,11 @@ from .measure import (
 from .sym import (
     KERNEL_TOL,
     _lse2,
+    _lse_eig,
+    _lste_values,
     _reconstruct,
     eig_sym,
+    eigvals_sym,
     log_sym,
     lse_reduce,
     lste_reduce,
@@ -467,8 +470,10 @@ def sinkhorn_solve(mu: TensorMeasure, nu: TensorMeasure, cost: GroundCost,
 
     With ``cfg.trace_constrained`` the marginals' traces are pinned to the
     inputs' traces: after each potential update the matching scalar
-    multiplier takes an exact coordinate step, recomputing the kernel
-    between all four half-steps, and the steps join the residual.
+    multiplier takes an exact coordinate step, and the steps join the
+    residual.  The row multiplier's step only shifts the kernel's
+    eigenvalues, so one ``eigh`` of the kernel serves it and the column
+    LSE; the column multiplier's step needs eigenvalues only.
 
     Parameters
     ----------
@@ -516,11 +521,14 @@ def sinkhorn_solve(mu: TensorMeasure, nu: TensorMeasure, cost: GroundCost,
         u = _update(u, _kernel_lse(u, v, alpha, beta, cost, cfg, 1) - log_mu,
                     tau1, cfg.eps, fin1)
         if cfg.trace_constrained:
-            k = _dual_kernel(u, v, alpha, beta, cost, cfg)
-            step_a = cfg.eps * (lste_reduce(k, axis=1) - log_tr_mu)
+            # alpha += step_a moves kernel row i by -step_a_i / eps * I.
+            vals, vecs = eig_sym(_dual_kernel(u, v, alpha, beta, cost, cfg))
+            step_a = cfg.eps * (_lste_values(vals, 1) - log_tr_mu)
             alpha = alpha + step_a
-        v_new = _update(v, _kernel_lse(u, v, alpha, beta, cost, cfg, 0) - log_nu,
-                        tau2, cfg.eps, fin2)
+            lse_v = _lse_eig(vals - (step_a / cfg.eps)[:, None, None], vecs, 0)
+        else:
+            lse_v = _kernel_lse(u, v, alpha, beta, cost, cfg, 0)
+        v_new = _update(v, lse_v - log_nu, tau2, cfg.eps, fin2)
         res = float(np.abs(v_new - v).max())
         v = v_new
         if cfg.trace_constrained:
@@ -576,11 +584,11 @@ def dual_objective(state: DualState, mu: TensorMeasure, nu: TensorMeasure,
     # overflows makes the dual -inf, and terms that overflow with opposite
     # signs make it nan; the report notes either.
     with np.errstate(over="ignore", invalid="ignore"):
-        total = cfg.eps * float(np.exp(eig_sym(k).values).sum())
+        total = cfg.eps * float(np.exp(eigvals_sym(k)).sum())
         for rho, pot, target in ((cfg.rho1, state.u, mu.tensors),
                                  (cfg.rho2, state.v, nu.tensors)):
             if math.isfinite(rho):
-                grown = np.exp(eig_sym(pot + log_sym(target)).values).sum(axis=-1)
+                grown = np.exp(eigvals_sym(pot + log_sym(target))).sum(axis=-1)
                 mass = np.trace(target, axis1=-2, axis2=-1)
                 total += rho * float((grown - mass).sum())
             else:
@@ -598,7 +606,9 @@ def fixed_point_residual(state: DualState, mu: TensorMeasure, nu: TensorMeasure,
                          cost: GroundCost, cfg: SolverConfig) -> float:
     """Sup-norm distance of the potentials from their fixed-point values
     ``LSE_j(K) - log mu`` / ``LSE_i(K) - log nu`` (on a hard-constraint
-    side, the sup-norm of the additive step ``eps * (LSE - log target)``)."""
+    side, the sup-norm of the additive step ``eps * (LSE - log target)``);
+    in trace-constrained mode also of the multiplier steps
+    ``eps * (LSTE(K) - log tr target)`` on both axes."""
     res = []
     for axis, rho, pot, target in ((1, cfg.rho1, state.u, mu.tensors),
                                    (0, cfg.rho2, state.v, nu.tensors)):
@@ -606,4 +616,10 @@ def fixed_point_residual(state: DualState, mu: TensorMeasure, nu: TensorMeasure,
                            axis) - log_sym(target))
         step = pot - gap if math.isfinite(rho) else cfg.eps * gap
         res.append(float(np.abs(step).max()))
+    if cfg.trace_constrained:
+        vals = eigvals_sym(_dual_kernel(state.u, state.v, state.alpha,
+                                        state.beta, cost, cfg))
+        for axis, target in ((1, mu.tensors), (0, nu.tensors)):
+            log_tr = np.log(np.trace(target, axis1=-2, axis2=-1))
+            res.append(cfg.eps * float(np.abs(_lste_values(vals, axis) - log_tr).max()))
     return max(res)

@@ -11,7 +11,9 @@ every d = 2 solve, works on the entry arrays alone: the closed form's
 eigenvalues and top eigenvector feed a projector form of exp and log, with
 no eigenvector matrices or matrix products (:func:`_lse2`).  The solvers
 hand it kernel entries built one block at a time, so a d = 2 iteration
-never holds a kernel stack (see ``qot.solver._kernel_lse``).
+never holds a kernel stack (see ``qot.solver._kernel_lse``).  Callers that
+need only eigenvalues use :func:`eigvals_sym`; the log-sum-exp of other
+sizes can start from a decomposition the caller holds (:func:`_lse_eig`).
 
 Every operation is a pure function of its inputs and accepts either a
 single ``(d, d)`` symmetric matrix or a stack shaped ``(..., d, d)``.
@@ -32,6 +34,7 @@ __all__ = [
     "pack_upper",
     "unpack_upper",
     "eig_sym",
+    "eigvals_sym",
     "exp_sym",
     "log_sym",
     "clamp_psd",
@@ -188,6 +191,18 @@ def eig_sym(mats) -> EigenPair:
     return EigenPair(vals[..., ::-1], vecs[..., ::-1])
 
 
+def eigvals_sym(mats) -> np.ndarray:
+    """Eigenvalues of symmetric matrices ``(..., d, d)``, sorted descending
+    with shape ``(..., d)``, without eigenvectors: the closed form at
+    d = 2 (bit for bit ``eig_sym(mats).values``), ``np.linalg.eigvalsh``
+    for every other size."""
+    a = _dense(mats)
+    if a.shape[-1] == 2:
+        w1, w2, _ = _eig2_values(a[..., 0, 0], a[..., 0, 1], a[..., 1, 1])
+        return np.stack([w1, w2], axis=-1)
+    return np.linalg.eigvalsh(a)[..., ::-1]
+
+
 def _reconstruct(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     out = (vecs * vals[..., None, :]) @ np.swapaxes(vecs, -1, -2)
     return 0.5 * (out + np.swapaxes(out, -1, -2))
@@ -244,7 +259,7 @@ def psd_violations(mats) -> np.ndarray:
     flat = a.reshape((-1,) + a.shape[-2:])
     if flat.shape[0] == 0:
         return np.empty(0, dtype=np.intp)
-    return np.nonzero(_not_psd(eig_sym(flat).values))[0]
+    return np.nonzero(_not_psd(eigvals_sym(flat)))[0]
 
 
 def _normalize_reduce_axis(a: np.ndarray, axis: int) -> int:
@@ -308,26 +323,35 @@ def lse_reduce(mats, axis: int = 0) -> np.ndarray:
     """
     a = _dense(mats)
     axis = _normalize_reduce_axis(a, axis)
-    d = a.shape[-1]
-    if d == 2:
+    if a.shape[-1] == 2:
         return _lse2(a[..., 0, 0], a[..., 0, 1], a[..., 1, 1], axis)
+    return _lse_eig(*eig_sym(a), axis)
+
+
+def _lse_eig(vals: np.ndarray, vecs: np.ndarray, axis: int) -> np.ndarray:
+    """:func:`lse_reduce` of the stack whose :func:`eig_sym` is ``vals``,
+    ``vecs``, along the batch ``axis`` (already normalized)."""
     tiny = float(np.finfo(float).tiny)
-    vals, vecs = eig_sym(a)
     shift = vals[..., 0].max(axis=axis, keepdims=True)
     ev = np.exp(vals - shift[..., None])
     vals, vecs = eig_sym(_reconstruct(ev, vecs).sum(axis=axis))
     out = _reconstruct(np.log(np.maximum(vals, tiny)), vecs)
-    return out + np.squeeze(shift, axis=axis)[..., None, None] * np.eye(d)
+    shift = np.squeeze(shift, axis=axis)[..., None, None]
+    return out + shift * np.eye(vals.shape[-1])
+
+
+def _lste_values(vals: np.ndarray, axis: int) -> np.ndarray:
+    """:func:`lste_reduce` of the stack whose descending eigenvalues are
+    ``vals``, along the batch ``axis`` (already normalized)."""
+    shift = vals[..., 0].max(axis=axis, keepdims=True)
+    traces = np.exp(vals - shift[..., None]).sum(axis=-1)
+    return np.log(traces.sum(axis=axis)) + np.squeeze(shift, axis=axis)
 
 
 def lste_reduce(mats, axis: int = 0) -> np.ndarray:
     """Scalar log-sum-trace-exp: ``log(sum_k tr(exp(M_k)))`` along a batch
     axis, with the same scalar-shift stabilization as :func:`lse_reduce`
-    (the shift factors out of the trace as ``e^m``)."""
+    (the shift factors out of the trace as ``e^m``); it needs eigenvalues
+    only (:func:`eigvals_sym`)."""
     a = _dense(mats)
-    axis = _normalize_reduce_axis(a, axis)
-    vals, _ = eig_sym(a)
-    shift = vals[..., 0].max(axis=axis, keepdims=True)
-    traces = np.exp(vals - shift[..., None]).sum(axis=-1)
-    total = traces.sum(axis=axis)
-    return np.log(total) + np.squeeze(shift, axis=axis)
+    return _lste_values(eigvals_sym(a), _normalize_reduce_axis(a, axis))

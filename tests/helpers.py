@@ -1,11 +1,15 @@
 """Shared instance builders for solver, barycenter and acceptance tests."""
 
+import math
+from dataclasses import replace
 from itertools import product as _cell_offsets_product
 
 import numpy as np
 
+from qot import solver
 from qot.cost import euclidean_cost
 from qot.measure import TensorMeasure
+from qot.sym import eig_sym, log_sym
 
 
 def rotation(theta):
@@ -173,3 +177,51 @@ def merge_atoms_loop(points, tensors, radius):
         else:
             out_points[c] = points[sel].mean(axis=0)
     return out_points, out_tensors
+
+
+def trace_solve_four_eigh(mu, nu, cost, cfg):
+    """Reference for the trace-constrained map of
+    ``qot.solver.sinkhorn_solve``: the step it replaced, kept verbatim, in
+    which each of the four half-steps rebuilds the kernel and decomposes it
+    in full (two LSEs and two log-sum-trace-exps of ``eig_sym`` values),
+    run through the same loop and finalisation.  Returns the coupling, the
+    dual state, the iteration count and the primal and dual values."""
+    cfg = replace(cfg, trace_constrained=True)
+    log_tr_mu = np.log(np.trace(mu.tensors, axis1=-2, axis2=-1))
+    log_tr_nu = np.log(np.trace(nu.tensors, axis1=-2, axis2=-1))
+    log_mu, log_nu = log_sym(mu.tensors), log_sym(nu.tensors)
+    tau1, tau2 = cfg.tau(1), cfg.tau(2)
+    fin1, fin2 = math.isfinite(cfg.rho1), math.isfinite(cfg.rho2)
+
+    def lste_reduce(k, axis):
+        return solver._lste_values(eig_sym(k).values, axis)
+
+    def step(point):
+        u, v, alpha, beta = point
+        u = solver._update(
+            u, solver._kernel_lse(u, v, alpha, beta, cost, cfg, 1) - log_mu,
+            tau1, cfg.eps, fin1)
+        k = solver._dual_kernel(u, v, alpha, beta, cost, cfg)
+        step_a = cfg.eps * (lste_reduce(k, axis=1) - log_tr_mu)
+        alpha = alpha + step_a
+        v_new = solver._update(
+            v, solver._kernel_lse(u, v, alpha, beta, cost, cfg, 0) - log_nu,
+            tau2, cfg.eps, fin2)
+        res = float(np.abs(v_new - v).max())
+        v = v_new
+        k = solver._dual_kernel(u, v, alpha, beta, cost, cfg)
+        step_b = cfg.eps * (lste_reduce(k, axis=0) - log_tr_nu)
+        beta = beta + step_b
+        center = 0.5 * (float(beta.mean()) - float(alpha.mean()))
+        alpha = alpha + center
+        beta = beta - center
+        res = max(res, float(np.abs(step_a).max()), float(np.abs(step_b).max()))
+        return (u, v, alpha, beta), res
+
+    d, rows, cols = mu.tensor_dim, mu.n_atoms, nu.n_atoms
+    point = (np.zeros((rows, d, d)), np.zeros((cols, d, d)),
+             np.zeros(rows), np.zeros(cols))
+    image, history, _, _ = solver._scale(step, point, cfg)
+    state = solver.DualState(*image)
+    coupling, _, primal, dual = solver._certify(state, mu, nu, cost, cfg)
+    return coupling, state, len(history), primal, dual

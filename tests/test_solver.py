@@ -16,6 +16,7 @@ from helpers import (
     random_instance,
     scalar_measure,
     trace_balanced_instance,
+    trace_solve_four_eigh,
     two_bump_line_instance,
 )
 from scalar_ot import unbalanced_sinkhorn_log
@@ -218,6 +219,23 @@ class TestFixedPointResidual:
         res_p = fixed_point_residual(state_p, mu_p, nu, cost_p, cfg)
         assert np.isclose(res, res_p, atol=1e-13)
 
+    def test_trace_mode_counts_the_multiplier_steps(self):
+        # A plain solve's state is not a fixed point of the trace map: its
+        # row trace marginals are up to 20 % off, which the multiplier
+        # steps eps * |LSTE(K) - log tr mu| must show.
+        mu, nu, cost = trace_balanced_instance(np.random.default_rng(1), 6, 7, 3)
+        cfg = SolverConfig(eps=0.05, rho1=1.0, rho2=1.0)
+        coupling, state, report = sinkhorn_solve(mu, nu, cost, cfg)
+        assert report.converged
+        row_tr = np.trace(marginal_rows(coupling), axis1=-2, axis2=-1)
+        assert np.abs(row_tr / np.trace(mu.tensors, axis1=-2, axis2=-1) - 1.0).max() > 0.1
+        assert fixed_point_residual(state, mu, nu, cost, cfg) < 1e-7
+        trace_cfg = replace(cfg, trace_constrained=True)
+        assert fixed_point_residual(state, mu, nu, cost, trace_cfg) > 1e-3
+        _, state, report = sinkhorn_solve(mu, nu, cost, trace_cfg)
+        assert report.converged
+        assert fixed_point_residual(state, mu, nu, cost, trace_cfg) < 1e-7
+
 
 class TestMarginalFirstOrderCondition:
     def test_row_marginal_matches_grown_mass(self):
@@ -404,6 +422,51 @@ class TestTraceConstrained:
         cfg = SolverConfig(trace_constrained=True)
         with pytest.raises(ValueError, match="infeasible"):
             sinkhorn_solve_trace(mu, nu, cost, cfg)
+
+
+def _rel(got, want):
+    return np.abs(np.asarray(got) - want).max() / np.abs(want).max()
+
+
+class TestSharedTraceDecomposition:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("rho1,rho2", [(1.0, 1.0), (0.5, math.inf),
+                                           (math.inf, 1.0)])
+    def test_matches_the_four_eigh_step(self, seed, d, rho1, rho2):
+        mu, nu, cost = trace_balanced_instance(np.random.default_rng(seed), 4, 5, d)
+        cfg = SolverConfig(eps=0.05, rho1=rho1, rho2=rho2, trace_constrained=True)
+        coupling, state, report = sinkhorn_solve(mu, nu, cost, cfg)
+        assert report.converged
+        ref_coupling, ref_state, ref_iterations, primal, dual = \
+            trace_solve_four_eigh(mu, nu, cost, cfg)
+        assert report.iterations == ref_iterations
+        assert _rel(coupling.entries, ref_coupling.entries) < 1e-12
+        for name in ("u", "v", "alpha", "beta"):
+            assert _rel(getattr(state, name), getattr(ref_state, name)) < 1e-12
+        assert _rel(report.primal_value, primal) < 1e-12
+        assert _rel(report.dual_value, dual) < 1e-12
+
+    def test_kernel_stack_decompositions_per_iteration(self, monkeypatch):
+        # One eigh for the row LSE, one shared by the row multiplier step
+        # and the column LSE, and one eigvalsh for the column multiplier.
+        mu, nu, cost = trace_balanced_instance(np.random.default_rng(5), 4, 5, 3)
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            def counted(a, *args, _name=name, _fn=getattr(np.linalg, name), **kw):
+                if np.shape(a)[:2] == (4, 5):
+                    calls.append(_name)
+                return _fn(a, *args, **kw)
+            monkeypatch.setattr(np.linalg, name, counted)
+        per_iteration = []
+
+        def callback(it, u, v):
+            per_iteration.append((calls.count("eigh"), calls.count("eigvalsh")))
+            calls.clear()
+        cfg = SolverConfig(eps=0.05, trace_constrained=True)
+        _, _, report = sinkhorn_solve(mu, nu, cost, cfg, callback)
+        assert report.iterations > 10
+        assert per_iteration == [(2, 1)] * report.iterations
 
 
 class TestLargeTensorDim:

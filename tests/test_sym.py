@@ -16,6 +16,7 @@ from qot.sym import (
     _reconstruct,
     clamp_psd,
     eig_sym,
+    eigvals_sym,
     exp_sym,
     log_sym,
     lse_reduce,
@@ -172,6 +173,42 @@ class TestEig:
         for axis in (0, 1):
             assert np.array_equal(lse_reduce(pairs, axis=axis),
                                   lse_reduce(pairs.copy(), axis=axis))
+
+
+class TestEigvals:
+    def test_2x2_bit_identical_to_eig_sym(self):
+        rng = np.random.default_rng(13)
+        mats = np.concatenate([
+            random_sym(rng, 2, n=200, scale=3.0),
+            random_sym(rng, 2, n=20, scale=1e-200),
+            np.stack([np.zeros((2, 2)), np.eye(2), np.diag([1e300, -1e-300]),
+                      [[0.0, 1.0], [1.0, 0.0]]]),
+        ])
+        assert np.array_equal(eigvals_sym(mats), eig_sym(mats).values)
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_matches_eigh_values(self, d):
+        rng = np.random.default_rng(31 + d)
+        mats = random_sym(rng, d, n=200, scale=2.0)
+        want = eig_sym(mats).values
+        assert np.abs(eigvals_sym(mats) - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_descending(self, d):
+        rng = np.random.default_rng(41 + d)
+        vals = eigvals_sym(random_sym(rng, d, n=50))
+        assert np.all(np.diff(vals, axis=-1) <= 0.0)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_single_matrix_and_stacks(self, d):
+        rng = np.random.default_rng(47 + d)
+        mats = random_sym(rng, d, n=6).reshape(2, 3, d, d)
+        stacked = eigvals_sym(mats)
+        assert stacked.shape == (2, 3, d)
+        single = eigvals_sym(mats[1, 2].tolist())
+        assert single.shape == (d,)
+        assert np.array_equal(single, eigvals_sym(mats[1, 2][None])[0])
+        assert np.allclose(single, stacked[1, 2], rtol=0.0, atol=1e-14)
 
 
 @st.composite
