@@ -16,9 +16,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .cost import _kernel_lse
 from .measure import TensorMeasure
 from .solver import (DualState, SolverConfig, _certify, _exp_capped,
-                     _kernel_lse, _report, _scale, _update)
+                     _kernel_terms, _report, _scale, _update)
 from .sym import exp_sym, log_sym
 
 __all__ = [
@@ -135,14 +136,16 @@ def barycenter_solve(prob: BarycenterProblem, cfg: SolverConfig | None = None):
         res = 0.0
         for idx in range(n_inputs):
             cost = prob.costs[idx]
-            lse_rows = _kernel_lse(u[idx], v[idx], None, None, cost, cfg, 1)
+            rows, cols = _kernel_terms(u[idx], v[idx], None, None, cfg)
+            lse_rows = _kernel_lse(rows, cols, cost, eps, 1)
             u_new = _update(u[idx], lse_rows - log_mu[idx], tau1, eps, True)
             # The column-potential change alone is blind to row-potential
             # drift (it vanishes identically for a single input), so the
             # residual tracks both.
             res = max(res, float(np.abs(u_new - u[idx]).max()))
             u[idx] = u_new
-            lse_cols.append(_kernel_lse(u[idx], v[idx], None, None, cost, cfg, 0))
+            rows, cols = _kernel_terms(u_new, v[idx], None, None, cfg)
+            lse_cols.append(_kernel_lse(rows, cols, cost, eps, 0))
 
         log_nu = sum(
             w * (lse_cols[idx] + v[idx] / eps)

@@ -59,6 +59,16 @@ def _require(doc: dict, key: str, path) -> object:
     return doc[key]
 
 
+def _header_int(doc: dict, key: str, path, low: int) -> int:
+    """Header field ``key``: an int of at least ``low`` (0 or 1); not a
+    bool, which ``isinstance(val, int)`` would let through."""
+    val = _require(doc, key, path)
+    if type(val) is not int or val < low:
+        kind = "positive" if low else "nonnegative"
+        raise FileFormatError(f"{path}: {key!r} must be a {kind} integer")
+    return val
+
+
 def save_field(path, field: TensorMeasure) -> None:
     """Write a tensor field document with keys d, n, points, tensors."""
     doc = {
@@ -74,14 +84,10 @@ def load_field(path) -> TensorMeasure:
     """Read a tensor field document; tensors must be PSD (the first
     offending index is reported)."""
     doc = _read_json(path)
-    d = _require(doc, "d", path)
-    n = _require(doc, "n", path)
+    d = _header_int(doc, "d", path, 0)
+    n = _header_int(doc, "n", path, 1)
     points = _require(doc, "points", path)
     tensors = _require(doc, "tensors", path)
-    if not (isinstance(d, int) and d >= 0):
-        raise FileFormatError(f"{path}: 'd' must be a nonnegative integer")
-    if not (isinstance(n, int) and n >= 1):
-        raise FileFormatError(f"{path}: 'n' must be a positive integer")
     try:
         pts = np.asarray(points, dtype=float)
         packed = np.asarray(tensors, dtype=float)
@@ -126,13 +132,8 @@ def save_coupling(path, coupling: Coupling) -> None:
 
 def load_coupling(path) -> Coupling:
     doc = _read_json(path)
-    rows = _require(doc, "rows", path)
-    cols = _require(doc, "cols", path)
-    d = _require(doc, "d", path)
+    rows, cols, d = (_header_int(doc, key, path, 1) for key in ("rows", "cols", "d"))
     entries = _require(doc, "entries", path)
-    for name, val in (("rows", rows), ("cols", cols), ("d", d)):
-        if not (isinstance(val, int) and val >= 1):
-            raise FileFormatError(f"{path}: {name!r} must be a positive integer")
     try:
         packed = np.asarray(entries, dtype=float)
     except (TypeError, ValueError) as exc:
@@ -152,8 +153,7 @@ def load_coupling(path) -> Coupling:
 def load_distance_matrix(path) -> np.ndarray:
     """Read a distance matrix document with keys rows, cols, values."""
     doc = _read_json(path)
-    rows = _require(doc, "rows", path)
-    cols = _require(doc, "cols", path)
+    rows, cols = (_header_int(doc, key, path, 0) for key in ("rows", "cols"))
     values = _require(doc, "values", path)
     try:
         mat = np.asarray(values, dtype=float)

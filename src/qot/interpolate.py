@@ -75,14 +75,16 @@ def _clamped_inverse(mats: np.ndarray) -> np.ndarray:
 
 
 def _raw_interpolation_products(mu: TensorMeasure, nu: TensorMeasure,
-                                g: Coupling, t: float) -> np.ndarray:
-    """The unsymmetrized per-pair products
+                                g: Coupling, t: float, rows: np.ndarray,
+                                cols: np.ndarray) -> np.ndarray:
+    """The unsymmetrized products
     ``[(1-t) mu_i (sum_j gamma_ij)^-1 + t nu_j (sum_i gamma_ij)^-1] gamma_ij``
-    (diagnostic view; the interpolant symmetrizes and PSD-projects them)."""
+    of the pairs ``(rows[k], cols[k])`` (diagnostic view; the interpolant
+    symmetrizes and PSD-projects them)."""
     mu_bar = mu.tensors @ _clamped_inverse(marginal_rows(g))
     nu_bar = nu.tensors @ _clamped_inverse(marginal_cols(g))
-    mix = (1.0 - t) * mu_bar[:, None] + t * nu_bar[None, :]
-    return mix @ g.entries
+    mix = (1.0 - t) * mu_bar[rows] + t * nu_bar[cols]
+    return mix @ g.entries[rows, cols]
 
 
 # Atoms are clustered in index-ordered blocks of this many cell probes
@@ -338,16 +340,11 @@ def displacement_interpolate(mu: TensorMeasure, nu: TensorMeasure,
         return TensorMeasure(
             np.empty((0, mu.ambient_dim)), np.empty((0,) + mu.tensors.shape[1:])
         )
-    keep = traces >= p.trace_threshold * max_trace
-
-    raw = _raw_interpolation_products(mu, nu, g, t)
-    sym = 0.5 * (raw + np.swapaxes(raw, -1, -2))
-    positions = (1.0 - t) * mu.points[:, None] + t * nu.points[None, :]
-
-    flat_keep = keep.reshape(-1)
-    atoms = sym.reshape((-1,) + sym.shape[2:])[flat_keep]
-    pts = positions.reshape(-1, positions.shape[-1])[flat_keep]
-
+    # Row-major, the order of the pairs in the coupling.
+    rows, cols = np.nonzero(traces >= p.trace_threshold * max_trace)
+    raw = _raw_interpolation_products(mu, nu, g, t, rows, cols)
+    atoms = 0.5 * (raw + np.swapaxes(raw, -1, -2))
+    pts = (1.0 - t) * mu.points[rows] + t * nu.points[cols]
     if p.merge_radius > 0.0:
         pts, atoms = _merge_atoms(pts, atoms, p.merge_radius)
     return TensorMeasure(pts, clamp_psd(atoms))

@@ -6,8 +6,9 @@ coupling and objectives off its result.  Here the map alternates relaxed
 updates of the matrix dual potentials through the stabilized matrix
 log-sum-exp; in trace-constrained mode it also steps the scalar trace
 multipliers.  One dual kernel feeds the loop, the objectives and the
-diagnostics; for d = 2 and an isotropic cost the loop's log-sum-exps
-build it block by block, fused with the reduction (:func:`_kernel_lse`).
+diagnostics: :func:`_kernel_terms` decides what enters it, and
+:mod:`qot.cost` writes it, as a stack or, for d = 2 and an isotropic
+cost, block by block fused with the loop's log-sum-exps.
 When the plain iteration slows to a crawl, safeguarded Anderson
 extrapolation over its last few iterates takes over (default relaxations
 only).  A ``rho`` equal to ``inf`` is a symbolic sentinel for
@@ -24,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cost import GroundCost, _kernel_args, kernel
+from .cost import GroundCost, _kernel_lse, kernel
 from .measure import (
     Coupling,
     TensorMeasure,
@@ -33,7 +34,6 @@ from .measure import (
 )
 from .sym import (
     KERNEL_TOL,
-    _lse2,
     _lse_eig,
     _lste_values,
     _reconstruct,
@@ -76,14 +76,6 @@ _AA_MEMORY = 5
 _AA_SLOW_RATIO = 0.95
 _AA_SLOW_STEPS = 10
 _AA_RCOND = 1e-12
-
-# Pairs per block of the fused d = 2 kernel-LSE (:func:`_kernel_lse`).
-# Every temporary of a block is then 64 KB, under glibc's 128 KB mmap
-# threshold, so the heap hands the same memory back from block to block
-# instead of mapping fresh pages that fault in on every call.  On a
-# 256 x 256 solve 8,192 pairs beat both 2,048 (per-block overhead) and
-# one block for the whole kernel.
-_LSE_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -354,58 +346,21 @@ class _Anderson:
                 f"{self.accepted} accepted, {self.restarted} restarted"]
 
 
-def _dual_kernel(u, v, alpha, beta, cost: GroundCost, cfg: SolverConfig) -> np.ndarray:
-    """The dual kernel of ``cfg``: its potential coefficients, and the
-    trace multipliers only in trace-constrained mode."""
-    if not cfg.trace_constrained:
-        alpha = beta = None
-    return kernel(u, v, cost, cfg.eps, cfg.kernel_coef(1), cfg.kernel_coef(2),
-                  alpha, beta)
-
-
-def _kernel_lse(u, v, alpha, beta, cost: GroundCost, cfg: SolverConfig,
-                axis: int) -> np.ndarray:
-    """``lse_reduce(_dual_kernel(u, v, alpha, beta, cost, cfg), axis)``,
-    bit for bit.
-
-    For d = 2 and an isotropic cost no kernel stack is built: the three
-    entry arrays of one block of the kept axis at a time (rows for
-    ``axis=1``, columns for ``axis=0``) are written in the operation order
-    of :func:`qot.cost.kernel` and reduced by :func:`qot.sym._lse2`.  An
-    output line depends only on its own slice, so blocking needs no
-    running shift.  A block of columns is at least two wide: numpy sums a
-    lone column pairwise, but the columns of a wider array one row after
-    another, as it does the whole kernel.  Every other case reduces the
-    kernel stack.
-    """
-    if not cfg.trace_constrained:
-        alpha = beta = None
-    u, v, alpha, beta = _kernel_args(u, v, cost, alpha, beta)
-    if u.shape[-1] != 2 or cost.kind != "isotropic":
-        return lse_reduce(_dual_kernel(u, v, alpha, beta, cost, cfg), axis=axis)
-    ru, rv = cfg.kernel_coef(1) * u, cfg.kernel_coef(2) * v
-    n_keep, n_sum = (len(u), len(v)) if axis == 1 else (len(v), len(u))
-    width = max(1 if axis == 1 else 2, _LSE_BLOCK // n_sum)
-    bounds = list(range(0, n_keep, width)) + [n_keep]
-    if axis == 0 and bounds[-1] - bounds[-2] == 1 and len(bounds) > 2:
-        del bounds[-2]
-    out = np.empty((n_keep, 2, 2))
-    for start, stop in zip(bounds, bounds[1:]):
-        block = slice(start, stop)
-        rows, cols = (block, slice(None)) if axis == 1 else (slice(None), block)
-        k00, k01, k11 = (ru[rows, a, b][:, None] + rv[cols, a, b][None, :]
-                         for a, b in ((0, 0), (0, 1), (1, 1)))
-        c = cost.values[rows, cols]
-        k00 += c
-        k11 += c
-        if alpha is not None:
-            ab = alpha[rows, None] + beta[None, cols]
-            k00 += ab
-            k11 += ab
-        for entry in (k00, k01, k11):
-            entry /= -cfg.eps
-        out[block] = _lse2(k00, k01, k11, axis)
-    return out
+def _kernel_terms(u, v, alpha, beta, cfg: SolverConfig):
+    """The row and column terms of the dual kernel of ``cfg`` (see
+    :func:`qot.cost.kernel`): ``kernel_coef(1) u_i + alpha_i I`` and
+    ``kernel_coef(2) v_j + beta_j I``, with the trace multipliers only in
+    trace-constrained mode."""
+    rows, cols = cfg.kernel_coef(1) * u, cfg.kernel_coef(2) * v
+    if cfg.trace_constrained:
+        if np.shape(alpha) != (len(u),) or np.shape(beta) != (len(v),):
+            raise ValueError(
+                f"multipliers must have shapes ({len(u)},) and ({len(v)},), "
+                f"got {np.shape(alpha)}, {np.shape(beta)}")
+        idx = np.arange(u.shape[-1])
+        rows[:, idx, idx] += alpha[:, None]
+        cols[:, idx, idx] += beta[:, None]
+    return rows, cols
 
 
 def _scale(step, point: tuple, cfg: SolverConfig, callback=None):
@@ -435,9 +390,9 @@ def _certify(state: DualState, mu: TensorMeasure, nu: TensorMeasure,
              cost: GroundCost, cfg: SolverConfig):
     """The coupling at ``state`` (see :func:`_coupling`), its notes, and
     the primal and dual objective values whose gap certifies it."""
-    coupling, notes = _coupling(
-        _dual_kernel(state.u, state.v, state.alpha, state.beta, cost, cfg),
-        mu.tensors, nu.tensors)
+    rows, cols = _kernel_terms(state.u, state.v, state.alpha, state.beta, cfg)
+    coupling, notes = _coupling(kernel(rows, cols, cost, cfg.eps),
+                                mu.tensors, nu.tensors)
     return (coupling, notes, primal_objective(coupling, mu, nu, cost, cfg),
             dual_objective(state, mu, nu, cost, cfg))
 
@@ -494,8 +449,6 @@ def sinkhorn_solve(mu: TensorMeasure, nu: TensorMeasure, cost: GroundCost,
     """
     cfg = cfg or SolverConfig()
     _validate_problem(mu, nu, cost)
-    d = mu.tensor_dim
-    rows, cols = mu.n_atoms, nu.n_atoms
     if cfg.trace_constrained:
         tr_mu = np.trace(mu.tensors, axis1=-2, axis2=-1)
         tr_nu = np.trace(nu.tensors, axis1=-2, axis2=-1)
@@ -511,28 +464,29 @@ def sinkhorn_solve(mu: TensorMeasure, nu: TensorMeasure, cost: GroundCost,
             )
         log_tr_mu, log_tr_nu = np.log(tr_mu), np.log(tr_nu)
 
-    log_mu = log_sym(mu.tensors)
-    log_nu = log_sym(nu.tensors)
+    log_mu, log_nu = log_sym(mu.tensors), log_sym(nu.tensors)
     tau1, tau2 = cfg.tau(1), cfg.tau(2)
     fin1, fin2 = math.isfinite(cfg.rho1), math.isfinite(cfg.rho2)
 
     def step(point):
         u, v, alpha, beta = point
-        u = _update(u, _kernel_lse(u, v, alpha, beta, cost, cfg, 1) - log_mu,
+        rows, cols = _kernel_terms(u, v, alpha, beta, cfg)
+        u = _update(u, _kernel_lse(rows, cols, cost, cfg.eps, 1) - log_mu,
                     tau1, cfg.eps, fin1)
+        rows, cols = _kernel_terms(u, v, alpha, beta, cfg)
         if cfg.trace_constrained:
             # alpha += step_a moves kernel row i by -step_a_i / eps * I.
-            vals, vecs = eig_sym(_dual_kernel(u, v, alpha, beta, cost, cfg))
+            vals, vecs = eig_sym(kernel(rows, cols, cost, cfg.eps))
             step_a = cfg.eps * (_lste_values(vals, 1) - log_tr_mu)
             alpha = alpha + step_a
             lse_v = _lse_eig(vals - (step_a / cfg.eps)[:, None, None], vecs, 0)
         else:
-            lse_v = _kernel_lse(u, v, alpha, beta, cost, cfg, 0)
+            lse_v = _kernel_lse(rows, cols, cost, cfg.eps, 0)
         v_new = _update(v, lse_v - log_nu, tau2, cfg.eps, fin2)
         res = float(np.abs(v_new - v).max())
         v = v_new
         if cfg.trace_constrained:
-            k = _dual_kernel(u, v, alpha, beta, cost, cfg)
+            k = kernel(*_kernel_terms(u, v, alpha, beta, cfg), cost, cfg.eps)
             step_b = cfg.eps * (lste_reduce(k, axis=0) - log_tr_nu)
             beta = beta + step_b
             # The kernel sees only alpha_i + beta_j, so (alpha + c, beta - c)
@@ -545,8 +499,8 @@ def sinkhorn_solve(mu: TensorMeasure, nu: TensorMeasure, cost: GroundCost,
             res = max(res, float(np.abs(step_a).max()), float(np.abs(step_b).max()))
         return (u, v, alpha, beta), res
 
-    point = (np.zeros((rows, d, d)), np.zeros((cols, d, d)),
-             np.zeros(rows), np.zeros(cols))
+    point = (np.zeros_like(log_mu), np.zeros_like(log_nu),
+             np.zeros(mu.n_atoms), np.zeros(nu.n_atoms))
     watch = None if callback is None else (lambda it, x: callback(it, x[0], x[1]))
     image, history, converged, loop_notes = _scale(step, point, cfg, watch)
     state = DualState(*image)
@@ -579,7 +533,8 @@ def dual_objective(state: DualState, mu: TensorMeasure, nu: TensorMeasure,
     the multipliers enter the kernel and the constants
     ``-sum_i alpha_i tr(mu_i) - sum_j beta_j tr(nu_j)`` are added.
     """
-    k = _dual_kernel(state.u, state.v, state.alpha, state.beta, cost, cfg)
+    rows, cols = _kernel_terms(state.u, state.v, state.alpha, state.beta, cfg)
+    k = kernel(rows, cols, cost, cfg.eps)
     # tr exp(M) is the sum of exp over the eigenvalues of M; one that
     # overflows makes the dual -inf, and terms that overflow with opposite
     # signs make it nan; the report notes either.
@@ -609,16 +564,16 @@ def fixed_point_residual(state: DualState, mu: TensorMeasure, nu: TensorMeasure,
     side, the sup-norm of the additive step ``eps * (LSE - log target)``);
     in trace-constrained mode also of the multiplier steps
     ``eps * (LSTE(K) - log tr target)`` on both axes."""
+    rows, cols = _kernel_terms(state.u, state.v, state.alpha, state.beta, cfg)
+    k = kernel(rows, cols, cost, cfg.eps)
     res = []
     for axis, rho, pot, target in ((1, cfg.rho1, state.u, mu.tensors),
                                    (0, cfg.rho2, state.v, nu.tensors)):
-        gap = (_kernel_lse(state.u, state.v, state.alpha, state.beta, cost, cfg,
-                           axis) - log_sym(target))
+        gap = lse_reduce(k, axis=axis) - log_sym(target)
         step = pot - gap if math.isfinite(rho) else cfg.eps * gap
         res.append(float(np.abs(step).max()))
     if cfg.trace_constrained:
-        vals = eigvals_sym(_dual_kernel(state.u, state.v, state.alpha,
-                                        state.beta, cost, cfg))
+        vals = eigvals_sym(k)
         for axis, target in ((1, mu.tensors), (0, nu.tensors)):
             log_tr = np.log(np.trace(target, axis1=-2, axis2=-1))
             res.append(cfg.eps * float(np.abs(_lste_values(vals, axis) - log_tr).max()))

@@ -11,7 +11,7 @@ every d = 2 solve, works on the entry arrays alone: the closed form's
 eigenvalues and top eigenvector feed a projector form of exp and log, with
 no eigenvector matrices or matrix products (:func:`_lse2`).  The solvers
 hand it kernel entries built one block at a time, so a d = 2 iteration
-never holds a kernel stack (see ``qot.solver._kernel_lse``).  Callers that
+never holds a kernel stack (see ``qot.cost._kernel_lse``).  Callers that
 need only eigenvalues use :func:`eigvals_sym`; the log-sum-exp of other
 sizes can start from a decomposition the caller holds (:func:`_lse_eig`).
 
@@ -318,8 +318,8 @@ def lse_reduce(mats, axis: int = 0) -> np.ndarray:
     entries are summed as arrays, and the log of the sum is taken the same
     way.  Each eigen-direction keeps its own exponential, so one far below
     the shift is not lost to cancellation as in the ``cosh``/``sinh`` form
-    of ``exp``.  The solvers' d = 2 loops call :func:`_lse2` on kernel
-    entries they build block by block, without a stack.
+    of ``exp``.  The solvers' d = 2 loops reach :func:`_lse2` through
+    ``qot.cost._kernel_lse``, with no kernel stack.
     """
     a = _dense(mats)
     axis = _normalize_reduce_axis(a, axis)

@@ -7,7 +7,7 @@ from itertools import product as _cell_offsets_product
 import numpy as np
 
 from qot import solver
-from qot.cost import euclidean_cost
+from qot.cost import _kernel_lse, euclidean_cost, kernel
 from qot.measure import TensorMeasure
 from qot.sym import eig_sym, log_sym
 
@@ -196,20 +196,27 @@ def trace_solve_four_eigh(mu, nu, cost, cfg):
     def lste_reduce(k, axis):
         return solver._lste_values(eig_sym(k).values, axis)
 
+    def dual_kernel(u, v, alpha, beta):
+        return kernel(*solver._kernel_terms(u, v, alpha, beta, cfg), cost, cfg.eps)
+
+    def kernel_lse(u, v, alpha, beta, axis):
+        terms = solver._kernel_terms(u, v, alpha, beta, cfg)
+        return _kernel_lse(*terms, cost, cfg.eps, axis)
+
     def step(point):
         u, v, alpha, beta = point
         u = solver._update(
-            u, solver._kernel_lse(u, v, alpha, beta, cost, cfg, 1) - log_mu,
+            u, kernel_lse(u, v, alpha, beta, 1) - log_mu,
             tau1, cfg.eps, fin1)
-        k = solver._dual_kernel(u, v, alpha, beta, cost, cfg)
+        k = dual_kernel(u, v, alpha, beta)
         step_a = cfg.eps * (lste_reduce(k, axis=1) - log_tr_mu)
         alpha = alpha + step_a
         v_new = solver._update(
-            v, solver._kernel_lse(u, v, alpha, beta, cost, cfg, 0) - log_nu,
+            v, kernel_lse(u, v, alpha, beta, 0) - log_nu,
             tau2, cfg.eps, fin2)
         res = float(np.abs(v_new - v).max())
         v = v_new
-        k = solver._dual_kernel(u, v, alpha, beta, cost, cfg)
+        k = dual_kernel(u, v, alpha, beta)
         step_b = cfg.eps * (lste_reduce(k, axis=0) - log_tr_nu)
         beta = beta + step_b
         center = 0.5 * (float(beta.mean()) - float(alpha.mean()))

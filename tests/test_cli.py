@@ -395,6 +395,21 @@ class TestInterpolate:
         assert code == 1
 
 
+class TestBooleanHeader:
+    # isinstance(True, int) holds, so a loader that checks only that hands
+    # a bool on to the library, which raised a TypeError traceback.
+    def test_field_with_boolean_d_exits_1(self, tmp_path, capsys):
+        field = tmp_path / "field.json"
+        field.write_text(json.dumps(
+            {"d": True, "n": 2, "points": [[0.0, 0.0]], "tensors": [[1.0]]}))
+        code = main(["render", "--field", str(field),
+                     "--out", str(tmp_path / "x.svg")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "'d' must be a nonnegative integer" in err
+
+
 class TestBarycenterCommand:
     def make_inputs(self, tmp_path, n_inputs=2):
         rng = np.random.default_rng(7)

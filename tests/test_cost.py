@@ -9,6 +9,7 @@ from qot.cost import (
     from_distance_matrix,
     kernel,
 )
+from qot.solver import SolverConfig, _kernel_terms
 from qot.sym import exp_sym
 
 
@@ -54,15 +55,15 @@ class TestDistanceMatrixCost:
 class TestKernel:
     def test_all_zero(self):
         cost = GroundCost("isotropic", np.zeros((2, 3)))
-        k = kernel(np.zeros((2, 2, 2)), np.zeros((3, 2, 2)), cost, 1.0, 1.0, 1.0)
+        k = kernel(np.zeros((2, 2, 2)), np.zeros((3, 2, 2)), cost, 1.0)
         assert k.shape == (2, 3, 2, 2)
         assert np.all(k == 0.0)
 
     def test_arithmetic(self):
         cost = GroundCost("isotropic", np.ones((1, 1)))
-        u = np.eye(2)[None]
-        v = np.zeros((1, 2, 2))
-        k = kernel(u, v, cost, eps=1.0, rho1=1.0, rho2=1.0)
+        rows = np.eye(2)[None]
+        cols = np.zeros((1, 2, 2))
+        k = kernel(rows, cols, cost, eps=1.0)
         assert np.allclose(k[0, 0], -2.0 * np.eye(2))
 
     def test_eps_scaling(self):
@@ -72,8 +73,8 @@ class TestKernel:
         u = 0.5 * (u + np.swapaxes(u, -1, -2))
         v = rng.standard_normal((2, 2, 2))
         v = 0.5 * (v + np.swapaxes(v, -1, -2))
-        k1 = kernel(u, v, cost, 0.5, 1.0, 1.0)
-        k2 = kernel(u, v, cost, 1.0, 1.0, 1.0)
+        k1 = kernel(u, v, cost, 0.5)
+        k2 = kernel(u, v, cost, 1.0)
         assert np.allclose(k1, 2.0 * k2)
 
     def test_kernel_entries_symmetric_and_exp_pd(self):
@@ -83,7 +84,7 @@ class TestKernel:
         u = 0.5 * (u + np.swapaxes(u, -1, -2))
         v = 0.3 * rng.standard_normal((4, 2, 2))
         v = 0.5 * (v + np.swapaxes(v, -1, -2))
-        k = kernel(u, v, cost, 0.5, 1.0, 2.0)
+        k = kernel(u, 2.0 * v, cost, 0.5)
         assert np.allclose(k, np.swapaxes(k, -1, -2))
         vals = np.linalg.eigvalsh(exp_sym(k).reshape(-1, 2, 2))
         # PD up to the relative round-off bound of a spectral reconstruction
@@ -93,7 +94,7 @@ class TestKernel:
         cost = GroundCost("isotropic", np.array([[0.3, 1.0], [0.7, 0.1]]))
         u = np.stack([0.4 * np.eye(2), -0.2 * np.eye(2)])
         v = np.stack([0.1 * np.eye(2), 0.9 * np.eye(2)])
-        k = kernel(u, v, cost, 0.05, 1.0, 1.0)
+        k = kernel(u, v, cost, 0.05)
         offdiag = k[..., 0, 1]
         assert np.all(offdiag == 0.0)
         assert np.allclose(k[..., 0, 0], k[..., 1, 1])
@@ -101,8 +102,25 @@ class TestKernel:
     def test_matrix_cost_kind(self):
         c_mat = np.broadcast_to(np.diag([1.0, 2.0]), (1, 1, 2, 2)).copy()
         cost = GroundCost("matrix", c_mat)
-        k = kernel(np.zeros((1, 2, 2)), np.zeros((1, 2, 2)), cost, 1.0, 1.0, 1.0)
+        k = kernel(np.zeros((1, 2, 2)), np.zeros((1, 2, 2)), cost, 1.0)
         assert np.allclose(k[0, 0], -np.diag([1.0, 2.0]))
+
+    @pytest.mark.parametrize("rows,cols", [
+        ((3, 2, 2), (3, 2, 2)), ((2, 2, 2), (2, 2, 2)), ((2, 3, 3), (3, 2, 2)),
+        ((2, 2), (3, 2, 2)),
+    ], ids=["rows", "cols", "dim", "ndim"])
+    def test_shape_validation(self, rows, cols):
+        cost = GroundCost("isotropic", np.zeros((2, 3)))
+        with pytest.raises(ValueError, match="cost is 2x3"):
+            kernel(np.zeros(rows), np.zeros(cols), cost, 1.0)
+
+
+# The trace multipliers enter the kernel through the solver's terms.
+TRACE = SolverConfig(trace_constrained=True)
+
+
+def _trace_kernel(u, v, alpha, beta, cost, eps, cfg=TRACE):
+    return kernel(*_kernel_terms(u, v, alpha, beta, cfg), cost, eps)
 
 
 class TestKernelTrace:
@@ -113,8 +131,16 @@ class TestKernelTrace:
         u = 0.5 * (u + np.swapaxes(u, -1, -2))
         v = rng.standard_normal((3, 2, 2))
         v = 0.5 * (v + np.swapaxes(v, -1, -2))
-        k0 = kernel(u, v, cost, 0.1, 1.0, 1.0, np.zeros(2), np.zeros(3))
-        assert np.array_equal(k0, kernel(u, v, cost, 0.1, 1.0, 1.0))
+        k0 = _trace_kernel(u, v, np.zeros(2), np.zeros(3), cost, 0.1)
+        assert np.array_equal(k0, kernel(u, v, cost, 0.1))
+
+    def test_multipliers_only_in_trace_mode(self):
+        rng = np.random.default_rng(2)
+        cost = GroundCost("isotropic", rng.uniform(size=(2, 3)))
+        u, v = np.zeros((2, 2, 2)), np.zeros((3, 2, 2))
+        plain = _trace_kernel(u, v, np.ones(2), np.ones(3), cost, 0.1,
+                              SolverConfig())
+        assert np.array_equal(plain, kernel(u, v, cost, 0.1))
 
     def test_row_shift(self):
         eps = 0.5
@@ -122,7 +148,7 @@ class TestKernelTrace:
         u = np.zeros((2, 2, 2))
         v = np.zeros((1, 2, 2))
         alpha = np.array([eps, 0.0])
-        k = kernel(u, v, cost, eps, 1.0, 1.0, alpha, np.zeros(1))
+        k = _trace_kernel(u, v, alpha, np.zeros(1), cost, eps)
         assert np.allclose(k[0, 0], -np.eye(2))
         assert np.allclose(k[1, 0], 0.0)
 
@@ -136,20 +162,18 @@ class TestKernelTrace:
         v = 0.5 * (v + np.swapaxes(v, -1, -2))
         traces = []
         for a in [0.0, 0.5, 1.0]:
-            k = kernel(u, v, cost, 0.7, 1.0, 1.0, np.array([a]), np.zeros(2))
+            k = _trace_kernel(u, v, np.array([a]), np.zeros(2), cost, 0.7)
             traces.append(np.trace(exp_sym(k[0]).sum(axis=0)))
         assert traces[0] > traces[1] > traces[2]
 
     def test_multiplier_shape_validation(self):
         cost = GroundCost("isotropic", np.zeros((2, 2)))
-        with pytest.raises(ValueError):
-            kernel(
-                np.zeros((2, 2, 2)), np.zeros((2, 2, 2)), cost, 1.0, 1.0, 1.0,
-                np.zeros(3), np.zeros(2),
-            )
+        with pytest.raises(ValueError, match="multipliers"):
+            _trace_kernel(np.zeros((2, 2, 2)), np.zeros((2, 2, 2)),
+                          np.zeros(3), np.zeros(2), cost, 1.0)
 
     def test_multipliers_come_in_pairs(self):
         cost = GroundCost("isotropic", np.zeros((2, 2)))
-        with pytest.raises(ValueError):
-            kernel(np.zeros((2, 2, 2)), np.zeros((2, 2, 2)), cost, 1.0, 1.0, 1.0,
-                   alpha=np.zeros(2))
+        with pytest.raises(ValueError, match="multipliers"):
+            _trace_kernel(np.zeros((2, 2, 2)), np.zeros((2, 2, 2)),
+                          np.zeros(2), None, cost, 1.0)

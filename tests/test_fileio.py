@@ -78,6 +78,15 @@ class TestFieldRoundTrip:
         with pytest.raises(FileFormatError):
             load_field(tmp_path / "nope.json")
 
+    @pytest.mark.parametrize("key,kind", [("d", "nonnegative"), ("n", "positive")])
+    def test_boolean_header_rejected(self, tmp_path, key, kind):
+        # isinstance(True, int) holds, and true reads as 1.
+        doc = {"d": 1, "n": 1, "points": [[0.0]], "tensors": [[1.0]]}
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps({**doc, key: True}))
+        with pytest.raises(FileFormatError, match=f"'{key}' must be a {kind} integer"):
+            load_field(path)
+
 
 class TestCouplingRoundTrip:
     def test_bit_identical(self, tmp_path):
@@ -107,6 +116,14 @@ class TestCouplingRoundTrip:
         with pytest.raises(FileFormatError):
             load_coupling(path)
 
+    @pytest.mark.parametrize("key", ["rows", "cols", "d"])
+    def test_boolean_header_rejected(self, tmp_path, key):
+        doc = {"rows": 1, "cols": 1, "d": 1, "entries": [[1.0]]}
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps({**doc, key: True}))
+        with pytest.raises(FileFormatError, match=f"'{key}' must be a positive integer"):
+            load_coupling(path)
+
 
 class TestDistanceMatrix:
     def test_round_trip(self, tmp_path):
@@ -119,4 +136,14 @@ class TestDistanceMatrix:
         path = tmp_path / "neg.json"
         path.write_text('{"rows": 1, "cols": 1, "values": [[-2.0]]}')
         with pytest.raises(FileFormatError):
+            load_distance_matrix(path)
+
+    @pytest.mark.parametrize("key", ["rows", "cols"])
+    @pytest.mark.parametrize("value", [True, 1.0])
+    def test_non_integer_header_rejected(self, tmp_path, key, value):
+        # Both compare equal to the 1 of the values' shape.
+        doc = {"rows": 1, "cols": 1, "values": [[0.5]]}
+        path = tmp_path / "header.json"
+        path.write_text(json.dumps({**doc, key: value}))
+        with pytest.raises(FileFormatError, match=f"'{key}' must be a nonnegative integer"):
             load_distance_matrix(path)

@@ -414,5 +414,21 @@ class TestRawProducts:
         mu = TensorMeasure(np.zeros((1, 2)), np.diag([2.0, 1.0])[None])
         nu = TensorMeasure(np.ones((1, 2)), np.diag([4.0, 3.0])[None])
         g = Coupling(np.diag([1.0, 0.5])[None, None])
-        raw = _raw_interpolation_products(mu, nu, g, 0.5)
-        assert np.allclose(raw[0, 0], raw[0, 0].T)
+        raw = _raw_interpolation_products(mu, nu, g, 0.5, np.array([0]),
+                                          np.array([0]))
+        assert np.allclose(raw[0], raw[0].T)
+
+    def test_products_of_the_given_pairs(self):
+        from qot.interpolate import _raw_interpolation_products
+
+        rng = np.random.default_rng(5)
+        mu = TensorMeasure(rng.uniform(size=(2, 2)), random_psd(rng, 2, n=2))
+        nu = TensorMeasure(rng.uniform(size=(3, 2)), random_psd(rng, 2, n=3))
+        g = Coupling(random_psd(rng, 2, n=6).reshape(2, 3, 2, 2))
+        rows, cols = np.array([1, 0, 1]), np.array([2, 0, 0])
+        raw = _raw_interpolation_products(mu, nu, g, 0.3, rows, cols)
+        inv_r = np.linalg.inv(g.entries.sum(axis=1))
+        inv_c = np.linalg.inv(g.entries.sum(axis=0))
+        for k, (i, j) in enumerate(zip(rows, cols)):
+            mix = 0.7 * mu.tensors[i] @ inv_r[i] + 0.3 * nu.tensors[j] @ inv_c[j]
+            assert np.allclose(raw[k], mix @ g.entries[i, j], rtol=1e-10)

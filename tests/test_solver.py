@@ -21,7 +21,7 @@ from helpers import (
 )
 from scalar_ot import unbalanced_sinkhorn_log
 
-from qot import solver
+from qot import cost as qot_cost, solver
 from qot.barycenter import BarycenterProblem, barycenter_solve
 from qot.cost import euclidean_cost, GroundCost
 from qot.measure import TensorMeasure, marginal_cols, marginal_rows
@@ -174,7 +174,7 @@ class TestDuality:
         for state in states[::10]:
             k = dual_objective(state, mu, nu, cost, cfg)
             from qot.cost import kernel as kern
-            gamma = exp_sym(kern(state.u, state.v, cost, cfg.eps, 1.0, 1.0))
+            gamma = exp_sym(kern(state.u, state.v, cost, cfg.eps))
             from qot.measure import Coupling, primal_objective
             p = primal_objective(Coupling(gamma), mu, nu, cost, cfg)
             assert k <= p + 1e-9
@@ -311,7 +311,7 @@ class TestHardColumnConstraint:
         failures = []
 
         def check(it, u, v):
-            k = kern(u, v, cost, cfg.eps, 1.0, 1.0)
+            k = kern(u, v, cost, cfg.eps)
             cols = exp_sym(k).sum(axis=0)
             err = np.abs(cols[:, 0, 0] - masses_nu).max()
             failures.append(err)
@@ -469,6 +469,51 @@ class TestSharedTraceDecomposition:
         assert per_iteration == [(2, 1)] * report.iterations
 
 
+class TestKernelStacks:
+    # A d = 2 isotropic loop reduces the kernel block by block and builds
+    # no stack; the finalisation builds two per certified problem (the
+    # coupling's and the dual objective's).  A d = 3 trace-constrained
+    # iteration builds three: for the row LSE, for the decomposition shared
+    # by the row multiplier step and the column LSE, and for the column
+    # multiplier step.
+    @pytest.fixture
+    def stacks(self, monkeypatch):
+        shapes = []
+        build = qot_cost.kernel
+
+        def counted(*args):
+            k = build(*args)
+            shapes.append(k.shape)
+            return k
+        for module in (qot_cost, solver):
+            monkeypatch.setattr(module, "kernel", counted)
+        return shapes
+
+    def test_plain_d2_transport_builds_only_the_finalisation(self, stacks):
+        mu, nu, cost = random_instance(np.random.default_rng(7), 5, 6, 2)
+        _, _, report = sinkhorn_solve(mu, nu, cost, SolverConfig(eps=0.05))
+        assert report.converged and report.iterations > 10
+        assert stacks == [(5, 6, 2, 2)] * 2
+
+    def test_d2_barycenter_builds_only_the_finalisation(self, stacks):
+        report = _loop_solve("barycenter", SolverConfig(eps=0.05))
+        assert report.converged and report.iterations > 10
+        assert stacks == [(9, 9, 2, 2)] * 4
+
+    def test_d3_trace_iteration_builds_three(self, stacks):
+        mu, nu, cost = trace_balanced_instance(np.random.default_rng(5), 4, 5, 3)
+        cfg = SolverConfig(eps=0.05, trace_constrained=True, max_iter=6,
+                           tol=1e-300)
+        per_iteration = []
+
+        def callback(it, u, v):
+            per_iteration.append(len(stacks))
+            stacks.clear()
+        sinkhorn_solve(mu, nu, cost, cfg, callback)
+        assert per_iteration == [3] * 6
+        assert stacks == [(4, 5, 3, 3)] * 2
+
+
 class TestLargeTensorDim:
     def test_d4_solve_through_jacobi_path(self):
         rng = np.random.default_rng(71)
@@ -510,6 +555,23 @@ class TestValidation:
         cost = GroundCost("isotropic", np.zeros((1, 1)))
         with pytest.raises(ValueError):
             sinkhorn_solve(mu, nu, cost, SolverConfig())
+
+    def test_dual_state_checked_against_the_cost(self):
+        # The public entry points reject a state that does not fit the
+        # problem; an alpha of length 1 would otherwise broadcast over the
+        # four rows.
+        mu, nu, cost = trace_balanced_instance(np.random.default_rng(3), 4, 5, 2)
+        good = DualState.zeros(4, 5, 2)
+        cfg = SolverConfig(eps=0.1, trace_constrained=True)
+        bad = [(replace(good, u=good.u[:3], alpha=good.alpha[:3]), "cost is 4x5"),
+               (replace(good, v=good.v[:1], beta=good.beta[:1]), "cost is 4x5"),
+               (replace(good, alpha=np.zeros(1)), "multipliers"),
+               (replace(good, beta=np.zeros(6)), "multipliers")]
+        for entry in (dual_objective, fixed_point_residual):
+            for state, message in bad:
+                with pytest.raises(ValueError, match=message):
+                    entry(state, mu, nu, cost, cfg)
+            assert math.isfinite(entry(good, mu, nu, cost, cfg))
 
 
 class TestReportNotes:
@@ -725,7 +787,7 @@ class TestKernelLse:
     # divide, and reduced axes longer than the block (a row per block for
     # axis 1, two columns per block for axis 0, the odd last one merged).
     SHAPES = [(1, 7), (7, 1), (1, 1), (130, 163), (163, 130), (256, 256),
-              (3, solver._LSE_BLOCK + 9), (solver._LSE_BLOCK + 9, 5)]
+              (3, qot_cost._LSE_BLOCK + 9), (qot_cost._LSE_BLOCK + 9, 5)]
 
     @pytest.mark.parametrize("rows,cols", SHAPES)
     @pytest.mark.parametrize("axis", [0, 1])
@@ -738,10 +800,11 @@ class TestKernelLse:
                                                axis, cfg):
         rng = np.random.default_rng(rows * cols + axis)
         u, v, alpha, beta, cost = _kernel_lse_case(rng, rows, cols)
-        want = solver.lse_reduce(
-            solver._dual_kernel(u, v, alpha, beta, cost, cfg), axis=axis)
-        monkeypatch.setattr(solver, "lse_reduce", None)  # never reached
-        got = solver._kernel_lse(u, v, alpha, beta, cost, cfg, axis)
+        terms = solver._kernel_terms(u, v, alpha, beta, cfg)
+        want = qot_cost.lse_reduce(qot_cost.kernel(*terms, cost, cfg.eps),
+                                   axis=axis)
+        monkeypatch.setattr(qot_cost, "lse_reduce", None)  # never reached
+        got = qot_cost._kernel_lse(*terms, cost, cfg.eps, axis)
         assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("d,kind", [(3, "isotropic"), (2, "matrix")])
@@ -751,21 +814,12 @@ class TestKernelLse:
         rng = np.random.default_rng(d)
         u, v, alpha, beta, cost = _kernel_lse_case(rng, 4, 5, d, kind)
         cfg = SolverConfig(eps=0.1, trace_constrained=True)
+        terms = solver._kernel_terms(u, v, alpha, beta, cfg)
         reduced = []
-        lse_reduce = solver.lse_reduce
-        monkeypatch.setattr(solver, "lse_reduce", lambda k, axis: (
+        lse_reduce = qot_cost.lse_reduce
+        monkeypatch.setattr(qot_cost, "lse_reduce", lambda k, axis: (
             reduced.append(k.shape) or lse_reduce(k, axis=axis)))
-        got = solver._kernel_lse(u, v, alpha, beta, cost, cfg, axis)
+        got = qot_cost._kernel_lse(*terms, cost, cfg.eps, axis)
         assert reduced == [(4, 5, d, d)]
-        want = lse_reduce(solver._dual_kernel(u, v, alpha, beta, cost, cfg),
-                          axis=axis)
+        want = lse_reduce(qot_cost.kernel(*terms, cost, cfg.eps), axis=axis)
         assert np.array_equal(got, want)
-
-    def test_checks_the_potentials_against_the_cost(self):
-        rng = np.random.default_rng(3)
-        u, v, alpha, beta, cost = _kernel_lse_case(rng, 4, 5)
-        cfg = SolverConfig(trace_constrained=True)
-        with pytest.raises(ValueError, match="cost is 4x5"):
-            solver._kernel_lse(u[:3], v, alpha[:3], beta, cost, cfg, 1)
-        with pytest.raises(ValueError, match="multipliers"):
-            solver._kernel_lse(u, v, alpha[:3], beta, cost, cfg, 0)

@@ -1,0 +1,124 @@
+"""Compare the command-line outputs of two checkouts of qot.
+
+    python tools/same_outputs.py PARENT CHANGE [--seeds 0 1 2] [--workloads desk dti]
+
+For every workload of ``bench/run.py`` (``WORKLOADS``) and every seed, each
+checkout writes the inputs with its own ``bench/gen.py`` and runs the
+workload's CLI stages on them with its own ``src``, as the benchmark runs
+them.  The solve stage gets a ``--report`` if it writes none, so that every
+solve's iteration count can be printed; a report changes no other output.  Then
+every file of the two runs is compared: ``same`` if the bytes match;
+otherwise the largest difference of the numbers in it, relative to the
+largest magnitude in the parent's file (or ``text differs`` if anything
+but the numbers does).  ``bench/checks.py`` checks the change's outputs.
+
+Exits 0 if every file is byte-identical and every check passes, else 1.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "bench"))
+
+import checks  # noqa: E402
+import run  # noqa: E402
+
+# A JSON or SVG number; the text between numbers must match exactly.
+_NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
+
+
+def run_stages(checkout: Path, workload: str, seed: int, wd: Path) -> list:
+    """Generate the inputs and run the stages of ``workload`` in ``wd``
+    with ``checkout``'s sources; returns the stages' exit codes."""
+    env = dict(run.child_env(), PYTHONPATH=str(checkout / "src"))
+    wd.mkdir(parents=True)
+    subprocess.run([sys.executable, str(checkout / "bench" / "gen.py"),
+                    "--workload", workload, "--seed", str(seed), "--out", str(wd)],
+                   env=env, check=True)
+    codes = []
+    for stage in run.WORKLOADS[workload].stages:
+        args = list(stage.args)
+        if stage.name == run.WORKLOADS[workload].solve and "--report" not in args:
+            args += ["--report", f"{stage.name}-report.json"]
+        proc = subprocess.run([sys.executable, "-m", "qot.cli"] + args, cwd=wd,
+                              env=env, capture_output=True, text=True)
+        if proc.returncode:
+            print(f"  {checkout}: {stage.name} exited {proc.returncode}: "
+                  f"{proc.stderr.strip()[-500:]}")
+        codes.append(proc.returncode)
+    return codes
+
+
+def difference(a: str, b: str) -> str:
+    """How the text ``b`` differs from ``a``."""
+    parts_a, parts_b = _NUMBER.split(a), _NUMBER.split(b)
+    if len(parts_a) != len(parts_b) or parts_a[::2] != parts_b[::2]:
+        return "text differs"
+    x = [float(v) for v in parts_a[1::2]]
+    y = [float(v) for v in parts_b[1::2]]
+    diff = max((abs(p - q) for p, q in zip(x, y)), default=0.0)
+    scale = max((abs(p) for p in x), default=0.0)
+    return f"largest relative difference {diff / scale if scale else diff:.3g}"
+
+
+def iterations(path: Path) -> list:
+    """The iteration counts of a ``--report`` document."""
+    doc = json.loads(path.read_text())
+    return [entry["iterations"] for entry in (doc if isinstance(doc, list) else [doc])]
+
+
+def compare(parent: Path, change: Path, workload: str, seed: int, tmp: Path) -> bool:
+    print(f"{workload} seed {seed}")
+    dirs = [tmp / side / f"{workload}-{seed}" for side in ("parent", "change")]
+    codes = [run_stages(checkout, workload, seed, wd)
+             for checkout, wd in zip((parent, change), dirs)]
+    same = codes[0] == codes[1] and not any(codes[1])
+    names = sorted({p.name for wd in dirs for p in wd.iterdir()})
+    for name in names:
+        a, b = (wd / name for wd in dirs)
+        if not (a.exists() and b.exists()):
+            status = f"only in the {'parent' if a.exists() else 'change'}"
+        elif a.read_bytes() == b.read_bytes():
+            status = "same"
+        else:
+            status = difference(a.read_text(), b.read_text())
+        same = same and status == "same"
+        if name.endswith("report.json") and a.exists() and b.exists():
+            status += f"; iterations {iterations(a)} -> {iterations(b)}"
+        print(f"  {name:24s} {status}")
+    for stage in run.WORKLOADS[workload].stages:
+        try:
+            stage.check(dirs[1])
+        except checks.CheckFailed as exc:
+            print(f"  check of {stage.name} failed: {exc}")
+            same = False
+    return same
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
+    parser.add_argument("--workloads", nargs="+", choices=sorted(run.WORKLOADS),
+                        default=sorted(run.WORKLOADS))
+    args = parser.parse_args(argv)
+    parent, change = args.parent.resolve(), args.change.resolve()
+    with tempfile.TemporaryDirectory() as tmp:
+        results = [compare(parent, change, workload, seed, Path(tmp))
+                   for workload in args.workloads for seed in args.seeds]
+    print("every output byte-identical, every check passed" if all(results)
+          else "outputs differ or a check failed")
+    return 0 if all(results) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
