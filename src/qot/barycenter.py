@@ -17,9 +17,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cost import _kernel_lse
-from .measure import TensorMeasure
+from .measure import TensorMeasure, _as_tensor_stack
 from .solver import (DualState, SolverConfig, _certify, _exp_capped,
-                     _kernel_terms, _report, _scale, _update)
+                     _kernel_terms, _report, _scale)
 from .sym import exp_sym, log_sym
 
 __all__ = [
@@ -103,7 +103,7 @@ def barycenter_solve(prob: BarycenterProblem, cfg: SolverConfig | None = None):
     fidelity strengths come from the problem itself (``prob.rho`` on the
     input side, always a hard constraint on the barycenter side), so
     ``cfg.rho1``, ``cfg.rho2`` and ``cfg.trace_constrained`` are ignored
-    here.
+    here; the report's ``config`` is the configuration that ran.
 
     Returns ``(TensorMeasure, SolveReport)``.  The report's
     ``dual_states`` carries the per-input dual potentials (the weighted
@@ -121,8 +121,6 @@ def barycenter_solve(prob: BarycenterProblem, cfg: SolverConfig | None = None):
     """
     cfg = replace(cfg or SolverConfig(), rho1=prob.rho, rho2=math.inf,
                   trace_constrained=False)
-    tau1, tau2 = cfg.tau(1), cfg.tau(2)
-    eps = cfg.eps
     d = prob.tensor_dim
     n_support = len(prob.support)
     n_inputs = prob.n_inputs
@@ -137,23 +135,21 @@ def barycenter_solve(prob: BarycenterProblem, cfg: SolverConfig | None = None):
         for idx in range(n_inputs):
             cost = prob.costs[idx]
             rows, cols = _kernel_terms(u[idx], v[idx], None, None, cfg)
-            lse_rows = _kernel_lse(rows, cols, cost, eps, 1)
-            u_new = _update(u[idx], lse_rows - log_mu[idx], tau1, eps, True)
+            lse_rows = _kernel_lse(rows, cols, cost, cfg.eps, 1)
+            u_new = cfg.relax(1, u[idx], lse_rows - log_mu[idx])
             # The column-potential change alone is blind to row-potential
             # drift (it vanishes identically for a single input), so the
             # residual tracks both.
             res = max(res, float(np.abs(u_new - u[idx]).max()))
             u[idx] = u_new
             rows, cols = _kernel_terms(u_new, v[idx], None, None, cfg)
-            lse_cols.append(_kernel_lse(rows, cols, cost, eps, 0))
+            lse_cols.append(_kernel_lse(rows, cols, cost, cfg.eps, 0))
 
-        log_nu = sum(
-            w * (lse_cols[idx] + v[idx] / eps)
-            for idx, w in enumerate(prob.weights)
-        )
+        log_nu = sum(w * (lse_cols[idx] + v[idx] / cfg.eps)
+                     for idx, w in enumerate(prob.weights))
 
         for idx in range(n_inputs):
-            v_new = _update(v[idx], lse_cols[idx] - log_nu, tau2, eps, False)
+            v_new = cfg.relax(2, v[idx], lse_cols[idx] - log_nu)
             res = max(res, float(np.abs(v_new - v[idx]).max()))
             v[idx] = v_new
         return tuple(u) + tuple(v), res
@@ -178,7 +174,7 @@ def barycenter_solve(prob: BarycenterProblem, cfg: SolverConfig | None = None):
         notes += [note for note in extra if note not in notes]
         primal += float(w) * p
         dual += float(w) * q
-    return nu, _report(history, converged, primal, dual, notes, states)
+    return nu, _report(cfg, history, converged, primal, dual, notes, states)
 
 
 def pointwise_barycenter(tensors, weights, energy: float, rho: float) -> np.ndarray:
@@ -190,12 +186,12 @@ def pointwise_barycenter(tensors, weights, energy: float, rho: float) -> np.ndar
     optimal location (zero when all inputs share a point).  Singular
     inputs flow through the log's eigenvalue clamping.
     """
-    stack = np.asarray(tensors, dtype=float)
+    stack = _as_tensor_stack(tensors)
     w = np.asarray(weights, dtype=float)
-    if stack.ndim != 3 or len(stack) != len(w):
+    if len(stack) != len(w):
         raise ValueError("expected one weight per tensor")
     _check_weights(w)
-    if energy < 0.0:
+    if not energy >= 0.0:
         raise ValueError("energy must be >= 0")
     if not rho > 0.0:
         raise ValueError("rho must be > 0")

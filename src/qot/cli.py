@@ -5,8 +5,8 @@ interpolation, barycenters, distance reporting, SVG rendering and the
 diffusion noise demo.  The driver parses flags, calls the library,
 writes files and maps exit codes: a flag left out takes the library's
 default, and the library checks the inputs.  Exit codes: 0 success, 1
-input error, 2 a solve that is not certified: it hit the iteration limit
-without converging or ended with a non-finite objective.
+input error, 2 a solve that is not certified (``SolveReport.certified``):
+it hit the iteration limit or ended with a non-finite objective.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -83,43 +83,39 @@ def _given(args, *names) -> dict:
 
 
 def _exit_code(report: SolveReport) -> int:
-    """0 only for a certified solve: converged, with finite objectives."""
-    finite = math.isfinite(report.primal_value) and math.isfinite(report.dual_value)
-    return EXIT_OK if report.converged and finite else EXIT_NO_CONVERGENCE
+    """0 only for a certified solve (:attr:`SolveReport.certified`)."""
+    return EXIT_OK if report.certified else EXIT_NO_CONVERGENCE
 
 
-def _report_dict(report: SolveReport, cfg: SolverConfig) -> dict:
+def _report_dict(report: SolveReport) -> dict:
     """The ``--report`` document; a non-finite objective value (which the
     solver's notes already name) is written as null with a note, so the
-    document stays strict JSON."""
+    document stays strict JSON.  ``config`` is the configuration the solve
+    ran, with a hard constraint's ``inf`` written as ``"inf"`` and the
+    effective relaxations in place of ``tau1`` and ``tau2``."""
     values = {"primal_value": report.primal_value, "dual_value": report.dual_value}
     notes = list(report.notes)
     for key, value in values.items():
         if not math.isfinite(value):
             values[key] = None
             notes.append(f"{key} written as null")
+    cfg = report.config
+    config = {key: "inf" if value == math.inf else value
+              for key, value in asdict(cfg).items()}
+    config.update(tau1=cfg.tau(1), tau2=cfg.tau(2))
     return {
         "iterations": report.iterations,
         "converged": report.converged,
         **values,
         "residual_history": report.residual_history.tolist(),
         "notes": notes,
-        "config": {
-            "eps": cfg.eps,
-            "rho1": cfg.rho1 if math.isfinite(cfg.rho1) else "inf",
-            "rho2": cfg.rho2 if math.isfinite(cfg.rho2) else "inf",
-            "tau1": cfg.tau(1),
-            "tau2": cfg.tau(2),
-            "max_iter": cfg.max_iter,
-            "tol": cfg.tol,
-            "trace_constrained": cfg.trace_constrained,
-        },
+        "config": config,
     }
 
 
 def _solve_pair(args, mu, nu):
     """The transport solve of ``transport`` and ``distance``:
-    ``(coupling, report, config)``."""
+    ``(coupling, report)``."""
     cfg = SolverConfig(**_given(args, "eps", "rho1", "rho2", "max_iter", "tol",
                                 "trace_constrained"))
     alpha = _given(args, "alpha")
@@ -128,12 +124,12 @@ def _solve_pair(args, mu, nu):
     else:
         cost = euclidean_cost(mu.points, nu.points, **alpha)
     coupling, _, report = sinkhorn_solve(mu, nu, cost, cfg)
-    return coupling, report, cfg
+    return coupling, report
 
 
 def _frame_path(pattern: str, index: int, count: int) -> Path:
     if "{i}" in pattern:
-        return Path(pattern.replace("{i}", str(index)))
+        return Path(str(index).join(pattern.split("{i}")))
     if count == 1:
         return Path(pattern)
     stem = Path(pattern)
@@ -141,11 +137,10 @@ def _frame_path(pattern: str, index: int, count: int) -> Path:
 
 
 def _cmd_transport(args) -> int:
-    coupling, report, cfg = _solve_pair(args, load_field(args.mu),
-                                        load_field(args.nu))
+    coupling, report = _solve_pair(args, load_field(args.mu), load_field(args.nu))
     save_coupling(args.out, coupling)
     if args.report:
-        doc = _report_dict(report, cfg)
+        doc = _report_dict(report)
         Path(args.report).write_text(json.dumps(doc, allow_nan=False) + "\n")
     return _exit_code(report)
 
@@ -212,12 +207,10 @@ def _cmd_barycenter(args) -> int:
         if args.render:
             out.with_suffix(".svg").write_text(
                 render_field_svg(nu, **_given(args, "scale")))
-        if _exit_code(report) != EXIT_OK:
+        if not report.certified:
             code = EXIT_NO_CONVERGENCE
-        # The report states the fidelities the barycenter solve used.
-        used = replace(cfg, rho1=prob.rho, rho2=math.inf)
         doc.append({"index": index, "weights": w.tolist(),
-                    **_report_dict(report, used)})
+                    **_report_dict(report)})
     if args.report:
         Path(args.report).write_text(json.dumps(doc, allow_nan=False) + "\n")
     return code
@@ -232,7 +225,7 @@ def _cmd_distance(args) -> int:
                 f"pointwise indices ({i}, {j}) out of range "
                 f"({mu.n_atoms}, {nu.n_atoms})"
             )
-    _, report, _ = _solve_pair(args, mu, nu)
+    _, report = _solve_pair(args, mu, nu)
     print(f"W_eps {report.primal_value:.11e}")
     if args.pointwise is not None:
         i, j = args.pointwise

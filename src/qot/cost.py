@@ -88,11 +88,8 @@ def euclidean_cost(xs, ys, alpha: float = 2.0) -> GroundCost:
         raise ValueError(
             f"ambient dimensions differ: {xs.shape[1]} vs {ys.shape[1]}"
         )
-    if alpha <= 0.0:
-        raise ValueError("alpha must be > 0")
     diff = xs[:, None, :] - ys[None, :, :]
-    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    return GroundCost("isotropic", dist**alpha)
+    return _power_cost(np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)), alpha)
 
 
 def from_distance_matrix(dist, alpha: float = 2.0) -> GroundCost:
@@ -105,7 +102,12 @@ def from_distance_matrix(dist, alpha: float = 2.0) -> GroundCost:
         raise ValueError(f"distance matrix must be 2-D, got {dist.shape}")
     if np.any(dist < 0.0) or not np.all(np.isfinite(dist)):
         raise ValueError("distance entries must be finite and >= 0")
-    if alpha <= 0.0:
+    return _power_cost(dist, alpha)
+
+
+def _power_cost(dist: np.ndarray, alpha: float) -> GroundCost:
+    """The isotropic cost ``dist ** alpha``; the one check of ``alpha``."""
+    if not alpha > 0.0:
         raise ValueError("alpha must be > 0")
     return GroundCost("isotropic", dist**alpha)
 

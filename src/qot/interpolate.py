@@ -15,7 +15,8 @@ from itertools import product as _cell_offsets_product
 
 import numpy as np
 
-from .measure import Coupling, TensorMeasure, marginal_cols, marginal_rows
+from .measure import (Coupling, TensorMeasure, _as_tensor_stack, _check_coupling,
+                      marginal_cols, marginal_rows)
 from .sym import clamp_psd, eig_sym, exp_sym, log_sym, _reconstruct
 
 __all__ = [
@@ -328,11 +329,7 @@ def displacement_interpolate(mu: TensorMeasure, nu: TensorMeasure,
     if not mu.tensor_dim == nu.tensor_dim == g.tensor_dim:
         raise ValueError(f"tensor dimensions differ: {mu.tensor_dim} vs "
                          f"{nu.tensor_dim}, coupling {g.tensor_dim}")
-    if g.rows != mu.n_atoms or g.cols != nu.n_atoms:
-        raise ValueError(
-            f"coupling is {g.rows}x{g.cols} but measures have "
-            f"{mu.n_atoms} and {nu.n_atoms} atoms"
-        )
+    _check_coupling(g, mu, nu)
     t = p.t
     traces = np.trace(g.entries, axis1=-2, axis2=-1)
     max_trace = float(traces.max(initial=0.0))
@@ -363,10 +360,9 @@ def single_dirac_distance(p, q) -> float:
     [-1e-12, 0) is clamped to zero; anything more negative raises
     :class:`NumericalConsistencyError`.
     """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.shape != q.shape or p.ndim != 2:
+    if np.ndim(p) != 2 or np.shape(p) != np.shape(q):
         raise ValueError("expected two square matrices of equal dimension")
+    p, q = _as_tensor_stack(p, "first")[0], _as_tensor_stack(q, "second")[0]
     if np.array_equal(p, q):
         # exact value; the generic radicand only reaches ~1e-15 tr(P) here
         return 0.0

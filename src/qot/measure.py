@@ -232,6 +232,13 @@ def inner(a, b) -> float:
     return float((x * y).sum())
 
 
+def _check_coupling(g: Coupling, mu: TensorMeasure, nu: TensorMeasure) -> None:
+    """Reject a coupling whose shape is not ``mu``'s atoms by ``nu``'s."""
+    if g.rows != mu.n_atoms or g.cols != nu.n_atoms:
+        raise ValueError(f"coupling is {g.rows}x{g.cols} but measures have "
+                         f"{mu.n_atoms} and {nu.n_atoms} atoms")
+
+
 def primal_objective(g: Coupling, mu: TensorMeasure, nu: TensorMeasure, cost, cfg) -> float:
     """Entropic-regularized transport objective of a coupling:
 
@@ -243,11 +250,7 @@ def primal_objective(g: Coupling, mu: TensorMeasure, nu: TensorMeasure, cost, cf
     enforces the constraint itself).  ``+inf`` propagates from the KL
     terms when a kernel escapes.
     """
-    if g.rows != mu.n_atoms or g.cols != nu.n_atoms:
-        raise ValueError(
-            f"coupling is {g.rows}x{g.cols} but measures have "
-            f"{mu.n_atoms} and {nu.n_atoms} atoms"
-        )
+    _check_coupling(g, mu, nu)
     d = g.tensor_dim
     total = cost.contract(g.entries)
     if math.isfinite(cfg.rho1):

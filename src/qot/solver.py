@@ -14,7 +14,8 @@ extrapolation over its last few iterates takes over (default relaxations
 only).  A ``rho`` equal to ``inf`` is a symbolic sentinel for
 a hard marginal constraint: the corresponding potential switches to its
 rescaled limit parametrization (coefficient one inside the kernel,
-additive updates) and ``rho * x`` is never evaluated numerically.
+additive updates in :meth:`SolverConfig.relax`) and ``rho * x`` is never
+evaluated numerically.
 """
 
 from __future__ import annotations
@@ -83,14 +84,14 @@ class SolverConfig:
     """Parameters of the scaling solver.
 
     ``rho1`` / ``rho2`` are the marginal fidelity strengths (``inf`` for a
-    hard constraint).  ``tau1`` / ``tau2`` default to
-    ``1.8 * eps / (eps + rho)`` for finite ``rho`` and to ``1.8`` for the
-    hard-constraint side (both are 1.8x the step that solves the scalar
-    fixed point exactly).  With both left at their defaults the solvers
-    accelerate the scaling map (see :class:`_Anderson`); an explicit
-    ``tau1`` or ``tau2`` runs exactly the plain relaxed iteration.  ``tol``
-    is the sup-norm threshold on the per-iteration change of the second
-    potential.
+    hard constraint, the only infinite value allowed).  ``tau1`` / ``tau2``
+    default to ``1.8 * eps / (eps + rho)`` for finite ``rho`` and to ``1.8``
+    for the hard-constraint side (both are 1.8x the step that solves the
+    scalar fixed point exactly); :meth:`relax` takes the step.  With both
+    left at their defaults the solvers accelerate the scaling map (see
+    :class:`_Anderson`); an explicit ``tau1`` or ``tau2`` runs exactly the
+    plain relaxed iteration.  ``tol`` is the sup-norm threshold on the
+    per-iteration change of the second potential; ``max_iter`` is an int.
     """
 
     eps: float = 0.08**2
@@ -111,12 +112,14 @@ class SolverConfig:
                 raise ValueError(f"{name} must be > 0 (inf allowed)")
         for name in ("tau1", "tau2"):
             tau = getattr(self, name)
-            if tau is not None and not tau > 0.0:
-                raise ValueError(f"{name} must be > 0 when given")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        if not self.tol > 0.0:
-            raise ValueError("tol must be > 0")
+            if tau is not None and not (tau > 0.0 and math.isfinite(tau)):
+                raise ValueError(f"{name} must be positive and finite when given")
+        if (isinstance(self.max_iter, bool)
+                or not isinstance(self.max_iter, (int, np.integer))
+                or self.max_iter < 1):
+            raise ValueError("max_iter must be an integer >= 1")
+        if not (self.tol > 0.0 and math.isfinite(self.tol)):
+            raise ValueError("tol must be positive and finite")
 
     def tau(self, side: int) -> float:
         """Effective relaxation for side 1 (rows) or 2 (columns)."""
@@ -127,6 +130,15 @@ class SolverConfig:
         if math.isfinite(rho):
             return _DEFAULT_TAU_FACTOR * self.eps / (self.eps + rho)
         return _DEFAULT_TAU_FACTOR
+
+    def relax(self, side: int, old: np.ndarray, gap: np.ndarray) -> np.ndarray:
+        """One relaxed step, by :meth:`tau`, of side 1's or 2's potential
+        toward ``gap`` = LSE - log target; on a hard side the step is
+        additive on the rescaled potential."""
+        tau = self.tau(side)
+        if math.isfinite(self.rho1 if side == 1 else self.rho2):
+            return (1.0 - tau) * old + tau * gap
+        return old + tau * self.eps * gap
 
     def kernel_coef(self, side: int) -> float:
         """Coefficient multiplying the potential inside the kernel: rho
@@ -176,15 +188,23 @@ class SolveReport:
     constraints and trace mode in use, the Anderson acceleration if it
     engaged, an iteration budget spent without convergence, every
     exponential capped at exp(700), and each objective value that is not
-    finite."""
+    finite.  ``config`` is the configuration the loop ran, after any
+    override by the solver (trace mode, or a barycenter's fidelities)."""
 
     iterations: int
     residual_history: np.ndarray
     converged: bool
     primal_value: float
     dual_value: float
+    config: SolverConfig
     notes: tuple = ()
     dual_states: tuple | None = None
+
+    @property
+    def certified(self) -> bool:
+        """Converged, with finite primal and dual values: a finite gap."""
+        return (self.converged and math.isfinite(self.primal_value)
+                and math.isfinite(self.dual_value))
 
 
 def _validate_problem(mu: TensorMeasure, nu: TensorMeasure, cost: GroundCost):
@@ -201,16 +221,6 @@ def _validate_problem(mu: TensorMeasure, nu: TensorMeasure, cost: GroundCost):
         )
     if cost.kind == "matrix" and cost.values.shape[-1] != mu.tensor_dim:
         raise ValueError("matrix cost dimension does not match tensors")
-
-
-def _update(old: np.ndarray, target_gap: np.ndarray, tau: float, eps: float,
-            finite_rho: bool) -> np.ndarray:
-    """One relaxed fixed-point step.  For finite rho the potential relaxes
-    toward the fixed-point value; in the hard-constraint limit the update
-    is additive on the rescaled potential."""
-    if finite_rho:
-        return (1.0 - tau) * old + tau * target_gap
-    return old + tau * eps * target_gap
 
 
 def _exp_capped(mats):
@@ -397,16 +407,16 @@ def _certify(state: DualState, mu: TensorMeasure, nu: TensorMeasure,
             dual_objective(state, mu, nu, cost, cfg))
 
 
-def _report(history: np.ndarray, converged: bool, primal: float, dual: float,
-            notes: list, dual_states: tuple | None = None) -> SolveReport:
-    """The report of a solve; one more note per objective value that is
-    not finite."""
+def _report(cfg: SolverConfig, history: np.ndarray, converged: bool, primal: float,
+            dual: float, notes: list, dual_states: tuple | None = None) -> SolveReport:
+    """The report of a solve run with ``cfg``; one more note per objective
+    value that is not finite."""
     notes = tuple(notes) + tuple(
         f"{key} is not finite ({value})"
         for key, value in (("primal_value", primal), ("dual_value", dual))
         if not math.isfinite(value))
-    return SolveReport(len(history), history, converged, primal, dual, notes,
-                       dual_states)
+    return SolveReport(len(history), history, converged, primal, dual, cfg,
+                       notes, dual_states)
 
 
 def sinkhorn_solve(mu: TensorMeasure, nu: TensorMeasure, cost: GroundCost,
@@ -465,14 +475,11 @@ def sinkhorn_solve(mu: TensorMeasure, nu: TensorMeasure, cost: GroundCost,
         log_tr_mu, log_tr_nu = np.log(tr_mu), np.log(tr_nu)
 
     log_mu, log_nu = log_sym(mu.tensors), log_sym(nu.tensors)
-    tau1, tau2 = cfg.tau(1), cfg.tau(2)
-    fin1, fin2 = math.isfinite(cfg.rho1), math.isfinite(cfg.rho2)
 
     def step(point):
         u, v, alpha, beta = point
         rows, cols = _kernel_terms(u, v, alpha, beta, cfg)
-        u = _update(u, _kernel_lse(rows, cols, cost, cfg.eps, 1) - log_mu,
-                    tau1, cfg.eps, fin1)
+        u = cfg.relax(1, u, _kernel_lse(rows, cols, cost, cfg.eps, 1) - log_mu)
         rows, cols = _kernel_terms(u, v, alpha, beta, cfg)
         if cfg.trace_constrained:
             # alpha += step_a moves kernel row i by -step_a_i / eps * I.
@@ -482,7 +489,7 @@ def sinkhorn_solve(mu: TensorMeasure, nu: TensorMeasure, cost: GroundCost,
             lse_v = _lse_eig(vals - (step_a / cfg.eps)[:, None, None], vecs, 0)
         else:
             lse_v = _kernel_lse(rows, cols, cost, cfg.eps, 0)
-        v_new = _update(v, lse_v - log_nu, tau2, cfg.eps, fin2)
+        v_new = cfg.relax(2, v, lse_v - log_nu)
         res = float(np.abs(v_new - v).max())
         v = v_new
         if cfg.trace_constrained:
@@ -506,11 +513,11 @@ def sinkhorn_solve(mu: TensorMeasure, nu: TensorMeasure, cost: GroundCost,
     state = DualState(*image)
     coupling, coupling_notes, primal, dual = _certify(state, mu, nu, cost, cfg)
     notes = [note for flag, note in (
-        (not fin1, "rho1=inf: hard row-marginal constraint"),
-        (not fin2, "rho2=inf: hard column-marginal constraint"),
+        (cfg.rho1 == math.inf, "rho1=inf: hard row-marginal constraint"),
+        (cfg.rho2 == math.inf, "rho2=inf: hard column-marginal constraint"),
         (cfg.trace_constrained, "trace-constrained marginals"),
     ) if flag] + loop_notes + coupling_notes
-    return coupling, state, _report(history, converged, primal, dual, notes)
+    return coupling, state, _report(cfg, history, converged, primal, dual, notes)
 
 
 def sinkhorn_solve_trace(mu: TensorMeasure, nu: TensorMeasure, cost: GroundCost,

@@ -1,6 +1,5 @@
 """Shared instance builders for solver, barycenter and acceptance tests."""
 
-import math
 from dataclasses import replace
 from itertools import product as _cell_offsets_product
 
@@ -181,17 +180,16 @@ def merge_atoms_loop(points, tensors, radius):
 
 def trace_solve_four_eigh(mu, nu, cost, cfg):
     """Reference for the trace-constrained map of
-    ``qot.solver.sinkhorn_solve``: the step it replaced, kept verbatim, in
-    which each of the four half-steps rebuilds the kernel and decomposes it
-    in full (two LSEs and two log-sum-trace-exps of ``eig_sym`` values),
-    run through the same loop and finalisation.  Returns the coupling, the
+    ``qot.solver.sinkhorn_solve``: the step it replaced, kept verbatim but
+    for the relaxations, now ``SolverConfig.relax``, in which each of the
+    four half-steps rebuilds the kernel and decomposes it in full (two
+    LSEs and two log-sum-trace-exps of ``eig_sym`` values), run through
+    the same loop and finalisation.  Returns the coupling, the
     dual state, the iteration count and the primal and dual values."""
     cfg = replace(cfg, trace_constrained=True)
     log_tr_mu = np.log(np.trace(mu.tensors, axis1=-2, axis2=-1))
     log_tr_nu = np.log(np.trace(nu.tensors, axis1=-2, axis2=-1))
     log_mu, log_nu = log_sym(mu.tensors), log_sym(nu.tensors)
-    tau1, tau2 = cfg.tau(1), cfg.tau(2)
-    fin1, fin2 = math.isfinite(cfg.rho1), math.isfinite(cfg.rho2)
 
     def lste_reduce(k, axis):
         return solver._lste_values(eig_sym(k).values, axis)
@@ -205,15 +203,11 @@ def trace_solve_four_eigh(mu, nu, cost, cfg):
 
     def step(point):
         u, v, alpha, beta = point
-        u = solver._update(
-            u, kernel_lse(u, v, alpha, beta, 1) - log_mu,
-            tau1, cfg.eps, fin1)
+        u = cfg.relax(1, u, kernel_lse(u, v, alpha, beta, 1) - log_mu)
         k = dual_kernel(u, v, alpha, beta)
         step_a = cfg.eps * (lste_reduce(k, axis=1) - log_tr_mu)
         alpha = alpha + step_a
-        v_new = solver._update(
-            v, kernel_lse(u, v, alpha, beta, 0) - log_nu,
-            tau2, cfg.eps, fin2)
+        v_new = cfg.relax(2, v, kernel_lse(u, v, alpha, beta, 0) - log_nu)
         res = float(np.abs(v_new - v).max())
         v = v_new
         k = dual_kernel(u, v, alpha, beta)

@@ -66,6 +66,19 @@ class TestPointwiseBarycenter:
         out = pointwise_barycenter(np.eye(2)[None], [1.0], energy=1.0, rho=1.0)
         assert np.allclose(out, math.exp(-1.0) * np.eye(2), atol=1e-14)
 
+    def test_nan_energy_rejected(self):
+        # ``energy < 0`` is false for NaN, which would give an all-NaN result.
+        with pytest.raises(ValueError, match="energy must be >= 0"):
+            pointwise_barycenter(np.eye(2)[None], [1.0], math.nan, 1.0)
+
+    @pytest.mark.parametrize("bad, message", [
+        ([[1.0, 2.0], [0.0, 1.0]], "non-symmetric matrix"),
+        ([[1.0, math.nan], [math.nan, 1.0]], "non-finite entry"),
+    ])
+    def test_tensors_go_through_the_symmetry_check(self, bad, message):
+        with pytest.raises(ValueError, match=message):
+            pointwise_barycenter(np.stack([bad, np.eye(2)]), [0.5, 0.5], 0.0, 1.0)
+
     def test_weight_validation(self):
         with pytest.raises(ValueError):
             pointwise_barycenter(np.eye(2)[None], [0.5], 0.0, 1.0)

@@ -151,6 +151,62 @@ def test_top_level_exports_each_module_name_once():
             assert getattr(qot, name) is getattr(module, name)
 
 
+def _written_config(cfg):
+    """The ``--report`` ``config`` block of a solve run with ``cfg``: its
+    fields in declaration order, ``inf`` as ``"inf"``, and the effective
+    relaxations."""
+    def value(x):
+        return "inf" if x == math.inf else x
+    return {"eps": cfg.eps, "rho1": value(cfg.rho1), "rho2": value(cfg.rho2),
+            "tau1": cfg.tau(1), "tau2": cfg.tau(2), "max_iter": cfg.max_iter,
+            "tol": cfg.tol, "trace_constrained": cfg.trace_constrained}
+
+
+class TestReportConfig:
+    """The report's ``config`` is the configuration the solve ran, read
+    off ``SolveReport.config``."""
+
+    @pytest.fixture
+    def balanced_pair(self, tmp_path):
+        # Equal total traces, so that trace mode is feasible.
+        rng = np.random.default_rng(2)
+        tensors = random_psd(rng, 2, n=3)
+        mu = write_field(tmp_path / "mu.json", rng.uniform(size=(3, 2)), tensors)
+        nu = write_field(tmp_path / "nu.json", rng.uniform(size=(3, 2)),
+                         tensors[::-1])
+        return mu, nu
+
+    @pytest.mark.parametrize("flags, kwargs", [
+        ([], {}),
+        (["--trace-constrained", "--eps", "0.05"],
+         {"trace_constrained": True, "eps": 0.05}),
+        (["--rho2", "inf", "--rho1", "0.5", "--eps", "0.05", "--max-iter", "20000",
+          "--tol", "1e-8"],
+         {"rho1": 0.5, "rho2": math.inf, "eps": 0.05, "max_iter": 20000,
+          "tol": 1e-8}),
+    ])
+    def test_transport(self, tmp_path, balanced_pair, flags, kwargs):
+        mu, nu = balanced_pair
+        report = tmp_path / "report.json"
+        assert main(["transport", "--mu", mu, "--nu", nu, *flags,
+                     "--out", str(tmp_path / "c.json"),
+                     "--report", str(report)]) == 0
+        doc = json.loads(report.read_text(), parse_constant=_reject_constant)
+        want = _written_config(SolverConfig(**kwargs))
+        assert list(doc["config"].items()) == list(want.items())
+
+    def test_barycenter(self, tmp_path, balanced_pair):
+        report = tmp_path / "report.json"
+        assert main(["barycenter", "--inputs", ",".join(balanced_pair),
+                     "--weights", "0.5,0.5", "--rho", "0.3", "--eps", "0.05",
+                     "--out", str(tmp_path / "b.json"),
+                     "--report", str(report)]) == 0
+        (entry,) = json.loads(report.read_text(), parse_constant=_reject_constant)
+        want = _written_config(SolverConfig(eps=0.05, rho1=0.3, rho2=math.inf))
+        assert list(entry["config"].items()) == list(want.items())
+        assert entry["config"]["trace_constrained"] is False
+
+
 class TestTransport:
     def test_scalar_closed_form(self, tmp_path):
         mu = scalar_field(tmp_path / "mu.json", [2.0], [[0.0]])
@@ -199,6 +255,16 @@ class TestTransport:
             "--out", str(tmp_path / "c.json"),
         ])
         assert code == 2
+
+    def test_infinite_tol_exits_1_before_solving(self, tmp_path, small_pair):
+        # Unchecked, it "converges" at once, writes the coupling and then
+        # fails on the report's non-standard JSON.
+        mu, nu = small_pair
+        out = tmp_path / "c.json"
+        code = main(["transport", "--mu", mu, "--nu", nu, "--tol", "inf",
+                     "--out", str(out), "--report", str(tmp_path / "r.json")])
+        assert code == 1
+        assert not out.exists()
 
     def test_non_finite_primal_is_null_and_exits_2(self, tmp_path):
         # Masses of 1e305 make the coupling's entropy overflow: the solve

@@ -32,6 +32,10 @@ class TestEuclideanCost:
         with pytest.raises(ValueError):
             euclidean_cost([(0.0,)], [(1.0,)], alpha=0.0)
 
+    def test_nan_alpha_names_alpha(self):
+        with pytest.raises(ValueError, match="alpha must be > 0"):
+            euclidean_cost([(0.0,)], [(1.0,)], alpha=float("nan"))
+
 
 class TestDistanceMatrixCost:
     def test_zero_matrix(self):
@@ -50,6 +54,11 @@ class TestDistanceMatrixCost:
     def test_negative_entry_rejected(self):
         with pytest.raises(ValueError):
             from_distance_matrix([[-1.0]], alpha=1.0)
+
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, float("nan")])
+    def test_alpha_must_be_positive(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be > 0"):
+            from_distance_matrix([[1.0]], alpha=alpha)
 
 
 class TestKernel:

@@ -7,7 +7,8 @@ through the transport solver, the barycenter solver and ``qot transport
 and dual values, so a finite duality gap) or say why not: a note that the
 iteration budget ran out, or one naming each objective value that is not
 finite.  The command line must exit 0 for the first and 2 for the second,
-and its report must be strict JSON.
+and its report must be strict JSON.  ``SolveReport.certified`` must
+agree with each of these verdicts.
 """
 
 import json
@@ -82,9 +83,11 @@ def test_degenerate_inputs_are_certified_or_diagnosed(mu_kinds, nu_kinds, angles
     nu = _measure(nu_kinds, angles[3:], 30.0 if far else 0.0)
     cfg = SolverConfig(eps=eps, rho1=rho, rho2=rho, max_iter=MAX_ITER, tol=TOL)
 
-    _, _, report = sinkhorn_solve(mu, nu, euclidean_cost(mu.points, nu.points), cfg)
-    _check_outcome(report.converged, report.primal_value, report.dual_value,
-                   report.notes)
+    _, _, transport = sinkhorn_solve(mu, nu, euclidean_cost(mu.points, nu.points),
+                                     cfg)
+    assert transport.certified == _check_outcome(
+        transport.converged, transport.primal_value, transport.dual_value,
+        transport.notes)
 
     # A barycenter's input side needs a finite fidelity.
     if math.isfinite(rho):
@@ -92,8 +95,9 @@ def test_degenerate_inputs_are_certified_or_diagnosed(mu_kinds, nu_kinds, angles
         prob = BarycenterProblem((mu, nu), np.array([0.5, 0.5]), mu.points,
                                  costs, rho)
         _, report = barycenter_solve(prob, cfg)
-        _check_outcome(report.converged, report.primal_value,
-                       report.dual_value, report.notes)
+        assert report.certified == _check_outcome(
+            report.converged, report.primal_value, report.dual_value,
+            report.notes)
 
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -111,3 +115,5 @@ def test_degenerate_inputs_are_certified_or_diagnosed(mu_kinds, nu_kinds, angles
               for key in ("primal_value", "dual_value")]
     certified = _check_outcome(doc["converged"], *values, doc["notes"])
     assert code == (0 if certified else 2)
+    # The command line ran the library's transport solve.
+    assert certified == transport.certified

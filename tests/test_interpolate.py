@@ -19,7 +19,7 @@ from qot.interpolate import (
     displacement_interpolate,
     single_dirac_distance,
 )
-from qot.measure import Coupling, TensorMeasure
+from qot.measure import Coupling, TensorMeasure, primal_objective
 from qot.solver import SolverConfig, sinkhorn_solve
 
 
@@ -119,6 +119,14 @@ class TestThresholdAndMerge:
             mu, nu, coupling, InterpolationParams(t=0.5, trace_threshold=1e-3)
         )
         assert out.n_atoms < mu.n_atoms * nu.n_atoms
+
+    def test_coupling_shape_checked_as_by_the_primal(self):
+        mu, nu, coupling = solved_instance(rows=3, cols=4)
+        message = "coupling is 3x4 but measures have 4 and 3 atoms"
+        with pytest.raises(ValueError, match=message):
+            displacement_interpolate(nu, mu, coupling, InterpolationParams(0.5))
+        with pytest.raises(ValueError, match=message):
+            primal_objective(coupling, nu, mu, None, SolverConfig())
 
     def test_zero_mass_coupling_empty_measure(self):
         mu = TensorMeasure(np.zeros((1, 2)), np.eye(2)[None])
@@ -303,6 +311,17 @@ class TestSingleDiracDistance:
             d = single_dirac_distance(p, q)
             assert abs(single_dirac_distance(s * p, s * q)
                        - math.sqrt(s) * d) <= 1e-9 * math.sqrt(s) * d
+
+    @pytest.mark.parametrize("p, message", [
+        ([[1.0, 2.0], [0.0, 1.0]], "first stack: non-symmetric matrix"),
+        ([[1.0, math.nan], [math.nan, 1.0]], "first stack: non-finite entry"),
+    ])
+    def test_inputs_go_through_the_symmetry_check(self, p, message):
+        # Unchecked, the first gives 0.732 and the second an OverflowError.
+        with pytest.raises(ValueError, match=message):
+            single_dirac_distance(p, np.eye(2))
+        with pytest.raises(ValueError, match=message.replace("first", "second")):
+            single_dirac_distance(np.eye(2), p)
 
     def test_negative_radicand_reported(self):
         from qot.interpolate import NumericalConsistencyError

@@ -58,6 +58,75 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig(tol=0.0)
 
+    # Values the solve cannot use: an infinite tol "converges" at the
+    # first iteration and breaks the report's strict JSON, max_iter=2.5
+    # fails in range(), max_iter=True runs one iteration, and an infinite
+    # explicit tau ends in non-finite potentials.
+    def test_tol_must_be_finite(self):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            SolverConfig(tol=math.inf)
+
+    @pytest.mark.parametrize("max_iter", [2.5, True, 10.0, "10"])
+    def test_max_iter_must_be_an_integer(self, max_iter):
+        with pytest.raises(ValueError, match="max_iter must be an integer"):
+            SolverConfig(max_iter=max_iter)
+
+    def test_numpy_integer_max_iter_allowed(self):
+        assert SolverConfig(max_iter=np.int64(7)).max_iter == 7
+
+    @pytest.mark.parametrize("name", ["tau1", "tau2"])
+    def test_explicit_tau_must_be_finite(self, name):
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            SolverConfig(**{name: math.inf})
+
+
+class TestRelax:
+    """``SolverConfig.relax`` is, bit for bit, ``(1 - tau) old + tau gap``
+    on a finite side and ``old + tau eps gap`` on a hard side."""
+
+    @pytest.mark.parametrize("cfg", [
+        SolverConfig(),
+        SolverConfig(eps=0.05, rho1=0.3, rho2=math.inf),
+        SolverConfig(eps=0.02, rho1=math.inf, rho2=2.0, tau1=0.7, tau2=1.1),
+    ])
+    def test_equals_the_finite_and_hard_formulas(self, cfg):
+        rng = np.random.default_rng(4)
+        for side, rho in ((1, cfg.rho1), (2, cfg.rho2)):
+            old, gap = random_psd(rng, 2, n=9), rng.standard_normal((9, 2, 2))
+            tau = cfg.tau(side)
+            want = ((1.0 - tau) * old + tau * gap if math.isfinite(rho)
+                    else old + tau * cfg.eps * gap)
+            got = cfg.relax(side, old, gap)
+            assert got.tobytes() == want.tobytes()
+
+
+class TestReportConfig:
+    """``SolveReport.config`` is the configuration the loop ran."""
+
+    def test_plain_solve_reports_the_callers_config(self):
+        mu, nu, cost = random_instance(np.random.default_rng(0), 3, 4, 2)
+        cfg = SolverConfig(eps=0.1, rho2=math.inf)
+        assert sinkhorn_solve(mu, nu, cost, cfg)[2].config is cfg
+
+    def test_trace_solve_reports_trace_mode(self):
+        mu, nu, cost = trace_balanced_instance(np.random.default_rng(0), 3, 4, 2)
+        cfg = SolverConfig(eps=0.1)
+        report = sinkhorn_solve_trace(mu, nu, cost, cfg)[2]
+        assert report.config == replace(cfg, trace_constrained=True)
+
+    def test_barycenter_reports_its_fidelities(self):
+        rng = np.random.default_rng(0)
+        inputs = tuple(TensorMeasure(rng.uniform(size=(3, 2)),
+                                     random_psd(rng, 2, n=3)) for _ in range(2))
+        support = inputs[0].points
+        prob = BarycenterProblem(inputs, np.array([0.5, 0.5]), support,
+                                 tuple(euclidean_cost(m.points, support)
+                                       for m in inputs), rho=0.4)
+        cfg = SolverConfig(eps=0.1, rho1=2.0, rho2=3.0, trace_constrained=True)
+        _, report = barycenter_solve(prob, cfg)
+        assert report.config == replace(cfg, rho1=0.4, rho2=math.inf,
+                                        trace_constrained=False)
+
 
 class TestScalarClosedForm:
     def test_single_pair_fixed_point(self):
@@ -575,6 +644,16 @@ class TestValidation:
 
 
 class TestReportNotes:
+    def test_certified_is_converged_with_finite_objectives(self):
+        mu = heavy_line_measure()
+        cost = euclidean_cost(mu.points, mu.points, alpha=2.0)
+        report = sinkhorn_solve(mu, mu, cost, SolverConfig())[2]
+        assert report.converged and not report.certified
+        mu, nu, cost = random_instance(np.random.default_rng(3), 3, 4, 2)
+        assert sinkhorn_solve(mu, nu, cost, SolverConfig(eps=0.1))[2].certified
+        assert not sinkhorn_solve(mu, nu, cost,
+                                  SolverConfig(eps=0.1, max_iter=2))[2].certified
+
     def test_non_finite_primal_is_noted(self):
         # Masses of 1e305 make the coupling's entropy overflow.
         mu = heavy_line_measure()

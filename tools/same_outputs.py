@@ -11,6 +11,8 @@ every file of the two runs is compared: ``same`` if the bytes match;
 otherwise the largest difference of the numbers in it, relative to the
 largest magnitude in the parent's file (or ``text differs`` if anything
 but the numbers does).  ``bench/checks.py`` checks the change's outputs.
+Last, the lines of each ``src/qot/*.py`` module in both checkouts (as
+``wc -l`` counts them), with the net change per module and in total.
 
 Exits 0 if every file is byte-identical and every check passes, else 1.
 """
@@ -103,6 +105,21 @@ def compare(parent: Path, change: Path, workload: str, seed: int, tmp: Path) -> 
     return same
 
 
+def line_counts(checkout: Path) -> dict:
+    """The newline count of each ``src/qot/*.py`` of ``checkout``."""
+    return {path.name: path.read_bytes().count(b"\n")
+            for path in sorted((checkout / "src" / "qot").glob("*.py"))}
+
+
+def print_line_counts(parent: Path, change: Path) -> None:
+    counts = [line_counts(parent), line_counts(change)]
+    print("src/qot lines (wc -l): parent, change, net")
+    for name in sorted(set(counts[0]) | set(counts[1])) + ["total"]:
+        a, b = (sum(c.values()) if name == "total" else c.get(name, 0)
+                for c in counts)
+        print(f"  {name:24s} {a:6d} {b:6d} {b - a:+6d}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
@@ -115,6 +132,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         results = [compare(parent, change, workload, seed, Path(tmp))
                    for workload in args.workloads for seed in args.seeds]
+    print_line_counts(parent, change)
     print("every output byte-identical, every check passed" if all(results)
           else "outputs differ or a check failed")
     return 0 if all(results) else 1
