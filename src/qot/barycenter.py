@@ -19,7 +19,7 @@ import numpy as np
 from .cost import _kernel_lse
 from .measure import TensorMeasure, _as_tensor_stack
 from .solver import (DualState, SolverConfig, _certify, _exp_capped,
-                     _kernel_terms, _report, _scale)
+                     _kernel_terms, _report, _scale, _validate_problem)
 from .sym import exp_sym, log_sym
 
 __all__ = [
@@ -38,54 +38,54 @@ def _check_weights(w: np.ndarray, tol: float = 1e-12) -> None:
         raise ValueError("weights must be nonnegative and sum to 1")
 
 
+def _check_rho(rho: float) -> None:
+    """The input-side fidelity of a barycenter is soft: positive and finite."""
+    if not (rho > 0.0 and math.isfinite(rho)):
+        raise ValueError("rho must be positive and finite")
+
+
 @dataclass(frozen=True)
 class BarycenterProblem:
-    """Inputs of a barycenter computation.
-
-    ``weights`` must be nonnegative and sum to one within 1e-12, and
-    every input must have an atom.  The barycenter lives on the fixed
-    ``support`` points; ``costs[l]`` maps input ``l``'s atoms to the
-    support.  ``rho`` is the fidelity strength on the input side; the
-    barycenter side is always a hard marginal constraint.
+    """Inputs of a barycenter computation: one transport problem per input,
+    from ``inputs[l]`` to the fixed ``support`` points under ``costs[l]``,
+    with finite fidelity ``rho`` on the input side and a hard constraint on the
+    barycenter side.  ``weights`` must be nonnegative and sum to one
+    within 1e-12.
     """
 
     inputs: tuple
     weights: np.ndarray
     support: np.ndarray
     costs: tuple
-    rho: float = 1.0
+    rho: float = SolverConfig.rho1
 
     def __post_init__(self):
         inputs = tuple(self.inputs)
         costs = tuple(self.costs)
         weights = np.ascontiguousarray(self.weights, dtype=float)
-        support = np.ascontiguousarray(self.support, dtype=float)
         if not inputs:
             raise ValueError("at least one input measure is required")
         if len(weights) != len(inputs) or len(costs) != len(inputs):
             raise ValueError("inputs, weights and costs must have equal length")
         _check_weights(weights)
-        if support.ndim != 2 or len(support) == 0:
-            raise ValueError(f"support must be (J, ambient_dim), got {support.shape}")
-        if not (math.isfinite(self.rho) and self.rho > 0.0):
-            raise ValueError("rho must be positive and finite")
-        d = inputs[0].tensor_dim
+        _check_rho(self.rho)
+        try:
+            zeros = np.zeros(np.shape(self.support)[:1] + (inputs[0].tensor_dim,) * 2)
+            support = TensorMeasure(self.support, zeros)
+        except ValueError as exc:
+            raise ValueError(f"support: {exc}") from exc
+        if support.n_atoms == 0:
+            raise ValueError("support must have at least one point")
         for idx, (measure, cost) in enumerate(zip(inputs, costs)):
-            if measure.n_atoms == 0:
-                raise ValueError(f"input {idx} is empty")
-            if measure.tensor_dim != d:
-                raise ValueError(f"input {idx} has tensor dim {measure.tensor_dim} != {d}")
-            if cost.rows != measure.n_atoms or cost.cols != len(support):
-                raise ValueError(
-                    f"cost {idx} is {cost.rows}x{cost.cols}, expected "
-                    f"{measure.n_atoms}x{len(support)}"
-                )
+            try:
+                _validate_problem(measure, support, cost)
+            except ValueError as exc:
+                raise ValueError(f"input {idx}: {exc}") from exc
         weights.flags.writeable = False
-        support.flags.writeable = False
         object.__setattr__(self, "inputs", inputs)
         object.__setattr__(self, "costs", costs)
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "support", support.points)
 
     @property
     def n_inputs(self) -> int:
@@ -193,8 +193,7 @@ def pointwise_barycenter(tensors, weights, energy: float, rho: float) -> np.ndar
     _check_weights(w)
     if not energy >= 0.0:
         raise ValueError("energy must be >= 0")
-    if not rho > 0.0:
-        raise ValueError("rho must be > 0")
+    _check_rho(rho)
     mixed = np.einsum("l,lij->ij", w, log_sym(stack))
     return math.exp(-energy / rho) * exp_sym(mixed)
 

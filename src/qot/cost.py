@@ -45,8 +45,7 @@ class GroundCost:
         if self.kind == "isotropic":
             if values.ndim != 2:
                 raise ValueError(f"isotropic cost must be (I, J), got {values.shape}")
-            if not np.all(np.isfinite(values)) or np.any(values < 0.0):
-                raise ValueError("isotropic cost values must be finite and >= 0")
+            _check_distances(values, "isotropic cost values")
         elif self.kind == "matrix":
             if values.ndim != 4 or values.shape[-1] != values.shape[-2]:
                 raise ValueError(
@@ -100,9 +99,14 @@ def from_distance_matrix(dist, alpha: float = 2.0) -> GroundCost:
     dist = np.asarray(dist, dtype=float)
     if dist.ndim != 2:
         raise ValueError(f"distance matrix must be 2-D, got {dist.shape}")
-    if np.any(dist < 0.0) or not np.all(np.isfinite(dist)):
-        raise ValueError("distance entries must be finite and >= 0")
+    _check_distances(dist)
     return _power_cost(dist, alpha)
+
+
+def _check_distances(values: np.ndarray, what: str = "distance entries") -> None:
+    """The one rule of distances and isotropic costs: finite and >= 0."""
+    if not np.all(np.isfinite(values)) or np.any(values < 0.0):
+        raise ValueError(f"{what} must be finite and >= 0")
 
 
 def _power_cost(dist: np.ndarray, alpha: float) -> GroundCost:

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .cost import _check_distances
 from .measure import Coupling, TensorMeasure
 from .sym import pack_upper, unpack_upper
 
@@ -69,6 +70,23 @@ def _header_int(doc: dict, key: str, path, low: int) -> int:
     return val
 
 
+def _array(doc: dict, key: str, path) -> np.ndarray:
+    """Field ``key`` as a float array: the loaders' one numeric coercion."""
+    val = _require(doc, key, path)
+    try:
+        return np.asarray(val, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise FileFormatError(f"{path}: non-numeric array data ({exc})") from exc
+
+
+def _in_file(path, check, *args):
+    """``check(*args)``, with its ValueError reported against ``path``."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: {exc}") from exc
+
+
 def save_field(path, field: TensorMeasure) -> None:
     """Write a tensor field document with keys d, n, points, tensors."""
     doc = {
@@ -86,13 +104,7 @@ def load_field(path) -> TensorMeasure:
     doc = _read_json(path)
     d = _header_int(doc, "d", path, 0)
     n = _header_int(doc, "n", path, 1)
-    points = _require(doc, "points", path)
-    tensors = _require(doc, "tensors", path)
-    try:
-        pts = np.asarray(points, dtype=float)
-        packed = np.asarray(tensors, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise FileFormatError(f"{path}: non-numeric array data ({exc})") from exc
+    pts, packed = _array(doc, "points", path), _array(doc, "tensors", path)
     if len(pts) == 0:
         d = max(d, 1)
         return TensorMeasure(np.empty((0, n)), np.empty((0, d, d)))
@@ -108,10 +120,7 @@ def load_field(path) -> TensorMeasure:
         raise FileFormatError(
             f"{path}: packed tensor length {packed.shape[1]} does not match d={d}"
         )
-    try:
-        return TensorMeasure(pts, unpack_upper(packed, d))
-    except ValueError as exc:
-        raise FileFormatError(f"{path}: {exc}") from exc
+    return _in_file(path, TensorMeasure, pts, unpack_upper(packed, d))
 
 
 def save_coupling(path, coupling: Coupling) -> None:
@@ -133,37 +142,24 @@ def save_coupling(path, coupling: Coupling) -> None:
 def load_coupling(path) -> Coupling:
     doc = _read_json(path)
     rows, cols, d = (_header_int(doc, key, path, 1) for key in ("rows", "cols", "d"))
-    entries = _require(doc, "entries", path)
-    try:
-        packed = np.asarray(entries, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise FileFormatError(f"{path}: non-numeric array data ({exc})") from exc
+    packed = _array(doc, "entries", path)
     if packed.shape != (rows * cols, d * (d + 1) // 2):
         raise FileFormatError(
             f"{path}: expected {rows * cols} packed entries of length "
             f"{d * (d + 1) // 2}, got {packed.shape}"
         )
-    dense = unpack_upper(packed, d).reshape(rows, cols, d, d)
-    try:
-        return Coupling(dense)
-    except ValueError as exc:
-        raise FileFormatError(f"{path}: {exc}") from exc
+    return _in_file(path, Coupling, unpack_upper(packed, d).reshape(rows, cols, d, d))
 
 
 def load_distance_matrix(path) -> np.ndarray:
     """Read a distance matrix document with keys rows, cols, values."""
     doc = _read_json(path)
     rows, cols = (_header_int(doc, key, path, 0) for key in ("rows", "cols"))
-    values = _require(doc, "values", path)
-    try:
-        mat = np.asarray(values, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise FileFormatError(f"{path}: non-numeric array data ({exc})") from exc
+    mat = _array(doc, "values", path)
     if mat.shape != (rows, cols):
         raise FileFormatError(
             f"{path}: values shape {mat.shape} does not match "
             f"rows/cols ({rows}, {cols})"
         )
-    if np.any(mat < 0.0) or not np.all(np.isfinite(mat)):
-        raise FileFormatError(f"{path}: distances must be finite and >= 0")
+    _in_file(path, _check_distances, mat)
     return mat

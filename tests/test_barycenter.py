@@ -79,6 +79,12 @@ class TestPointwiseBarycenter:
         with pytest.raises(ValueError, match=message):
             pointwise_barycenter(np.stack([bad, np.eye(2)]), [0.5, 0.5], 0.0, 1.0)
 
+    def test_infinite_rho_rejected(self):
+        # ``-inf / inf`` is NaN, which would give an all-NaN result.
+        with pytest.raises(ValueError, match="rho must be positive and finite"):
+            pointwise_barycenter(np.eye(2)[None], [1.0], energy=math.inf,
+                                 rho=math.inf)
+
     def test_weight_validation(self):
         with pytest.raises(ValueError):
             pointwise_barycenter(np.eye(2)[None], [0.5], 0.0, 1.0)
@@ -101,15 +107,51 @@ class TestBarycenterProblem:
         rng = np.random.default_rng(4)
         m = random_measure(rng, 3, 2)
         empty = TensorMeasure(np.empty((0, 2)), np.empty((0, 2, 2)))
-        with pytest.raises(ValueError, match="input 1 is empty"):
+        with pytest.raises(ValueError, match="input 1: .*at least one atom"):
             make_problem([m, empty], [0.5, 0.5], m.points)
 
     def test_cost_shape_validation(self):
         rng = np.random.default_rng(3)
         m = random_measure(rng, 3, 2)
         bad_cost = GroundCost("isotropic", np.zeros((2, 3)))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="input 0: cost is 2x3"):
             BarycenterProblem((m,), np.array([1.0]), m.points, (bad_cost,), 1.0)
+
+    def test_matrix_cost_dimension_checked_by_index(self):
+        # A (I, J, 1, 1) cost against 2x2 inputs would broadcast onto every
+        # kernel entry; the transport's shape check rejects it.
+        rng = np.random.default_rng(3)
+        m = random_measure(rng, 3, 2)
+        good = euclidean_cost(m.points, m.points)
+        bad = GroundCost("matrix", np.zeros((3, 3, 1, 1)))
+        with pytest.raises(ValueError,
+                           match="input 1: matrix cost dimension does not match"):
+            BarycenterProblem((m, m), np.array([0.5, 0.5]), m.points, (good, bad))
+
+    def test_input_tensor_dimension_checked_by_index(self):
+        rng = np.random.default_rng(3)
+        m2, m3 = random_measure(rng, 3, 2), random_measure(rng, 3, 3)
+        with pytest.raises(ValueError, match="input 1: tensor dimensions differ"):
+            make_problem([m2, m3], [0.5, 0.5], m2.points)
+
+    @pytest.mark.parametrize("support, message", [
+        ([[0.0, math.nan], [1.0, 0.0]], "support: points must be finite"),
+        ([0.0, 1.0], r"support: points must be \(n, ambient_dim\)"),
+        (np.empty((0, 2)), "support must have at least one point"),
+    ])
+    def test_support_checked_as_a_measure(self, support, message):
+        rng = np.random.default_rng(3)
+        m = random_measure(rng, 3, 2)
+        cost = GroundCost("isotropic", np.zeros((3, len(support))))
+        with pytest.raises(ValueError, match=message):
+            BarycenterProblem((m,), np.array([1.0]), support, (cost,))
+
+    def test_default_rho_is_the_solver_default(self):
+        rng = np.random.default_rng(3)
+        m = random_measure(rng, 3, 2)
+        prob = BarycenterProblem((m,), np.array([1.0]), m.points,
+                                 (euclidean_cost(m.points, m.points),))
+        assert prob.rho == SolverConfig().rho1
 
 
 class TestBarycenterSolve:

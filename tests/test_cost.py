@@ -52,13 +52,19 @@ class TestDistanceMatrixCost:
         assert np.allclose(c.values, c.values.T)
 
     def test_negative_entry_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="distance entries must be finite and >= 0"):
             from_distance_matrix([[-1.0]], alpha=1.0)
 
     @pytest.mark.parametrize("alpha", [0.0, -1.0, float("nan")])
     def test_alpha_must_be_positive(self, alpha):
         with pytest.raises(ValueError, match="alpha must be > 0"):
             from_distance_matrix([[1.0]], alpha=alpha)
+
+    @pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf")])
+    def test_isotropic_cost_values_follow_the_same_rule(self, value):
+        with pytest.raises(ValueError,
+                           match="isotropic cost values must be finite and >= 0"):
+            GroundCost("isotropic", [[0.5, value]])
 
 
 class TestKernel:

@@ -135,7 +135,16 @@ class TestDistanceMatrix:
     def test_negative_rejected(self, tmp_path):
         path = tmp_path / "neg.json"
         path.write_text('{"rows": 1, "cols": 1, "values": [[-2.0]]}')
-        with pytest.raises(FileFormatError):
+        with pytest.raises(FileFormatError,
+                           match="neg.json: distance entries must be finite and >= 0"):
+            load_distance_matrix(path)
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity"])
+    def test_non_finite_rejected(self, tmp_path, value):
+        path = tmp_path / "bad.json"
+        path.write_text(f'{{"rows": 1, "cols": 2, "values": [[0.5, {value}]]}}')
+        with pytest.raises(FileFormatError,
+                           match="bad.json: distance entries must be finite and >= 0"):
             load_distance_matrix(path)
 
     @pytest.mark.parametrize("key", ["rows", "cols"])
@@ -147,3 +156,15 @@ class TestDistanceMatrix:
         path.write_text(json.dumps({**doc, key: value}))
         with pytest.raises(FileFormatError, match=f"'{key}' must be a nonnegative integer"):
             load_distance_matrix(path)
+
+
+@pytest.mark.parametrize("load, doc", [
+    (load_field, {"d": 1, "n": 1, "points": [[0.0]], "tensors": [["x"]]}),
+    (load_coupling, {"rows": 1, "cols": 1, "d": 1, "entries": [[{}]]}),
+    (load_distance_matrix, {"rows": 1, "cols": 1, "values": [["x"]]}),
+])
+def test_non_numeric_arrays_named_with_the_path(tmp_path, load, doc):
+    path = tmp_path / "text.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FileFormatError, match="text.json: non-numeric array data"):
+        load(path)
