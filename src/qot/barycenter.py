@@ -2,11 +2,11 @@
 
 The barycenter measure is optimized jointly with one transport problem
 per input, each with a hard marginal constraint on the barycenter side.
-One iteration cycles over three phases: per-input row-potential
-updates, aggregation of the barycenter's log-tensors, and per-input
-column-potential updates pulled toward that aggregate.  The solver's
-scaling loop runs it, and the solver's finalisation certifies each
-input's transport problem against the result.
+One iteration updates the row potentials of all inputs, aggregates the
+barycenter's log-tensors, and pulls all column potentials toward it, as
+array operations over stacked inputs (see :func:`barycenter_solve`).
+The solver's scaling loop runs it, and the solver's finalisation
+certifies each input's transport problem against the result.
 """
 
 from __future__ import annotations
@@ -116,47 +116,46 @@ def barycenter_solve(prob: BarycenterProblem, cfg: SolverConfig | None = None):
     construction.  Like the couplings, they are exponentials capped at
     exp(700), and a note says when an unconverged solve hits the cap.
 
-    One iteration is a map of the stacked per-input potentials, run by
-    the scaling loop of :func:`qot.solver.sinkhorn_solve`.
+    One iteration is a map of the potentials, run by the scaling loop of
+    :func:`qot.solver.sinkhorn_solve`, over stacked arrays: all column
+    potentials in one, and the row potentials, costs and log-tensors of
+    each group of inputs with one atom count and cost kind in one each.
     """
     cfg = replace(cfg or SolverConfig(), rho1=prob.rho, rho2=math.inf,
                   trace_constrained=False)
     d = prob.tensor_dim
-    n_support = len(prob.support)
-    n_inputs = prob.n_inputs
-    log_mu = [log_sym(m.tensors) for m in prob.inputs]
+    keys = {}
+    for i, (measure, cost) in enumerate(zip(prob.inputs, prob.costs)):
+        keys.setdefault((measure.n_atoms, cost.kind), []).append(i)
+    groups = [(np.array(ins), kind, np.stack([prob.costs[i].values for i in ins]),
+               np.stack([log_sym(prob.inputs[i].tensors) for i in ins]))
+              for (_, kind), ins in keys.items()]
     log_nu = None
 
     def step(point):
         nonlocal log_nu
-        u, v = list(point[:n_inputs]), list(point[n_inputs:])
-        lse_cols = []
-        res = 0.0
-        for idx in range(n_inputs):
-            cost = prob.costs[idx]
-            rows, cols = _kernel_terms(u[idx], v[idx], None, None, cfg)
-            lse_rows = _kernel_lse(rows, cols, cost, cfg.eps, 1)
-            u_new = cfg.relax(1, u[idx], lse_rows - log_mu[idx])
+        *us, v = point
+        lse_cols, us_new, res = np.empty_like(v), [], 0.0
+        for (ins, kind, values, log_mu), u in zip(groups, us):
+            rows, cols = _kernel_terms(u, v[ins], None, None, cfg)
+            lse_rows = _kernel_lse(rows, cols, kind, values, cfg.eps, 1)
+            u_new = cfg.relax(1, u, lse_rows - log_mu)
             # The column-potential change alone is blind to row-potential
             # drift (it vanishes identically for a single input), so the
             # residual tracks both.
-            res = max(res, float(np.abs(u_new - u[idx]).max()))
-            u[idx] = u_new
-            rows, cols = _kernel_terms(u_new, v[idx], None, None, cfg)
-            lse_cols.append(_kernel_lse(rows, cols, cost, cfg.eps, 0))
+            res = max(res, float(np.abs(u_new - u).max()))
+            us_new.append(u_new)
+            rows, cols = _kernel_terms(u_new, v[ins], None, None, cfg)
+            lse_cols[ins] = _kernel_lse(rows, cols, kind, values, cfg.eps, 0)
+        log_nu = sum(w * (lse + v_l / cfg.eps)
+                     for w, lse, v_l in zip(prob.weights, lse_cols, v))
+        v_new = cfg.relax(2, v, lse_cols - log_nu)
+        res = max(res, float(np.abs(v_new - v).max()))
+        return (*us_new, v_new), res
 
-        log_nu = sum(w * (lse_cols[idx] + v[idx] / cfg.eps)
-                     for idx, w in enumerate(prob.weights))
-
-        for idx in range(n_inputs):
-            v_new = cfg.relax(2, v[idx], lse_cols[idx] - log_nu)
-            res = max(res, float(np.abs(v_new - v[idx]).max()))
-            v[idx] = v_new
-        return tuple(u) + tuple(v), res
-
-    point = (tuple(np.zeros((m.n_atoms, d, d)) for m in prob.inputs)
-             + tuple(np.zeros((n_support, d, d)) for _ in range(n_inputs)))
-    image, history, converged, loop_notes = _scale(step, point, cfg)
+    point = (tuple(np.zeros_like(log_mu) for *_, log_mu in groups)
+             + (np.zeros((prob.n_inputs, len(prob.support), d, d)),))
+    (*us, v), history, converged, loop_notes = _scale(step, point, cfg)
 
     notes = ["barycenter side uses a hard marginal constraint"] + loop_notes
     tensors, hit = _exp_capped(log_nu)
@@ -164,9 +163,10 @@ def barycenter_solve(prob: BarycenterProblem, cfg: SolverConfig | None = None):
         notes.append("barycenter saturated at exp(700) in unconverged directions")
     nu = TensorMeasure(prob.support, tensors)
 
+    u_of = {i: u_i for (ins, *_), u in zip(groups, us) for i, u_i in zip(ins, u)}
     states = tuple(
-        DualState(u, v, np.zeros(len(u)), np.zeros(n_support))
-        for u, v in zip(image[:n_inputs], image[n_inputs:]))
+        DualState(u_of[i], v_i, np.zeros(len(u_of[i])), np.zeros(len(v_i)))
+        for i, v_i in enumerate(v))
     primal = dual = 0.0
     for state, measure, cost, w in zip(states, prob.inputs, prob.costs,
                                        prob.weights):

@@ -9,6 +9,8 @@ The dual kernel ``K_ij = -(c_ij + rows_i + cols_j) / eps`` is written
 here only, from the row and column terms the solver forms, in two
 layouts: an (I, J, d, d) stack (:func:`kernel`), or for d = 2 entry
 arrays fused block by block with the matrix log-sum-exp (:func:`_kernel_lse`).
+The private writers also take leading batch axes, so that one call
+serves a stack of problems, such as a barycenter's inputs.
 """
 
 from __future__ import annotations
@@ -128,54 +130,61 @@ _LSE_BLOCK = 8192
 def kernel(rows, cols, cost: GroundCost, eps: float) -> np.ndarray:
     """Dual kernel ``K_ij = -(c_ij + rows_i + cols_j) / eps`` of the row
     terms (I, d, d) and column terms (J, d, d): one symmetric (not
-    necessarily PSD) matrix per pair, shape (I, J, d, d).  The operation
-    order, ``rows_i + cols_j``, then ``+ c_ij`` (on the diagonal if
-    isotropic), then ``/ (-eps)``, is also :func:`_kernel_lse`'s, whose
-    bits depend on it."""
+    necessarily PSD) matrix per pair, shape (I, J, d, d)."""
     if (rows.ndim != 3 or rows.shape[1:] != cols.shape[1:]
             or (len(rows), len(cols)) != (cost.rows, cost.cols)):
         raise ValueError(f"cost is {cost.rows}x{cost.cols} but the kernel "
                          f"terms are {rows.shape} and {cols.shape}")
-    s = rows[:, None] + cols[None, :]
-    if cost.kind == "isotropic":
+    return _kernel(rows, cols, cost.kind, cost.values, eps)
+
+
+def _kernel(rows, cols, kind: str, values, eps: float) -> np.ndarray:
+    """:func:`kernel`, unchecked, of terms (..., I, d, d) and (..., J, d, d)
+    under the cost ``values`` of ``kind``, (..., I, J) or (..., I, J, d, d):
+    shape (..., I, J, d, d).  The operation order, ``rows_i + cols_j``,
+    then ``+ c_ij`` (on the diagonal if isotropic), then ``/ (-eps)``, is
+    also :func:`_kernel_lse`'s, whose bits depend on it."""
+    s = rows[..., :, None, :, :] + cols[..., None, :, :, :]
+    if kind == "isotropic":
         idx = np.arange(rows.shape[-1])
-        s[..., idx, idx] += cost.values[..., None]
+        s[..., idx, idx] += values[..., None]
     else:
-        s += cost.values
+        s += values
     return s / (-eps)
 
 
-def _kernel_lse(rows, cols, cost: GroundCost, eps: float, axis: int) -> np.ndarray:
-    """``lse_reduce(kernel(rows, cols, cost, eps), axis)``, bit for bit,
-    for terms of matching shapes (unchecked: the solvers' loops call it).
+def _kernel_lse(rows, cols, kind: str, values, eps: float, axis: int) -> np.ndarray:
+    """``lse_reduce(_kernel(rows, cols, kind, values, eps), axis - 2)``,
+    bit for bit, for terms and cost values of matching shapes with any
+    common leading batch axes (unchecked: the solvers' loops call it).
 
     For d = 2 and an isotropic cost no kernel stack is built: the three
     entry arrays of one block of the kept axis at a time (rows for
     ``axis=1``, columns for ``axis=0``) are written in the operation order
-    of :func:`kernel` and reduced by :func:`qot.sym._lse2`.  An output
+    of :func:`_kernel` and reduced by :func:`qot.sym._lse2`.  An output
     line depends only on its own slice, so blocking needs no running
     shift.  A block of columns is at least two wide: numpy sums a lone
     column pairwise, but the columns of a wider array one row after
     another, as it does the whole kernel.  Every other case reduces the
     kernel stack.
     """
-    if rows.shape[-1] != 2 or cost.kind != "isotropic":
-        return lse_reduce(kernel(rows, cols, cost, eps), axis=axis)
-    n_keep, n_sum = (len(rows), len(cols)) if axis == 1 else (len(cols), len(rows))
-    width = max(1 if axis == 1 else 2, _LSE_BLOCK // n_sum)
+    if rows.shape[-1] != 2 or kind != "isotropic":
+        return lse_reduce(_kernel(rows, cols, kind, values, eps), axis=axis - 2)
+    n_keep = values.shape[-1 - axis]
+    width = max(1 if axis == 1 else 2, _LSE_BLOCK // (values.size // n_keep))
     bounds = list(range(0, n_keep, width)) + [n_keep]
     if axis == 0 and bounds[-1] - bounds[-2] == 1 and len(bounds) > 2:
         del bounds[-2]
-    out = np.empty((n_keep, 2, 2))
+    out = np.empty(values.shape[:-2] + (n_keep, 2, 2))
     for start, stop in zip(bounds, bounds[1:]):
         block = slice(start, stop)
         at_i, at_j = (block, slice(None)) if axis == 1 else (slice(None), block)
-        k00, k01, k11 = (rows[at_i, a, b][:, None] + cols[at_j, a, b][None, :]
+        k00, k01, k11 = (rows[..., at_i, None, a, b] + cols[..., None, at_j, a, b]
                          for a, b in ((0, 0), (0, 1), (1, 1)))
-        c = cost.values[at_i, at_j]
+        c = values[..., at_i, at_j]
         k00 += c
         k11 += c
         for entry in (k00, k01, k11):
             entry /= -eps
-        out[block] = _lse2(k00, k01, k11, axis)
+        out[..., block, :, :] = _lse2(k00, k01, k11, axis - 2)
     return out

@@ -68,12 +68,15 @@ class TensorMeasure:
     tensors: np.ndarray
 
     def __post_init__(self):
-        points = np.ascontiguousarray(self.points, dtype=float)
-        tensors = np.ascontiguousarray(self.tensors, dtype=float)
+        # Shapes are checked before np.ascontiguousarray, which makes a
+        # scalar one-dimensional.
+        points = np.asarray(self.points, dtype=float)
+        tensors = np.asarray(self.tensors, dtype=float)
         if points.ndim != 2:
             raise ValueError(f"points must be (n, ambient_dim), got {points.shape}")
         if tensors.ndim != 3 or tensors.shape[-1] != tensors.shape[-2]:
             raise ValueError(f"tensors must be (n, d, d), got {tensors.shape}")
+        points, tensors = np.ascontiguousarray(points), np.ascontiguousarray(tensors)
         if len(points) != len(tensors):
             raise ValueError(
                 f"{len(points)} points but {len(tensors)} tensors"

@@ -185,7 +185,8 @@ class SolveReport:
     relaxations, joined by the multiplier steps in trace-constrained mode
     and by the row-potential changes in a barycenter), so ``converged`` is
     whether the last entry is below ``tol``.  ``notes`` name the hard
-    constraints and trace mode in use, the Anderson acceleration if it
+    constraints and trace mode in use, two hard sides whose total masses
+    differ (an infeasible problem), the Anderson acceleration if it
     engaged, an iteration budget spent without convergence, every
     exponential capped at exp(700), and each objective value that is not
     finite.  ``config`` is the configuration the loop ran, after any
@@ -479,7 +480,8 @@ def sinkhorn_solve(mu: TensorMeasure, nu: TensorMeasure, cost: GroundCost,
     def step(point):
         u, v, alpha, beta = point
         rows, cols = _kernel_terms(u, v, alpha, beta, cfg)
-        u = cfg.relax(1, u, _kernel_lse(rows, cols, cost, cfg.eps, 1) - log_mu)
+        lse_u = _kernel_lse(rows, cols, cost.kind, cost.values, cfg.eps, 1)
+        u = cfg.relax(1, u, lse_u - log_mu)
         rows, cols = _kernel_terms(u, v, alpha, beta, cfg)
         if cfg.trace_constrained:
             # alpha += step_a moves kernel row i by -step_a_i / eps * I.
@@ -488,7 +490,7 @@ def sinkhorn_solve(mu: TensorMeasure, nu: TensorMeasure, cost: GroundCost,
             alpha = alpha + step_a
             lse_v = _lse_eig(vals - (step_a / cfg.eps)[:, None, None], vecs, 0)
         else:
-            lse_v = _kernel_lse(rows, cols, cost, cfg.eps, 0)
+            lse_v = _kernel_lse(rows, cols, cost.kind, cost.values, cfg.eps, 0)
         v_new = cfg.relax(2, v, lse_v - log_nu)
         res = float(np.abs(v_new - v).max())
         v = v_new
@@ -512,9 +514,19 @@ def sinkhorn_solve(mu: TensorMeasure, nu: TensorMeasure, cost: GroundCost,
     image, history, converged, loop_notes = _scale(step, point, cfg, watch)
     state = DualState(*image)
     coupling, coupling_notes, primal, dual = _certify(state, mu, nu, cost, cfg)
+    # With both marginals hard the problem is feasible only if the total
+    # masses agree as matrices; their entries are compared as trace mode
+    # compares the total traces, with no squares, which could overflow.
+    with np.errstate(over="ignore", invalid="ignore"):
+        mass_mu, mass_nu = mu.tensors.sum(axis=0), nu.tensors.sum(axis=0)
+        gap = float(np.abs(mass_mu - mass_nu).max())
+        scale = max(float(np.abs(mass_mu).max()), float(np.abs(mass_nu).max()))
     notes = [note for flag, note in (
         (cfg.rho1 == math.inf, "rho1=inf: hard row-marginal constraint"),
         (cfg.rho2 == math.inf, "rho2=inf: hard column-marginal constraint"),
+        (cfg.rho1 == cfg.rho2 == math.inf and gap > 1e-9 * scale,
+         f"infeasible hard constraints: the total masses differ by {gap:.3g} "
+         f"(largest entry of sum_i mu_i - sum_j nu_j)"),
         (cfg.trace_constrained, "trace-constrained marginals"),
     ) if flag] + loop_notes + coupling_notes
     return coupling, state, _report(cfg, history, converged, primal, dual, notes)

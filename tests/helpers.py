@@ -1,5 +1,6 @@
 """Shared instance builders for solver, barycenter and acceptance tests."""
 
+import math
 from dataclasses import replace
 from itertools import product as _cell_offsets_product
 
@@ -199,7 +200,7 @@ def trace_solve_four_eigh(mu, nu, cost, cfg):
 
     def kernel_lse(u, v, alpha, beta, axis):
         terms = solver._kernel_terms(u, v, alpha, beta, cfg)
-        return _kernel_lse(*terms, cost, cfg.eps, axis)
+        return _kernel_lse(*terms, cost.kind, cost.values, cfg.eps, axis)
 
     def step(point):
         u, v, alpha, beta = point
@@ -226,3 +227,66 @@ def trace_solve_four_eigh(mu, nu, cost, cfg):
     state = solver.DualState(*image)
     coupling, _, primal, dual = solver._certify(state, mu, nu, cost, cfg)
     return coupling, state, len(history), primal, dual
+
+
+def barycenter_loop(prob, cfg=None):
+    """Reference for ``qot.barycenter.barycenter_solve``: the per-input map
+    it replaced, in which each input makes its own two kernel-LSEs per
+    iteration and the state is a tuple of per-input arrays, run through the
+    same loop and finalisation.  It is kept as it was but for the solver's
+    names, qualified here, and ``_kernel_lse``'s cost arguments, now the
+    cost's kind and values.  Returns ``(nu, report)``."""
+    cfg = replace(cfg or solver.SolverConfig(), rho1=prob.rho, rho2=math.inf,
+                  trace_constrained=False)
+    d = prob.tensor_dim
+    n_support = len(prob.support)
+    n_inputs = prob.n_inputs
+    log_mu = [log_sym(m.tensors) for m in prob.inputs]
+    log_nu = None
+
+    def step(point):
+        nonlocal log_nu
+        u, v = list(point[:n_inputs]), list(point[n_inputs:])
+        lse_cols = []
+        res = 0.0
+        for idx in range(n_inputs):
+            cost = prob.costs[idx]
+            rows, cols = solver._kernel_terms(u[idx], v[idx], None, None, cfg)
+            lse_rows = _kernel_lse(rows, cols, cost.kind, cost.values, cfg.eps, 1)
+            u_new = cfg.relax(1, u[idx], lse_rows - log_mu[idx])
+            res = max(res, float(np.abs(u_new - u[idx]).max()))
+            u[idx] = u_new
+            rows, cols = solver._kernel_terms(u_new, v[idx], None, None, cfg)
+            lse_cols.append(_kernel_lse(rows, cols, cost.kind, cost.values,
+                                        cfg.eps, 0))
+
+        log_nu = sum(w * (lse_cols[idx] + v[idx] / cfg.eps)
+                     for idx, w in enumerate(prob.weights))
+
+        for idx in range(n_inputs):
+            v_new = cfg.relax(2, v[idx], lse_cols[idx] - log_nu)
+            res = max(res, float(np.abs(v_new - v[idx]).max()))
+            v[idx] = v_new
+        return tuple(u) + tuple(v), res
+
+    point = (tuple(np.zeros((m.n_atoms, d, d)) for m in prob.inputs)
+             + tuple(np.zeros((n_support, d, d)) for _ in range(n_inputs)))
+    image, history, converged, loop_notes = solver._scale(step, point, cfg)
+
+    notes = ["barycenter side uses a hard marginal constraint"] + loop_notes
+    tensors, hit = solver._exp_capped(log_nu)
+    if hit:
+        notes.append("barycenter saturated at exp(700) in unconverged directions")
+    nu = TensorMeasure(prob.support, tensors)
+
+    states = tuple(
+        solver.DualState(u, v, np.zeros(len(u)), np.zeros(n_support))
+        for u, v in zip(image[:n_inputs], image[n_inputs:]))
+    primal = dual = 0.0
+    for state, measure, cost, w in zip(states, prob.inputs, prob.costs,
+                                       prob.weights):
+        _, extra, p, q = solver._certify(state, measure, nu, cost, cfg)
+        notes += [note for note in extra if note not in notes]
+        primal += float(w) * p
+        dual += float(w) * q
+    return nu, solver._report(cfg, history, converged, primal, dual, notes, states)

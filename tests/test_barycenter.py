@@ -6,7 +6,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import grid_points, random_measure, random_psd
+from helpers import barycenter_loop, grid_points, random_measure, random_psd
+
+import qot.barycenter as qot_barycenter
 
 from qot.barycenter import (
     BarycenterProblem,
@@ -146,6 +148,13 @@ class TestBarycenterProblem:
         with pytest.raises(ValueError, match=message):
             BarycenterProblem((m,), np.array([1.0]), support, (cost,))
 
+    def test_scalar_support_reports_its_shape(self):
+        m = random_measure(np.random.default_rng(3), 3, 2)
+        cost = GroundCost("isotropic", np.zeros((3, 1)))
+        with pytest.raises(ValueError, match=r"support: points must be "
+                                             r"\(n, ambient_dim\), got \(\)"):
+            BarycenterProblem((m,), np.array([1.0]), 3.0, (cost,))
+
     def test_default_rho_is_the_solver_default(self):
         rng = np.random.default_rng(3)
         m = random_measure(rng, 3, 2)
@@ -271,3 +280,56 @@ class TestAcceleratedBarycenter:
         assert sum(n.startswith("anderson: engaged") for n in report.notes) == 1
         assert 2 * report.iterations < report_plain.iterations
         assert np.abs(nu.tensors - nu_plain.tensors).max() < 1e-8
+
+
+def _assert_same_solve(got, want):
+    """Bit-for-bit equal barycenters, residual histories, objective values,
+    notes and dual states."""
+    (nu, report), (nu_ref, report_ref) = got, want
+    assert nu.tensors.tobytes() == nu_ref.tensors.tobytes()
+    assert (report.residual_history.tobytes()
+            == report_ref.residual_history.tobytes())
+    assert (report.primal_value, report.dual_value, report.notes) == (
+        report_ref.primal_value, report_ref.dual_value, report_ref.notes)
+    assert len(report.dual_states) == len(report_ref.dual_states)
+    for state, ref in zip(report.dual_states, report_ref.dual_states):
+        for name in ("u", "v", "alpha", "beta"):
+            a, b = getattr(state, name), getattr(ref, name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestStackedMap:
+    # The map runs over stacked inputs, one group per atom count and cost
+    # kind; it is the per-input map it replaced, bit for bit.
+    def test_accelerated_grid_barycenter_is_the_per_input_map(self):
+        rng = np.random.default_rng(0)
+        points = grid_points(3)
+        inputs = [TensorMeasure(points, random_psd(rng, 2, n=9)) for _ in range(4)]
+        prob = make_problem(inputs, [0.1, 0.2, 0.3, 0.4], points, rho=1.0)
+        cfg = SolverConfig(tol=1e-11)
+        got = barycenter_solve(prob, cfg)
+        assert sum(n.startswith("anderson: engaged") for n in got[1].notes) == 1
+        _assert_same_solve(got, barycenter_loop(prob, cfg))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_ragged_mixed_kind_barycenter_is_the_per_input_map(self, monkeypatch,
+                                                               d):
+        # Inputs 0 and 2 share 4 atoms and an isotropic cost; input 1 has
+        # 5 atoms and a matrix cost: two groups, the first not contiguous.
+        rng = np.random.default_rng(11)
+        support = grid_points(2)
+        inputs = [random_measure(rng, n, d) for n in (4, 5, 4)]
+        costs = [euclidean_cost(m.points, support) for m in inputs]
+        aniso = random_psd(rng, d)
+        costs[1] = GroundCost("matrix", costs[1].values[..., None, None] * aniso)
+        prob = BarycenterProblem(tuple(inputs), np.array([0.5, 0.2, 0.3]),
+                                 support, tuple(costs), 0.7)
+        cfg = SolverConfig(eps=0.05, tau1=0.1, tau2=1.5, tol=1e-10)
+        calls = []
+        kernel_lse = qot_barycenter._kernel_lse
+        monkeypatch.setattr(qot_barycenter, "_kernel_lse", lambda *args: (
+            calls.append(args[0].shape[0]) or kernel_lse(*args)))
+        got = barycenter_solve(prob, cfg)
+        assert got[1].converged
+        assert calls == [2, 2, 1, 1] * got[1].iterations
+        _assert_same_solve(got, barycenter_loop(prob, cfg))

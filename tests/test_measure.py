@@ -42,6 +42,14 @@ class TestTensorMeasure:
         with pytest.raises(ValueError):
             TensorMeasure(np.zeros((2, 2)), np.stack([np.eye(2)] * 3))
 
+    @pytest.mark.parametrize("points, tensors, message", [
+        (3.0, np.zeros((2, 2)), r"points must be \(n, ambient_dim\), got \(\)"),
+        (np.zeros((1, 2)), 1.0, r"tensors must be \(n, d, d\), got \(\)"),
+    ])
+    def test_scalar_reports_its_own_shape(self, points, tensors, message):
+        with pytest.raises(ValueError, match=message):
+            TensorMeasure(points, tensors)
+
     def test_non_psd_rejected_with_index(self):
         tensors = np.stack([np.eye(2), np.diag([1.0, -0.5])])
         with pytest.raises(ValueError, match="tensor 1"):

@@ -417,6 +417,17 @@ class TestHardColumnConstraint:
         assert np.abs(marginal_rows(coupling) - mu.tensors).max() < 1e-7
         assert np.abs(marginal_cols(coupling) - nu.tensors).max() < 1e-7
 
+    def test_both_sides_hard_with_unequal_masses_is_noted(self):
+        # Equal total traces, but unequal total matrices: infeasible.
+        mu, nu, cost = trace_balanced_instance(np.random.default_rng(0), 4, 5, 2)
+        cfg = SolverConfig(eps=0.05, rho1=math.inf, rho2=math.inf, max_iter=20)
+        _, _, report = sinkhorn_solve(mu, nu, cost, cfg)
+        gap = np.abs(mu.tensors.sum(axis=0) - nu.tensors.sum(axis=0)).max()
+        assert gap > 1e-3 and not report.certified
+        assert [n for n in report.notes if n.startswith("infeasible")] == [
+            f"infeasible hard constraints: the total masses differ by "
+            f"{gap:.3g} (largest entry of sum_i mu_i - sum_j nu_j)"]
+
 
 class TestTraceConstrained:
     def test_single_pair_pins_mass(self):
@@ -547,15 +558,16 @@ class TestKernelStacks:
     # multiplier step.
     @pytest.fixture
     def stacks(self, monkeypatch):
+        # Every stack, the public kernel's and the loops', is written by
+        # the private writer.
         shapes = []
-        build = qot_cost.kernel
+        build = qot_cost._kernel
 
         def counted(*args):
             k = build(*args)
             shapes.append(k.shape)
             return k
-        for module in (qot_cost, solver):
-            monkeypatch.setattr(module, "kernel", counted)
+        monkeypatch.setattr(qot_cost, "_kernel", counted)
         return shapes
 
     def test_plain_d2_transport_builds_only_the_finalisation(self, stacks):
@@ -568,6 +580,18 @@ class TestKernelStacks:
         report = _loop_solve("barycenter", SolverConfig(eps=0.05))
         assert report.converged and report.iterations > 10
         assert stacks == [(9, 9, 2, 2)] * 4
+
+    def test_d3_barycenter_iteration_builds_one_stack_per_side(self, stacks):
+        # Two inputs of one atom count and cost kind share each stack; the
+        # finalisation then builds two stacks per input.
+        rng = np.random.default_rng(3)
+        points = grid_points(2)
+        inputs = tuple(TensorMeasure(points[:3], random_psd(rng, 3, n=3))
+                       for _ in range(2))
+        costs = tuple(euclidean_cost(points[:3], points) for _ in inputs)
+        prob = BarycenterProblem(inputs, np.array([0.4, 0.6]), points, costs)
+        barycenter_solve(prob, SolverConfig(eps=0.05, max_iter=3, tol=1e-300))
+        assert stacks == [(2, 3, 4, 3, 3)] * 6 + [(3, 4, 3, 3)] * 4
 
     def test_d3_trace_iteration_builds_three(self, stacks):
         mu, nu, cost = trace_balanced_instance(np.random.default_rng(5), 4, 5, 3)
@@ -883,8 +907,29 @@ class TestKernelLse:
         want = qot_cost.lse_reduce(qot_cost.kernel(*terms, cost, cfg.eps),
                                    axis=axis)
         monkeypatch.setattr(qot_cost, "lse_reduce", None)  # never reached
-        got = qot_cost._kernel_lse(*terms, cost, cfg.eps, axis)
+        got = qot_cost._kernel_lse(*terms, cost.kind, cost.values, cfg.eps, axis)
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("rows,cols", SHAPES)
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("cfg", [
+        SolverConfig(eps=0.05, rho1=0.7, rho2=1.3),
+        SolverConfig(eps=0.3, rho2=math.inf, trace_constrained=True),
+    ], ids=["finite", "trace"])
+    def test_batch_bit_identical_to_each_kernel_stack(self, monkeypatch, rows,
+                                                      cols, axis, cfg):
+        # A leading axis of 3 problems is reduced as each problem alone.
+        rng = np.random.default_rng(rows * cols + axis)
+        cases = [_kernel_lse_case(rng, rows, cols) for _ in range(3)]
+        terms = [solver._kernel_terms(*case[:4], cfg) for case in cases]
+        want = np.stack([
+            qot_cost.lse_reduce(qot_cost.kernel(*t, case[4], cfg.eps), axis=axis)
+            for t, case in zip(terms, cases)])
+        monkeypatch.setattr(qot_cost, "lse_reduce", None)  # never reached
+        got = qot_cost._kernel_lse(
+            *(np.stack(side) for side in zip(*terms)), "isotropic",
+            np.stack([case[4].values for case in cases]), cfg.eps, axis)
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("d,kind", [(3, "isotropic"), (2, "matrix")])
     @pytest.mark.parametrize("axis", [0, 1])
@@ -898,7 +943,7 @@ class TestKernelLse:
         lse_reduce = qot_cost.lse_reduce
         monkeypatch.setattr(qot_cost, "lse_reduce", lambda k, axis: (
             reduced.append(k.shape) or lse_reduce(k, axis=axis)))
-        got = qot_cost._kernel_lse(*terms, cost, cfg.eps, axis)
+        got = qot_cost._kernel_lse(*terms, cost.kind, cost.values, cfg.eps, axis)
         assert reduced == [(4, 5, d, d)]
         want = lse_reduce(qot_cost.kernel(*terms, cost, cfg.eps), axis=axis)
         assert np.array_equal(got, want)
