@@ -105,17 +105,14 @@ def load_field(path) -> TensorMeasure:
     d = _header_int(doc, "d", path, 0)
     n = _header_int(doc, "n", path, 1)
     pts, packed = _array(doc, "points", path), _array(doc, "tensors", path)
+    # An empty field is written with "points": [], which has no columns.
+    if pts.shape != (0,) and (pts.ndim != 2 or pts.shape[1] != n):
+        raise FileFormatError(f"{path}: points must be an array of {n}-vectors")
+    if packed.shape[:1] != pts.shape[:1] or (len(pts) and packed.ndim != 2):
+        raise FileFormatError(f"{path}: expected {len(pts)} packed tensors")
     if len(pts) == 0:
         d = max(d, 1)
         return TensorMeasure(np.empty((0, n)), np.empty((0, d, d)))
-    if pts.ndim != 2 or pts.shape[1] != n:
-        raise FileFormatError(
-            f"{path}: points must be an array of {n}-vectors"
-        )
-    if packed.ndim != 2 or packed.shape[0] != pts.shape[0]:
-        raise FileFormatError(
-            f"{path}: expected {pts.shape[0]} packed tensors"
-        )
     if d < 1 or packed.shape[1] != d * (d + 1) // 2:
         raise FileFormatError(
             f"{path}: packed tensor length {packed.shape[1]} does not match d={d}"

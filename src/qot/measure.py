@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sym import (EIG_FLOOR, KERNEL_TOL, _dense, _not_psd, eig_sym,
-                  eigvals_sym, psd_violations)
+from .sym import (EIG_FLOOR, KERNEL_TOL, _dense, _kernel_directions, _not_psd,
+                  eig_sym, eigvals_sym, psd_violations)
 
 __all__ = [
     "TensorMeasure",
@@ -151,6 +151,11 @@ def marginal_cols(g: Coupling) -> np.ndarray:
     return g.entries.sum(axis=0)
 
 
+def _xlogx(lam: np.ndarray) -> np.ndarray:
+    """``lam * log(lam)`` of nonnegative eigenvalues, with ``0 log 0 = 0``."""
+    return np.where(lam > 0.0, lam * np.log(np.where(lam > 0.0, lam, 1.0)), 0.0)
+
+
 def quantum_entropy(tensors) -> float:
     """Von Neumann entropy ``sum_i -tr(P_i log P_i - P_i)`` with the
     ``0 log 0 = 0`` convention.
@@ -166,8 +171,7 @@ def quantum_entropy(tensors) -> float:
         return -math.inf
     lam = np.maximum(vals, 0.0)
     with np.errstate(over="ignore"):
-        xlogx = np.where(lam > 0.0, lam * np.log(np.where(lam > 0.0, lam, 1.0)), 0.0)
-        return float((lam - xlogx).sum())
+        return float((lam - _xlogx(lam)).sum())
 
 
 def _tr_plogq(p: np.ndarray, q: np.ndarray):
@@ -175,7 +179,7 @@ def _tr_plogq(p: np.ndarray, q: np.ndarray):
     ``0 * log 0 = 0``, and whether ``ker Q`` lies in ``ker P`` (within
     ``KERNEL_TOL``), the only case in which that trace is finite."""
     q_vals, q_vecs = eig_sym(q)
-    is_ker = q_vals <= KERNEL_TOL * np.maximum(q_vals[..., :1], 0.0)
+    is_ker = _kernel_directions(q_vals)
     p_tilde = np.swapaxes(q_vecs, -1, -2) @ p @ q_vecs
     scale = np.abs(p_tilde).max(axis=(-2, -1))
     col_mass = np.abs(p_tilde).max(axis=-2)
@@ -210,10 +214,7 @@ def quantum_kl(a, b) -> float:
     if np.any(_not_psd(p_vals)):
         return math.inf
     with np.errstate(over="ignore", invalid="ignore"):
-        lam = np.maximum(p_vals, 0.0)
-        tr_plogp = np.where(
-            lam > 0.0, lam * np.log(np.where(lam > 0.0, lam, 1.0)), 0.0
-        ).sum(axis=-1)
+        tr_plogp = _xlogx(np.maximum(p_vals, 0.0)).sum(axis=-1)
 
         tr_plogq, contained = _tr_plogq(p, q)
         if not np.all(contained):

@@ -35,8 +35,7 @@ from .measure import (
 )
 from .sym import (
     KERNEL_TOL,
-    _lse_eig,
-    _lste_values,
+    _kernel_directions,
     _reconstruct,
     eig_sym,
     eigvals_sym,
@@ -238,8 +237,8 @@ def _range_projectors(tensors: np.ndarray):
     kernel of :func:`quantum_kl` (eigenvalues at most ``KERNEL_TOL``
     times the largest), and whether each tensor has a kernel."""
     vals, vecs = eig_sym(tensors)
-    live = vals > KERNEL_TOL * np.maximum(vals[..., :1], 0.0)
-    return _reconstruct(live.astype(float), vecs), ~live.all(axis=-1)
+    kernel = _kernel_directions(vals)
+    return _reconstruct((~kernel).astype(float), vecs), kernel.any(axis=-1)
 
 
 def _coupling(k: np.ndarray, row_tensors: np.ndarray, col_tensors: np.ndarray):
@@ -435,11 +434,11 @@ def sinkhorn_solve(mu: TensorMeasure, nu: TensorMeasure, cost: GroundCost,
     returned state is ``G(x)`` at the last iteration.
 
     With ``cfg.trace_constrained`` the marginals' traces are pinned to the
-    inputs' traces: after each potential update the matching scalar
-    multiplier takes an exact coordinate step, and the steps join the
-    residual.  The row multiplier's step only shifts the kernel's
-    eigenvalues, so one ``eigh`` of the kernel serves it and the column
-    LSE; the column multiplier's step needs eigenvalues only.
+    inputs' traces: before each potential update the matching scalar
+    multiplier takes an exact coordinate step, read off that half-step's
+    kernel LSE (``log tr sum_j exp(K_ij) = log tr exp(LSE_j K_ij)``), and
+    the steps join the residual.  A trace iteration builds no kernel stack
+    that a plain one does not.
 
     Parameters
     ----------
@@ -477,27 +476,29 @@ def sinkhorn_solve(mu: TensorMeasure, nu: TensorMeasure, cost: GroundCost,
 
     log_mu, log_nu = log_sym(mu.tensors), log_sym(nu.tensors)
 
+    def multiplier_step(lse, log_tr):
+        # The multiplier step that pins log tr exp(lse) = log tr sum_j exp(K_ij)
+        # to log_tr moves each kernel line, and so lse, by -step / eps * I.
+        step = cfg.eps * (lste_reduce(lse[None], axis=0) - log_tr)
+        return step, lse - (step / cfg.eps)[:, None, None] * np.eye(lse.shape[-1])
+
     def step(point):
         u, v, alpha, beta = point
         rows, cols = _kernel_terms(u, v, alpha, beta, cfg)
         lse_u = _kernel_lse(rows, cols, cost.kind, cost.values, cfg.eps, 1)
+        if cfg.trace_constrained:
+            step_a, lse_u = multiplier_step(lse_u, log_tr_mu)
+            alpha = alpha + step_a
         u = cfg.relax(1, u, lse_u - log_mu)
         rows, cols = _kernel_terms(u, v, alpha, beta, cfg)
+        lse_v = _kernel_lse(rows, cols, cost.kind, cost.values, cfg.eps, 0)
         if cfg.trace_constrained:
-            # alpha += step_a moves kernel row i by -step_a_i / eps * I.
-            vals, vecs = eig_sym(kernel(rows, cols, cost, cfg.eps))
-            step_a = cfg.eps * (_lste_values(vals, 1) - log_tr_mu)
-            alpha = alpha + step_a
-            lse_v = _lse_eig(vals - (step_a / cfg.eps)[:, None, None], vecs, 0)
-        else:
-            lse_v = _kernel_lse(rows, cols, cost.kind, cost.values, cfg.eps, 0)
+            step_b, lse_v = multiplier_step(lse_v, log_tr_nu)
+            beta = beta + step_b
         v_new = cfg.relax(2, v, lse_v - log_nu)
         res = float(np.abs(v_new - v).max())
         v = v_new
         if cfg.trace_constrained:
-            k = kernel(*_kernel_terms(u, v, alpha, beta, cfg), cost, cfg.eps)
-            step_b = cfg.eps * (lste_reduce(k, axis=0) - log_tr_nu)
-            beta = beta + step_b
             # The kernel sees only alpha_i + beta_j, so (alpha + c, beta - c)
             # is a gauge freedom; re-center to pin it.
             center = 0.5 * (float(beta.mean()) - float(alpha.mean()))
@@ -588,12 +589,11 @@ def fixed_point_residual(state: DualState, mu: TensorMeasure, nu: TensorMeasure,
     res = []
     for axis, rho, pot, target in ((1, cfg.rho1, state.u, mu.tensors),
                                    (0, cfg.rho2, state.v, nu.tensors)):
-        gap = lse_reduce(k, axis=axis) - log_sym(target)
+        lse = lse_reduce(k, axis=axis)
+        gap = lse - log_sym(target)
         step = pot - gap if math.isfinite(rho) else cfg.eps * gap
         res.append(float(np.abs(step).max()))
-    if cfg.trace_constrained:
-        vals = eigvals_sym(k)
-        for axis, target in ((1, mu.tensors), (0, nu.tensors)):
+        if cfg.trace_constrained:  # LSTE_j(K) = log tr exp(LSE_j(K))
             log_tr = np.log(np.trace(target, axis1=-2, axis2=-1))
-            res.append(cfg.eps * float(np.abs(_lste_values(vals, axis) - log_tr).max()))
+            res.append(cfg.eps * float(np.abs(lste_reduce(lse[None], 0) - log_tr).max()))
     return max(res)

@@ -12,8 +12,7 @@ eigenvalues and top eigenvector feed a projector form of exp and log, with
 no eigenvector matrices or matrix products (:func:`_lse2`).  The solvers
 hand it kernel entries built one block at a time, so a d = 2 iteration
 never holds a kernel stack (see ``qot.cost._kernel_lse``).  Callers that
-need only eigenvalues use :func:`eigvals_sym`; the log-sum-exp of other
-sizes can start from a decomposition the caller holds (:func:`_lse_eig`).
+need only eigenvalues use :func:`eigvals_sym`.
 
 Every operation is a pure function of its inputs and accepts either a
 single ``(d, d)`` symmetric matrix or a stack shaped ``(..., d, d)``.
@@ -51,6 +50,13 @@ EIG_FLOOR = 1e-15
 
 # An eigenvalue below KERNEL_TOL * lambda_max counts as a kernel direction.
 KERNEL_TOL = 1e-12
+
+
+def _kernel_directions(vals: np.ndarray) -> np.ndarray:
+    """Which of the descending eigenvalues ``vals`` (..., d) are kernel
+    directions, at most ``KERNEL_TOL`` times the largest one (or 0)."""
+    return vals <= KERNEL_TOL * np.maximum(vals[..., :1], 0.0)
+
 
 # Tolerated negative eigenvalue for "positive semidefinite" checks,
 # relative to 1 + |lambda_max| (absorbs round-off from exp chains).
@@ -325,13 +331,8 @@ def lse_reduce(mats, axis: int = 0) -> np.ndarray:
     axis = _normalize_reduce_axis(a, axis)
     if a.shape[-1] == 2:
         return _lse2(a[..., 0, 0], a[..., 0, 1], a[..., 1, 1], axis)
-    return _lse_eig(*eig_sym(a), axis)
-
-
-def _lse_eig(vals: np.ndarray, vecs: np.ndarray, axis: int) -> np.ndarray:
-    """:func:`lse_reduce` of the stack whose :func:`eig_sym` is ``vals``,
-    ``vecs``, along the batch ``axis`` (already normalized)."""
     tiny = float(np.finfo(float).tiny)
+    vals, vecs = eig_sym(a)
     shift = vals[..., 0].max(axis=axis, keepdims=True)
     ev = np.exp(vals - shift[..., None])
     vals, vecs = eig_sym(_reconstruct(ev, vecs).sum(axis=axis))
@@ -340,18 +341,14 @@ def _lse_eig(vals: np.ndarray, vecs: np.ndarray, axis: int) -> np.ndarray:
     return out + shift * np.eye(vals.shape[-1])
 
 
-def _lste_values(vals: np.ndarray, axis: int) -> np.ndarray:
-    """:func:`lste_reduce` of the stack whose descending eigenvalues are
-    ``vals``, along the batch ``axis`` (already normalized)."""
-    shift = vals[..., 0].max(axis=axis, keepdims=True)
-    traces = np.exp(vals - shift[..., None]).sum(axis=-1)
-    return np.log(traces.sum(axis=axis)) + np.squeeze(shift, axis=axis)
-
-
 def lste_reduce(mats, axis: int = 0) -> np.ndarray:
     """Scalar log-sum-trace-exp: ``log(sum_k tr(exp(M_k)))`` along a batch
     axis, with the same scalar-shift stabilization as :func:`lse_reduce`
     (the shift factors out of the trace as ``e^m``); it needs eigenvalues
     only (:func:`eigvals_sym`)."""
     a = _dense(mats)
-    return _lste_values(eigvals_sym(a), _normalize_reduce_axis(a, axis))
+    axis = _normalize_reduce_axis(a, axis)
+    vals = eigvals_sym(a)
+    shift = vals[..., 0].max(axis=axis, keepdims=True)
+    traces = np.exp(vals - shift[..., None]).sum(axis=-1)
+    return np.log(traces.sum(axis=axis)) + np.squeeze(shift, axis=axis)

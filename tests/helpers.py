@@ -9,7 +9,7 @@ import numpy as np
 from qot import solver
 from qot.cost import _kernel_lse, euclidean_cost, kernel
 from qot.measure import TensorMeasure
-from qot.sym import eig_sym, log_sym
+from qot.sym import log_sym, lse_reduce, lste_reduce
 
 
 def rotation(theta):
@@ -179,41 +179,30 @@ def merge_atoms_loop(points, tensors, radius):
     return out_points, out_tensors
 
 
-def trace_solve_four_eigh(mu, nu, cost, cfg):
-    """Reference for the trace-constrained map of
-    ``qot.solver.sinkhorn_solve``: the step it replaced, kept verbatim but
-    for the relaxations, now ``SolverConfig.relax``, in which each of the
-    four half-steps rebuilds the kernel and decomposes it in full (two
-    LSEs and two log-sum-trace-exps of ``eig_sym`` values), run through
-    the same loop and finalisation.  Returns the coupling, the
-    dual state, the iteration count and the primal and dual values."""
+def _trace_solve(mu, nu, cost, cfg, half_steps):
+    """Run a trace-constrained map through the solver's loop and
+    finalisation.  ``half_steps(x, gap, trace_step)`` maps the point
+    ``(u, v, alpha, beta)`` to the new ``(u, v, alpha, beta)``, the
+    column-potential change and the two multiplier steps; ``gap(x, axis)``
+    and ``trace_step(x, axis)`` reduce the dual kernel at ``x`` against the
+    inputs, as ``LSE - log target`` and ``eps * (LSTE - log tr target)``.
+    The steps are then re-centred as the solver does.  Returns the
+    coupling, the dual state and a report with no notes."""
     cfg = replace(cfg, trace_constrained=True)
-    log_tr_mu = np.log(np.trace(mu.tensors, axis1=-2, axis2=-1))
-    log_tr_nu = np.log(np.trace(nu.tensors, axis1=-2, axis2=-1))
-    log_mu, log_nu = log_sym(mu.tensors), log_sym(nu.tensors)
+    log_tr = [np.log(np.trace(m.tensors, axis1=-2, axis2=-1)) for m in (nu, mu)]
+    log_target = [log_sym(nu.tensors), log_sym(mu.tensors)]
 
-    def lste_reduce(k, axis):
-        return solver._lste_values(eig_sym(k).values, axis)
+    def dual_kernel(x):
+        return kernel(*solver._kernel_terms(*x, cfg), cost, cfg.eps)
 
-    def dual_kernel(u, v, alpha, beta):
-        return kernel(*solver._kernel_terms(u, v, alpha, beta, cfg), cost, cfg.eps)
+    def gap(x, axis):
+        return lse_reduce(dual_kernel(x), axis=axis) - log_target[axis]
 
-    def kernel_lse(u, v, alpha, beta, axis):
-        terms = solver._kernel_terms(u, v, alpha, beta, cfg)
-        return _kernel_lse(*terms, cost.kind, cost.values, cfg.eps, axis)
+    def trace_step(x, axis):
+        return cfg.eps * (lste_reduce(dual_kernel(x), axis=axis) - log_tr[axis])
 
     def step(point):
-        u, v, alpha, beta = point
-        u = cfg.relax(1, u, kernel_lse(u, v, alpha, beta, 1) - log_mu)
-        k = dual_kernel(u, v, alpha, beta)
-        step_a = cfg.eps * (lste_reduce(k, axis=1) - log_tr_mu)
-        alpha = alpha + step_a
-        v_new = cfg.relax(2, v, kernel_lse(u, v, alpha, beta, 0) - log_nu)
-        res = float(np.abs(v_new - v).max())
-        v = v_new
-        k = dual_kernel(u, v, alpha, beta)
-        step_b = cfg.eps * (lste_reduce(k, axis=0) - log_tr_nu)
-        beta = beta + step_b
+        (u, v, alpha, beta), res, step_a, step_b = half_steps(point, gap, trace_step)
         center = 0.5 * (float(beta.mean()) - float(alpha.mean()))
         alpha = alpha + center
         beta = beta - center
@@ -223,10 +212,48 @@ def trace_solve_four_eigh(mu, nu, cost, cfg):
     d, rows, cols = mu.tensor_dim, mu.n_atoms, nu.n_atoms
     point = (np.zeros((rows, d, d)), np.zeros((cols, d, d)),
              np.zeros(rows), np.zeros(cols))
-    image, history, _, _ = solver._scale(step, point, cfg)
+    image, history, converged, _ = solver._scale(step, point, cfg)
     state = solver.DualState(*image)
     coupling, _, primal, dual = solver._certify(state, mu, nu, cost, cfg)
-    return coupling, state, len(history), primal, dual
+    return coupling, state, solver._report(cfg, history, converged, primal, dual, [])
+
+
+def trace_solve_full_stack(mu, nu, cost, cfg):
+    """Reference for the trace-constrained map of
+    ``qot.solver.sinkhorn_solve``, in its order: each multiplier steps
+    before its side's potential.  Every LSE and every multiplier step
+    reduces a kernel stack rebuilt at the current point, so neither
+    identity the solver's step rests on (a multiplier step read off the
+    half-step's LSE, and that LSE moved by the step) is used.  Returns as
+    :func:`_trace_solve`."""
+    def half_steps(x, gap, trace_step):
+        u, v, alpha, beta = x
+        step_a = trace_step((u, v, alpha, beta), 1)
+        alpha = alpha + step_a
+        u = cfg.relax(1, u, gap((u, v, alpha, beta), 1))
+        step_b = trace_step((u, v, alpha, beta), 0)
+        beta = beta + step_b
+        v_new = cfg.relax(2, v, gap((u, v, alpha, beta), 0))
+        return (u, v_new, alpha, beta), float(np.abs(v_new - v).max()), step_a, step_b
+    return _trace_solve(mu, nu, cost, cfg, half_steps)
+
+
+def trace_solve_four_eigh(mu, nu, cost, cfg):
+    """The trace-constrained map the solver ran before its multiplier
+    steps were read off the kernel LSEs, in that order: each multiplier
+    steps after its side's potential, on a kernel rebuilt and decomposed
+    in full.  Same fixed point, a different iteration.  Returns as
+    :func:`_trace_solve`."""
+    def half_steps(x, gap, trace_step):
+        u, v, alpha, beta = x
+        u = cfg.relax(1, u, gap((u, v, alpha, beta), 1))
+        step_a = trace_step((u, v, alpha, beta), 1)
+        alpha = alpha + step_a
+        v_new = cfg.relax(2, v, gap((u, v, alpha, beta), 0))
+        step_b = trace_step((u, v_new, alpha, beta), 0)
+        beta = beta + step_b
+        return (u, v_new, alpha, beta), float(np.abs(v_new - v).max()), step_a, step_b
+    return _trace_solve(mu, nu, cost, cfg, half_steps)
 
 
 def barycenter_loop(prob, cfg=None):

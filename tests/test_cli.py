@@ -765,6 +765,15 @@ class TestRenderCommand:
         doc = ET.fromstring(out.read_text())
         assert not [el for el in doc.iter() if el.tag.endswith("ellipse")]
 
+    def test_tensors_without_points_exit_1(self, tmp_path, capsys):
+        field = tmp_path / "field.json"
+        field.write_text(json.dumps({"d": 2, "n": 2, "points": [],
+                                     "tensors": [[1, 0, 1], [2, 0, 2]]}))
+        out = tmp_path / "out.svg"
+        assert main(["render", "--field", str(field), "--out", str(out)]) == 1
+        assert "expected 0 packed tensors" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_1x1_draws_circles(self, tmp_path):
         field = tmp_path / "field.json"
         write_field(field, [[0.2, 0.2], [0.8, 0.8]],

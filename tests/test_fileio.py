@@ -74,6 +74,21 @@ class TestFieldRoundTrip:
         with pytest.raises(FileFormatError):
             load_field(path)
 
+    def test_tensors_without_points_rejected(self, tmp_path):
+        # An empty point list must not load as an empty field that drops
+        # the tensors.
+        path = tmp_path / "orphans.json"
+        path.write_text('{"d": 2, "n": 2, "points": [],'
+                        ' "tensors": [[1, 0, 1], [2, 0, 2]]}')
+        with pytest.raises(FileFormatError, match="expected 0 packed tensors"):
+            load_field(path)
+
+    def test_scalar_points_rejected(self, tmp_path):
+        path = tmp_path / "scalar.json"
+        path.write_text('{"d": 2, "n": 2, "points": 5, "tensors": []}')
+        with pytest.raises(FileFormatError, match="array of 2-vectors"):
+            load_field(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileFormatError):
             load_field(tmp_path / "nope.json")

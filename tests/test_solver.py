@@ -17,6 +17,7 @@ from helpers import (
     scalar_measure,
     trace_balanced_instance,
     trace_solve_four_eigh,
+    trace_solve_full_stack,
     two_bump_line_instance,
 )
 from scalar_ot import unbalanced_sinkhorn_log
@@ -509,6 +510,9 @@ def _rel(got, want):
 
 
 class TestSharedTraceDecomposition:
+    # The multiplier steps share their side's kernel-LSE decomposition.  Both
+    # references instead rebuild and decompose the full kernel stack at each
+    # of the four half-steps of an iteration.
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("rho1,rho2", [(1.0, 1.0), (0.5, math.inf),
@@ -518,18 +522,33 @@ class TestSharedTraceDecomposition:
         cfg = SolverConfig(eps=0.05, rho1=rho1, rho2=rho2, trace_constrained=True)
         coupling, state, report = sinkhorn_solve(mu, nu, cost, cfg)
         assert report.converged
-        ref_coupling, ref_state, ref_iterations, primal, dual = \
-            trace_solve_four_eigh(mu, nu, cost, cfg)
-        assert report.iterations == ref_iterations
+        ref_coupling, ref_state, ref = trace_solve_full_stack(mu, nu, cost, cfg)
+        assert report.iterations == ref.iterations
         assert _rel(coupling.entries, ref_coupling.entries) < 1e-12
         for name in ("u", "v", "alpha", "beta"):
             assert _rel(getattr(state, name), getattr(ref_state, name)) < 1e-12
-        assert _rel(report.primal_value, primal) < 1e-12
-        assert _rel(report.dual_value, dual) < 1e-12
+        assert _rel(report.primal_value, ref.primal_value) < 1e-12
+        assert _rel(report.dual_value, ref.dual_value) < 1e-12
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("rho1,rho2", [(1.0, 1.0), (0.5, math.inf),
+                                           (math.inf, 1.0)])
+    def test_same_solution_as_the_old_order(self, seed, d, rho1, rho2):
+        # Stepping each multiplier before its side's potential, not after,
+        # changes the iteration but not its fixed point.
+        mu, nu, cost = trace_balanced_instance(np.random.default_rng(seed), 4, 5, d)
+        cfg = SolverConfig(eps=0.05, rho1=rho1, rho2=rho2, trace_constrained=True)
+        coupling, _, report = sinkhorn_solve(mu, nu, cost, cfg)
+        old_coupling, _, old = trace_solve_four_eigh(mu, nu, cost, cfg)
+        assert report.certified and old.certified
+        assert _rel(coupling.entries, old_coupling.entries) < 1e-6
+        assert _rel(report.primal_value, old.primal_value) < 1e-6
+        assert _rel(report.dual_value, old.dual_value) < 1e-12
 
     def test_kernel_stack_decompositions_per_iteration(self, monkeypatch):
-        # One eigh for the row LSE, one shared by the row multiplier step
-        # and the column LSE, and one eigvalsh for the column multiplier.
+        # One eigh for each side's LSE; the multiplier steps decompose only
+        # the d x d LSEs.
         mu, nu, cost = trace_balanced_instance(np.random.default_rng(5), 4, 5, 3)
         calls = []
         for name in ("eigh", "eigvalsh"):
@@ -546,16 +565,15 @@ class TestSharedTraceDecomposition:
         cfg = SolverConfig(eps=0.05, trace_constrained=True)
         _, _, report = sinkhorn_solve(mu, nu, cost, cfg, callback)
         assert report.iterations > 10
-        assert per_iteration == [(2, 1)] * report.iterations
+        assert per_iteration == [(2, 0)] * report.iterations
 
 
 class TestKernelStacks:
     # A d = 2 isotropic loop reduces the kernel block by block and builds
     # no stack; the finalisation builds two per certified problem (the
-    # coupling's and the dual objective's).  A d = 3 trace-constrained
-    # iteration builds three: for the row LSE, for the decomposition shared
-    # by the row multiplier step and the column LSE, and for the column
-    # multiplier step.
+    # coupling's and the dual objective's).  A d = 3 iteration builds two,
+    # one per side's LSE, trace-constrained or not: the multiplier steps
+    # are read off those LSEs.
     @pytest.fixture
     def stacks(self, monkeypatch):
         # Every stack, the public kernel's and the loops', is written by
@@ -593,9 +611,17 @@ class TestKernelStacks:
         barycenter_solve(prob, SolverConfig(eps=0.05, max_iter=3, tol=1e-300))
         assert stacks == [(2, 3, 4, 3, 3)] * 6 + [(3, 4, 3, 3)] * 4
 
-    def test_d3_trace_iteration_builds_three(self, stacks):
+    def test_d2_trace_transport_builds_only_the_finalisation(self, stacks):
+        mu, nu, cost = trace_balanced_instance(np.random.default_rng(5), 4, 5, 2)
+        cfg = SolverConfig(eps=0.05, trace_constrained=True)
+        _, _, report = sinkhorn_solve(mu, nu, cost, cfg)
+        assert report.converged and report.iterations > 10
+        assert stacks == [(4, 5, 2, 2)] * 2
+
+    @pytest.mark.parametrize("trace", [False, True])
+    def test_d3_iteration_builds_two(self, stacks, trace):
         mu, nu, cost = trace_balanced_instance(np.random.default_rng(5), 4, 5, 3)
-        cfg = SolverConfig(eps=0.05, trace_constrained=True, max_iter=6,
+        cfg = SolverConfig(eps=0.05, trace_constrained=trace, max_iter=6,
                            tol=1e-300)
         per_iteration = []
 
@@ -603,7 +629,7 @@ class TestKernelStacks:
             per_iteration.append(len(stacks))
             stacks.clear()
         sinkhorn_solve(mu, nu, cost, cfg, callback)
-        assert per_iteration == [3] * 6
+        assert per_iteration == [2] * 6
         assert stacks == [(4, 5, 3, 3)] * 2
 
 
@@ -851,7 +877,7 @@ def _loop_solve(kind, cfg):
 @pytest.mark.parametrize("kind", ["plain", "trace", "barycenter"])
 @pytest.mark.parametrize("cfg,converges", [
     (SolverConfig(), True),
-    (SolverConfig(max_iter=30, tol=2e-3), False),
+    (SolverConfig(max_iter=30, tol=2e-4), False),
 ], ids=["converged", "max_iter"])
 def test_one_scaling_loop(monkeypatch, kind, cfg, converges):
     # Every solver runs the one loop: its report's history is what the

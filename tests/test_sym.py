@@ -477,3 +477,38 @@ class TestLste:
         mats = random_sym(rng, 3, n=7)
         naive = math.log(sum(np.trace(scipy.linalg.expm(m)) for m in mats))
         assert np.allclose(lste_reduce(mats, axis=0), naive, atol=1e-10)
+
+
+class TestTraceStepIdentities:
+    # The trace-constrained solver reads each multiplier step off its
+    # half-step's kernel LSE and then moves that LSE by the step.  Each
+    # matrix is a multiple of I between 200 and 1000 plus a random part:
+    # a line's eigenvalues spread over hundreds, and exp overflows without
+    # the stabilising shift.  The random part keeps each LSE's own spread
+    # under 10: at d > 2 an LSE direction e^-s below the top one carries
+    # about e^s ulps of error, shifted or not.
+    @staticmethod
+    def stack(d, seed):
+        rng = np.random.default_rng(seed)
+        offsets = rng.uniform(200.0, 1000.0, size=(6, 7, 1, 1))
+        return offsets * np.eye(d) + random_sym(rng, d, n=42, scale=2.0).reshape(
+            6, 7, d, d)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_lste_is_the_lste_of_the_lse(self, d, axis):
+        # tr sum_k exp(M_k) = tr exp(log sum_k exp(M_k)).
+        k = self.stack(d, 61 + d)
+        want = lste_reduce(k, axis=axis)
+        got = lste_reduce(lse_reduce(k, axis=axis)[None], axis=0)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_a_shift_by_a_multiple_of_identity_moves_the_lse(self, d, axis):
+        k = self.stack(d, 67 + d)
+        s = np.random.default_rng(71 + d).uniform(-300.0, 300.0, size=k.shape[1 - axis])
+        line = s[:, None, None, None] if axis == 1 else s[None, :, None, None]
+        want = lse_reduce(k, axis=axis) - s[:, None, None] * np.eye(d)
+        got = lse_reduce(k - line * np.eye(d), axis=axis)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()

@@ -6,13 +6,15 @@ For every workload of ``bench/run.py`` (``WORKLOADS``) and every seed, each
 checkout writes the inputs with its own ``bench/gen.py`` and runs the
 workload's CLI stages on them with its own ``src``, as the benchmark runs
 them.  The solve stage gets a ``--report`` if it writes none, so that every
-solve's iteration count can be printed; a report changes no other output.  Then
-every file of the two runs is compared: ``same`` if the bytes match;
-otherwise the largest difference of the numbers in it, relative to the
-largest magnitude in the parent's file (or ``text differs`` if anything
-but the numbers does).  ``bench/checks.py`` checks the change's outputs.
-Last, the lines of each ``src/qot/*.py`` module in both checkouts (as
-``wc -l`` counts them), with the net change per module and in total.
+solve's iteration count and relative duality gap ``|primal - dual| / |dual|``
+can be printed (for a report of several solves, the largest gap); a report
+changes no other output.  Then every file of the two runs is compared:
+``same`` if the bytes match; otherwise the largest difference of the
+numbers in it, relative to the largest magnitude in the parent's file (or
+``text differs`` if anything but the numbers does).  ``bench/checks.py``
+checks the change's outputs.  Last, the lines of each ``src/qot/*.py``
+module in both checkouts (as ``wc -l`` counts them), with the net change
+per module and in total.
 
 Exits 0 if every file is byte-identical and every check passes, else 1.
 """
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import subprocess
 import sys
@@ -71,10 +74,22 @@ def difference(a: str, b: str) -> str:
     return f"largest relative difference {diff / scale if scale else diff:.3g}"
 
 
-def iterations(path: Path) -> list:
-    """The iteration counts of a ``--report`` document."""
+def relative_gap(entry: dict) -> float:
+    """``|primal - dual| / |dual|`` of one solve's report (``inf`` if an
+    objective was written as null, the absolute gap if the dual is 0)."""
+    primal, dual = entry["primal_value"], entry["dual_value"]
+    if primal is None or dual is None:
+        return math.inf
+    return abs(primal - dual) / abs(dual) if dual else abs(primal - dual)
+
+
+def solves(path: Path) -> tuple:
+    """The iteration counts of a ``--report`` document's solves and their
+    largest relative duality gap."""
     doc = json.loads(path.read_text())
-    return [entry["iterations"] for entry in (doc if isinstance(doc, list) else [doc])]
+    entries = doc if isinstance(doc, list) else [doc]
+    return ([entry["iterations"] for entry in entries],
+            max(relative_gap(entry) for entry in entries))
 
 
 def compare(parent: Path, change: Path, workload: str, seed: int, tmp: Path) -> bool:
@@ -94,7 +109,9 @@ def compare(parent: Path, change: Path, workload: str, seed: int, tmp: Path) -> 
             status = difference(a.read_text(), b.read_text())
         same = same and status == "same"
         if name.endswith("report.json") and a.exists() and b.exists():
-            status += f"; iterations {iterations(a)} -> {iterations(b)}"
+            (its_a, gap_a), (its_b, gap_b) = solves(a), solves(b)
+            status += (f"; iterations {its_a} -> {its_b}; "
+                       f"relative gap {gap_a:.2g} -> {gap_b:.2g}")
         print(f"  {name:24s} {status}")
     for stage in run.WORKLOADS[workload].stages:
         try:
