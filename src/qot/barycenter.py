@@ -105,16 +105,21 @@ def barycenter_solve(prob: BarycenterProblem, cfg: SolverConfig | None = None):
     ``cfg.rho1``, ``cfg.rho2`` and ``cfg.trace_constrained`` are ignored
     here; the report's ``config`` is the configuration that ran.
 
+    An input of weight zero has no term in the objective and takes no
+    part in the solve, which is bit for bit the solve of the problem
+    without it; it costs no work.
+
     Returns ``(TensorMeasure, SolveReport)``.  The report's
     ``dual_states`` carries the per-input dual potentials (the weighted
     sum of the column potentials vanishes at convergence, which serves as
-    a convergence certificate), its residual history records the largest
-    potential change per iteration across all inputs, and its objective
-    values are the weighted sums of the inputs' transport values against
-    the barycenter.  The barycenter's log-tensors are the aggregation
-    variable, so the returned tensors are positive definite by
-    construction.  Like the couplings, they are exponentials capped at
-    exp(700), and a note says when an unconverged solve hits the cap.
+    a convergence certificate), ``None`` for an input of weight zero; its
+    residual history records the largest potential change per iteration
+    across the inputs of positive weight, and its objective values are
+    the weighted sums of their transport values against the barycenter.
+    The barycenter's log-tensors are the aggregation variable, so the
+    returned tensors are positive definite by construction.  Like the
+    couplings, they are exponentials capped at exp(700), and a note says
+    when an unconverged solve hits the cap.
 
     One iteration is a map of the potentials, run by the scaling loop of
     :func:`qot.solver.sinkhorn_solve`, over stacked arrays: all column
@@ -124,11 +129,14 @@ def barycenter_solve(prob: BarycenterProblem, cfg: SolverConfig | None = None):
     cfg = replace(cfg or SolverConfig(), rho1=prob.rho, rho2=math.inf,
                   trace_constrained=False)
     d = prob.tensor_dim
+    live = [i for i, w in enumerate(prob.weights) if w > 0.0]
+    inputs, costs, weights = ([seq[i] for i in live]
+                              for seq in (prob.inputs, prob.costs, prob.weights))
     keys = {}
-    for i, (measure, cost) in enumerate(zip(prob.inputs, prob.costs)):
+    for i, (measure, cost) in enumerate(zip(inputs, costs)):
         keys.setdefault((measure.n_atoms, cost.kind), []).append(i)
-    groups = [(np.array(ins), kind, np.stack([prob.costs[i].values for i in ins]),
-               np.stack([log_sym(prob.inputs[i].tensors) for i in ins]))
+    groups = [(np.array(ins), kind, np.stack([costs[i].values for i in ins]),
+               np.stack([log_sym(inputs[i].tensors) for i in ins]))
               for (_, kind), ins in keys.items()]
     log_nu = None
 
@@ -148,13 +156,13 @@ def barycenter_solve(prob: BarycenterProblem, cfg: SolverConfig | None = None):
             rows, cols = _kernel_terms(u_new, v[ins], None, None, cfg)
             lse_cols[ins] = _kernel_lse(rows, cols, kind, values, cfg.eps, 0)
         log_nu = sum(w * (lse + v_l / cfg.eps)
-                     for w, lse, v_l in zip(prob.weights, lse_cols, v))
+                     for w, lse, v_l in zip(weights, lse_cols, v))
         v_new = cfg.relax(2, v, lse_cols - log_nu)
         res = max(res, float(np.abs(v_new - v).max()))
         return (*us_new, v_new), res
 
     point = (tuple(np.zeros_like(log_mu) for *_, log_mu in groups)
-             + (np.zeros((prob.n_inputs, len(prob.support), d, d)),))
+             + (np.zeros((len(live), len(prob.support), d, d)),))
     (*us, v), history, converged, loop_notes = _scale(step, point, cfg)
 
     notes = ["barycenter side uses a hard marginal constraint"] + loop_notes
@@ -168,13 +176,14 @@ def barycenter_solve(prob: BarycenterProblem, cfg: SolverConfig | None = None):
         DualState(u_of[i], v_i, np.zeros(len(u_of[i])), np.zeros(len(v_i)))
         for i, v_i in enumerate(v))
     primal = dual = 0.0
-    for state, measure, cost, w in zip(states, prob.inputs, prob.costs,
-                                       prob.weights):
+    for state, measure, cost, w in zip(states, inputs, costs, weights):
         _, extra, p, q = _certify(state, measure, nu, cost, cfg)
         notes += [note for note in extra if note not in notes]
         primal += float(w) * p
         dual += float(w) * q
-    return nu, _report(cfg, history, converged, primal, dual, notes, states)
+    states = dict(zip(live, states))
+    return nu, _report(cfg, history, converged, primal, dual, notes,
+                       tuple(map(states.get, range(prob.n_inputs))))
 
 
 def pointwise_barycenter(tensors, weights, energy: float, rho: float) -> np.ndarray:

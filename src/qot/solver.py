@@ -182,14 +182,17 @@ class SolveReport:
     the stopping test read at evaluation t (the sup-norm of the
     column-potential change, whose log10 decays linearly for contractive
     relaxations, joined by the multiplier steps in trace-constrained mode
-    and by the row-potential changes in a barycenter), so ``converged`` is
+    and by the row-potential changes in a barycenter, taken there over the
+    inputs of positive weight), so ``converged`` is
     whether the last entry is below ``tol``.  ``notes`` name the hard
     constraints and trace mode in use, two hard sides whose total masses
     differ (an infeasible problem), the Anderson acceleration if it
     engaged, an iteration budget spent without convergence, every
     exponential capped at exp(700), and each objective value that is not
     finite.  ``config`` is the configuration the loop ran, after any
-    override by the solver (trace mode, or a barycenter's fidelities)."""
+    override by the solver (trace mode, or a barycenter's fidelities).
+    ``dual_states`` holds a barycenter's per-input states, ``None`` for an
+    input of weight zero, which took no part in the solve."""
 
     iterations: int
     residual_history: np.ndarray

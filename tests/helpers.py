@@ -262,7 +262,9 @@ def barycenter_loop(prob, cfg=None):
     iteration and the state is a tuple of per-input arrays, run through the
     same loop and finalisation.  It is kept as it was but for the solver's
     names, qualified here, and ``_kernel_lse``'s cost arguments, now the
-    cost's kind and values.  Returns ``(nu, report)``."""
+    cost's kind and values.  It runs every input, zero weights included,
+    so it is the reference for weights that are all positive.  Returns
+    ``(nu, report)``."""
     cfg = replace(cfg or solver.SolverConfig(), rho1=prob.rho, rho2=math.inf,
                   trace_constrained=False)
     d = prob.tensor_dim

@@ -282,17 +282,24 @@ class TestAcceleratedBarycenter:
         assert np.abs(nu.tensors - nu_plain.tensors).max() < 1e-8
 
 
-def _assert_same_solve(got, want):
+def _assert_same_solve(got, want, weights=None):
     """Bit-for-bit equal barycenters, residual histories, objective values,
-    notes and dual states."""
+    notes and dual states.  With ``weights``, those of ``got``'s problem,
+    the dual state of each input of weight zero is ``None`` and the others
+    are ``want``'s, in order."""
     (nu, report), (nu_ref, report_ref) = got, want
     assert nu.tensors.tobytes() == nu_ref.tensors.tobytes()
     assert (report.residual_history.tobytes()
             == report_ref.residual_history.tobytes())
     assert (report.primal_value, report.dual_value, report.notes) == (
         report_ref.primal_value, report_ref.dual_value, report_ref.notes)
-    assert len(report.dual_states) == len(report_ref.dual_states)
-    for state, ref in zip(report.dual_states, report_ref.dual_states):
+    states = report.dual_states
+    if weights is not None:
+        assert len(states) == len(weights)
+        assert [s is None for s in states] == [w == 0.0 for w in weights]
+        states = [s for s in states if s is not None]
+    assert len(states) == len(report_ref.dual_states)
+    for state, ref in zip(states, report_ref.dual_states):
         for name in ("u", "v", "alpha", "beta"):
             a, b = getattr(state, name), getattr(ref, name)
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -333,3 +340,81 @@ class TestStackedMap:
         assert got[1].converged
         assert calls == [2, 2, 1, 1] * got[1].iterations
         _assert_same_solve(got, barycenter_loop(prob, cfg))
+
+
+def _weighted_only(prob):
+    """``prob`` without its inputs of weight zero."""
+    keep = [i for i, w in enumerate(prob.weights) if w > 0.0]
+    return BarycenterProblem(tuple(prob.inputs[i] for i in keep),
+                             prob.weights[keep], prob.support,
+                             tuple(prob.costs[i] for i in keep), prob.rho)
+
+
+class TestZeroWeights:
+    # An input of weight zero has no term in the objective: the problem
+    # solves bit for bit as the problem without it, and its dual state is
+    # None.
+    def grid_problem(self, weights, rho):
+        rng = np.random.default_rng(0)
+        points = grid_points(3)
+        inputs = [TensorMeasure(points, random_psd(rng, 2, n=9))
+                  for _ in range(4)]
+        return make_problem(inputs, weights, points, rho=rho)
+
+    @pytest.mark.parametrize("t1, t2", [(0.0, 0.0), (0.5, 1.0)])
+    def test_corner_and_edge_solve_without_their_zero_weights(self, t1, t2):
+        prob = self.grid_problem(bilinear_weights(t1, t2), rho=0.1)
+        got = barycenter_solve(prob)
+        assert got[1].certified
+        assert not any(n.startswith("anderson") for n in got[1].notes)
+        _assert_same_solve(got, barycenter_solve(_weighted_only(prob)),
+                           prob.weights)
+
+    def test_accelerated_solve_without_its_zero_weights(self):
+        prob = self.grid_problem([0.4, 0.0, 0.6, 0.0], rho=1.0)
+        cfg = SolverConfig(tol=1e-11)
+        got = barycenter_solve(prob, cfg)
+        assert got[1].certified
+        assert sum(n.startswith("anderson: engaged") for n in got[1].notes) == 1
+        _assert_same_solve(got, barycenter_solve(_weighted_only(prob), cfg),
+                           prob.weights)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_zero_weight_group_makes_no_kernel_calls(self, monkeypatch, d):
+        # The setting of test_ragged_mixed_kind_barycenter_is_the_per_input_map
+        # with input 1, alone in its group (5 atoms, a matrix cost), at
+        # weight zero: only the group of inputs 0 and 2 runs.
+        rng = np.random.default_rng(11)
+        support = grid_points(2)
+        inputs = [random_measure(rng, n, d) for n in (4, 5, 4)]
+        costs = [euclidean_cost(m.points, support) for m in inputs]
+        aniso = random_psd(rng, d)
+        costs[1] = GroundCost("matrix", costs[1].values[..., None, None] * aniso)
+        prob = BarycenterProblem(tuple(inputs), np.array([0.5, 0.0, 0.5]),
+                                 support, tuple(costs), 0.7)
+        cfg = SolverConfig(eps=0.05, tau1=0.1, tau2=1.5, tol=1e-10)
+        calls = []
+        kernel_lse = qot_barycenter._kernel_lse
+        monkeypatch.setattr(qot_barycenter, "_kernel_lse", lambda *args: (
+            calls.append(args[0].shape[0]) or kernel_lse(*args)))
+        got = barycenter_solve(prob, cfg)
+        assert got[1].converged
+        assert calls == [2, 2] * got[1].iterations
+        _assert_same_solve(got, barycenter_solve(_weighted_only(prob), cfg),
+                           prob.weights)
+
+    def test_zero_weight_input_of_infinite_primal_leaves_the_solve_certified(self):
+        # The zero tensors of Z have no finite-primal coupling to any
+        # positive barycenter; at weight zero that must not make the
+        # barycenter's primal 0 * inf = NaN.
+        rng = np.random.default_rng(0)
+        pts = rng.uniform(size=(6, 2))
+        a = rng.standard_normal((6, 2, 2))
+        A = TensorMeasure(pts, a @ a.transpose(0, 2, 1) + 0.1 * np.eye(2))
+        Z = TensorMeasure(pts, np.zeros((6, 2, 2)))
+        prob = make_problem([A, Z], [1.0, 0.0], pts)
+        cfg = SolverConfig(eps=0.05, max_iter=3000)
+        got = barycenter_solve(prob, cfg)
+        assert got[1].certified
+        _assert_same_solve(got, barycenter_solve(_weighted_only(prob), cfg),
+                           prob.weights)

@@ -560,6 +560,30 @@ class TestBarycenterCommand:
         for i in range(4):
             assert (tmp_path / f"bary-{i}.json").exists()
 
+    def test_grid_corner_is_the_solve_of_its_one_input(self, tmp_path):
+        # The corner of --grid 2 weighs the inputs 1, 0, 0, 0; an input of
+        # weight zero takes no part, so the corner is the first input's
+        # barycenter alone, byte for byte.  Both default the support to the
+        # first input's points.
+        paths = self.make_inputs(tmp_path, n_inputs=4)
+        grid_report = tmp_path / "grid-report.json"
+        single_report = tmp_path / "single-report.json"
+        code = main(["barycenter", "--inputs", ",".join(paths), "--grid", "2",
+                     "--out", str(tmp_path / "grid-{i}.json"),
+                     "--report", str(grid_report)])
+        assert code == 0
+        code = main(["barycenter", "--inputs", paths[0], "--weights", "1",
+                     "--out", str(tmp_path / "single.json"),
+                     "--report", str(single_report)])
+        assert code == 0
+        assert ((tmp_path / "grid-0.json").read_bytes()
+                == (tmp_path / "single.json").read_bytes())
+        corner = json.loads(grid_report.read_text())[0]
+        (single,) = json.loads(single_report.read_text())
+        assert corner["weights"] == [1.0, 0.0, 0.0, 0.0]
+        for key in ("iterations", "residual_history"):
+            assert corner[key] == single[key]
+
     def test_grid_three_writes_nine_files(self, tmp_path):
         rng = np.random.default_rng(29)
         paths = []
