@@ -46,18 +46,16 @@ def _check_rho(rho: float) -> None:
 
 @dataclass(frozen=True)
 class BarycenterProblem:
-    """Inputs of a barycenter computation: one transport problem per input,
-    from ``inputs[l]`` to the fixed ``support`` points under ``costs[l]``,
-    with finite fidelity ``rho`` on the input side and a hard constraint on the
-    barycenter side.  ``weights`` must be nonnegative and sum to one
-    within 1e-12.
+    """Data of a barycenter computation: one transport problem per input,
+    from ``inputs[l]`` to the fixed ``support`` points under ``costs[l]``.
+    ``weights`` must be nonnegative and sum to one within 1e-12.  The
+    fidelities are settings of the solve (see :func:`barycenter_solve`).
     """
 
     inputs: tuple
     weights: np.ndarray
     support: np.ndarray
     costs: tuple
-    rho: float = SolverConfig.rho1
 
     def __post_init__(self):
         inputs = tuple(self.inputs)
@@ -68,7 +66,6 @@ class BarycenterProblem:
         if len(weights) != len(inputs) or len(costs) != len(inputs):
             raise ValueError("inputs, weights and costs must have equal length")
         _check_weights(weights)
-        _check_rho(self.rho)
         try:
             zeros = np.zeros(np.shape(self.support)[:1] + (inputs[0].tensor_dim,) * 2)
             support = TensorMeasure(self.support, zeros)
@@ -99,11 +96,11 @@ class BarycenterProblem:
 def barycenter_solve(prob: BarycenterProblem, cfg: SolverConfig | None = None):
     """Compute the barycenter measure on the problem's fixed support.
 
-    ``cfg`` supplies eps, relaxations, iteration budget and tolerance; the
-    fidelity strengths come from the problem itself (``prob.rho`` on the
-    input side, always a hard constraint on the barycenter side), so
-    ``cfg.rho1``, ``cfg.rho2`` and ``cfg.trace_constrained`` are ignored
-    here; the report's ``config`` is the configuration that ran.
+    Each input's transport is the one :func:`qot.solver.sinkhorn_solve`
+    runs with ``cfg``: its input side at fidelity ``cfg.rho1`` (finite), and
+    ``cfg.rho2`` replaced by ``inf``, as the barycenter side is hard.  Trace
+    mode is refused (``ValueError``).  The report's ``config`` is the
+    configuration that ran.
 
     An input of weight zero has no term in the objective and takes no
     part in the solve, which is bit for bit the solve of the problem
@@ -126,8 +123,10 @@ def barycenter_solve(prob: BarycenterProblem, cfg: SolverConfig | None = None):
     potentials in one, and the row potentials, costs and log-tensors of
     each group of inputs with one atom count and cost kind in one each.
     """
-    cfg = replace(cfg or SolverConfig(), rho1=prob.rho, rho2=math.inf,
-                  trace_constrained=False)
+    cfg = replace(cfg or SolverConfig(), rho2=math.inf)
+    if cfg.trace_constrained:
+        raise ValueError("a barycenter has no trace-constrained mode")
+    _check_rho(cfg.rho1)
     d = prob.tensor_dim
     live = [i for i, w in enumerate(prob.weights) if w > 0.0]
     inputs, costs, weights = ([seq[i] for i in live]

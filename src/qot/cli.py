@@ -59,8 +59,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_solver_flags(parser, pair=True):
     """Solver flags; ``--rho1``, ``--rho2`` and ``--trace-constrained``
-    only for a two-field solve (``pair``), since a barycenter takes its
-    fidelity from ``--rho`` and has no trace mode."""
+    only for a two-field solve (``pair``), since a barycenter sets its
+    input-side ``rho1`` with ``--rho`` and has no trace mode."""
     parser.add_argument("--eps", type=float,
                         help=f"entropic strength (default {SolverConfig.eps:g})")
     if pair:
@@ -80,6 +80,14 @@ def _given(args, *names) -> dict:
     arguments; the library supplies the value of every other one."""
     values = vars(args)
     return {name: values[name] for name in names if values[name] is not None}
+
+
+def _items(args, name: str) -> list:
+    """The comma-separated items of ``--name``; an empty one is refused."""
+    items = getattr(args, name).split(",")
+    if "" in items:
+        raise CliError(f"--{name} has an empty item")
+    return items
 
 
 def _exit_code(report: SolveReport) -> int:
@@ -148,14 +156,9 @@ def _cmd_transport(args) -> int:
 def _cmd_interpolate(args) -> int:
     mu, nu = load_field(args.mu), load_field(args.nu)
     coupling = load_coupling(args.coupling)
-    if args.steps is not None:
-        if args.steps < 2:
-            raise CliError("--steps must be >= 2")
-        ts = np.linspace(0.0, 1.0, args.steps)
-    else:
-        if args.t is None:
-            raise CliError("either --t or --steps is required")
-        ts = np.array([args.t])
+    if args.steps is not None and args.steps < 2:
+        raise CliError("--steps must be >= 2")
+    ts = [args.t] if args.steps is None else np.linspace(0.0, 1.0, args.steps)
 
     knobs = _given(args, "trace_threshold", "merge_radius")
     for index, t in enumerate(ts):
@@ -170,12 +173,7 @@ def _cmd_interpolate(args) -> int:
 
 
 def _cmd_barycenter(args) -> int:
-    inputs = [load_field(p) for p in args.inputs.split(",") if p]
-    if not inputs:
-        raise CliError("--inputs must list at least one field")
-
-    if (args.weights is None) == (args.grid is None):
-        raise CliError("exactly one of --weights or --grid is required")
+    inputs = [load_field(p) for p in _items(args, "inputs")]
     if args.grid is not None:
         if len(inputs) != 4:
             raise CliError("--grid requires exactly four inputs")
@@ -184,7 +182,7 @@ def _cmd_barycenter(args) -> int:
         ts = np.linspace(0.0, 1.0, args.grid) if args.grid > 1 else [0.0]
         weight_sets = [bilinear_weights(t1, t2) for t1 in ts for t2 in ts]
     else:
-        weights = [float(w) for w in args.weights.split(",") if w]
+        weights = [float(w) for w in _items(args, "weights")]
         # The library's rule, looser before the weights are normalised.
         _check_weights(np.asarray(weights), tol=1e-9)
         weight_sets = [tuple(weights)]
@@ -192,15 +190,14 @@ def _cmd_barycenter(args) -> int:
     support = load_field(args.support).points if args.support else inputs[0].points
     alpha = _given(args, "alpha")
     costs = tuple(euclidean_cost(m.points, support, **alpha) for m in inputs)
-    cfg = SolverConfig(**_given(args, "eps", "max_iter", "tol"))
+    cfg = SolverConfig(**_given(args, "eps", "rho1", "max_iter", "tol"))
 
     code = EXIT_OK
     doc = []
     for index, weights in enumerate(weight_sets):
         w = np.asarray(weights, dtype=float)
         w = w / w.sum()
-        prob = BarycenterProblem(tuple(inputs), w, support, costs,
-                                 **_given(args, "rho"))
+        prob = BarycenterProblem(tuple(inputs), w, support, costs)
         nu, report = barycenter_solve(prob, cfg)
         out = _frame_path(args.out, index, len(weight_sets))
         save_field(out, nu)
@@ -268,9 +265,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--mu", required=True)
     p.add_argument("--nu", required=True)
     p.add_argument("--coupling", required=True)
-    p.add_argument("--t", type=float)
-    p.add_argument("--steps", type=int,
-                   help="number of frames over t in [0, 1]")
+    frames = p.add_mutually_exclusive_group(required=True)
+    frames.add_argument("--t", type=float)
+    frames.add_argument("--steps", type=int,
+                        help="number of frames over t in [0, 1]")
     p.add_argument("--trace-threshold", type=float,
                    help="drop coupling pairs whose trace is below this "
                         "fraction of the largest pair trace (finite, >= 0)")
@@ -287,14 +285,15 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("barycenter", help="weighted barycenters")
     p.add_argument("--inputs", required=True,
                    help="comma-separated field files")
-    p.add_argument("--weights", help="comma-separated weights summing to 1")
-    p.add_argument("--grid", type=int,
-                   help="K x K bilinear-weight lattice (four inputs)")
+    weights = p.add_mutually_exclusive_group(required=True)
+    weights.add_argument("--weights", help="comma-separated weights summing to 1")
+    weights.add_argument("--grid", type=int,
+                         help="K x K bilinear-weight lattice (four inputs)")
     p.add_argument("--support",
                    help="field file whose points define the support "
                         "(default: first input)")
     p.add_argument("--alpha", type=float)
-    p.add_argument("--rho", type=float,
+    p.add_argument("--rho", type=float, dest="rho1",
                    help="input-side marginal fidelity")
     _add_solver_flags(p, pair=False)
     p.add_argument("--render", action="store_true")

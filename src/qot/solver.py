@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,7 +49,6 @@ __all__ = [
     "DualState",
     "SolveReport",
     "sinkhorn_solve",
-    "sinkhorn_solve_trace",
     "dual_objective",
     "fixed_point_residual",
 ]
@@ -80,17 +79,20 @@ _AA_RCOND = 1e-12
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Parameters of the scaling solver.
+    """Settings of a transport or barycenter solve, all of them.
 
     ``rho1`` / ``rho2`` are the marginal fidelity strengths (``inf`` for a
-    hard constraint, the only infinite value allowed).  ``tau1`` / ``tau2``
-    default to ``1.8 * eps / (eps + rho)`` for finite ``rho`` and to ``1.8``
-    for the hard-constraint side (both are 1.8x the step that solves the
-    scalar fixed point exactly); :meth:`relax` takes the step.  With both
-    left at their defaults the solvers accelerate the scaling map (see
-    :class:`_Anderson`); an explicit ``tau1`` or ``tau2`` runs exactly the
-    plain relaxed iteration.  ``tol`` is the sup-norm threshold on the
-    per-iteration change of the second potential; ``max_iter`` is an int.
+    hard constraint, the only infinite value allowed); a barycenter takes
+    ``rho1`` (finite) for its input side and replaces ``rho2`` by ``inf``.
+    ``tau1`` / ``tau2`` default to ``1.8 * eps / (eps + rho)`` for finite
+    ``rho`` and to ``1.8`` for the hard-constraint side (both are 1.8x the
+    step that solves the scalar fixed point exactly); :meth:`relax` takes
+    the step.  With both left at their defaults the solvers accelerate the
+    scaling map (see :class:`_Anderson`); an explicit ``tau1`` or ``tau2``
+    runs exactly the plain relaxed iteration.  ``tol`` is the sup-norm
+    threshold on the per-iteration change of the second potential;
+    ``max_iter`` is an int.  ``trace_constrained`` pins the marginals'
+    traces (see :func:`sinkhorn_solve`); a barycenter refuses it.
     """
 
     eps: float = 0.08**2
@@ -534,13 +536,6 @@ def sinkhorn_solve(mu: TensorMeasure, nu: TensorMeasure, cost: GroundCost,
         (cfg.trace_constrained, "trace-constrained marginals"),
     ) if flag] + loop_notes + coupling_notes
     return coupling, state, _report(cfg, history, converged, primal, dual, notes)
-
-
-def sinkhorn_solve_trace(mu: TensorMeasure, nu: TensorMeasure, cost: GroundCost,
-                         cfg: SolverConfig | None = None, callback=None):
-    """:func:`sinkhorn_solve` with ``trace_constrained`` set."""
-    cfg = replace(cfg or SolverConfig(), trace_constrained=True)
-    return sinkhorn_solve(mu, nu, cost, cfg, callback)
 
 
 def dual_objective(state: DualState, mu: TensorMeasure, nu: TensorMeasure,

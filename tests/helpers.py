@@ -265,8 +265,7 @@ def barycenter_loop(prob, cfg=None):
     cost's kind and values.  It runs every input, zero weights included,
     so it is the reference for weights that are all positive.  Returns
     ``(nu, report)``."""
-    cfg = replace(cfg or solver.SolverConfig(), rho1=prob.rho, rho2=math.inf,
-                  trace_constrained=False)
+    cfg = replace(cfg or solver.SolverConfig(), rho2=math.inf)
     d = prob.tensor_dim
     n_support = len(prob.support)
     n_inputs = prob.n_inputs

@@ -34,7 +34,7 @@ from qot.interpolate import (
     single_dirac_distance,
 )
 from qot.measure import TensorMeasure, marginal_cols, marginal_rows
-from qot.solver import SolverConfig, fixed_point_residual, sinkhorn_solve, sinkhorn_solve_trace
+from qot.solver import SolverConfig, fixed_point_residual, sinkhorn_solve
 
 
 def report_line(num, name, ok, detail=""):
@@ -203,7 +203,7 @@ def test_criterion_07_trace_constrained_marginals():
         mu, nu, cost = trace_balanced_instance(rng, 5, 5, 2)
         cfg = SolverConfig(eps=0.05, tol=1e-10, max_iter=60000,
                            trace_constrained=True)
-        coupling, _, report = sinkhorn_solve_trace(mu, nu, cost, cfg)
+        coupling, _, report = sinkhorn_solve(mu, nu, cost, cfg)
         assert report.converged
         row_tr = np.trace(marginal_rows(coupling), axis1=-2, axis2=-1)
         col_tr = np.trace(marginal_cols(coupling), axis1=-2, axis2=-1)
@@ -258,7 +258,7 @@ def test_criterion_09_pointwise_barycenter_closed_form():
     weights = np.array([0.2, 0.5, 0.3])
     inputs = tuple(TensorMeasure(point, t[None]) for t in tensors)
     costs = tuple(GroundCost("isotropic", np.zeros((1, 1))) for _ in range(3))
-    prob = BarycenterProblem(inputs, weights, point, costs, rho=1.0)
+    prob = BarycenterProblem(inputs, weights, point, costs)
     cfg = SolverConfig(eps=1e-3, tol=1e-10, max_iter=60000)
     nu, report = barycenter_solve(prob, cfg)
     assert report.converged
@@ -282,7 +282,7 @@ def test_criterion_10_barycenter_dual_certificate():
     support = rng.uniform(size=(16, 2))
     weights = np.array([0.4, 0.3, 0.2, 0.1])
     costs = tuple(euclidean_cost(m.points, support, alpha=2.0) for m in inputs)
-    prob = BarycenterProblem(inputs, weights, support, costs, rho=1.0)
+    prob = BarycenterProblem(inputs, weights, support, costs)
     cfg = SolverConfig(eps=0.05, tol=1e-9, max_iter=30000)
     _, report = barycenter_solve(prob, cfg)
     assert report.converged

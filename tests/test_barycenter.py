@@ -1,7 +1,7 @@
 """Unit tests for the barycenter solver and its helpers."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -21,11 +21,11 @@ from qot.measure import TensorMeasure, marginal_cols
 from qot.solver import SolverConfig, sinkhorn_solve
 
 
-def make_problem(inputs, weights, support, rho=1.0, alpha=2.0):
+def make_problem(inputs, weights, support, alpha=2.0):
     costs = tuple(
         euclidean_cost(m.points, support, alpha=alpha) for m in inputs
     )
-    return BarycenterProblem(tuple(inputs), np.asarray(weights), support, costs, rho)
+    return BarycenterProblem(tuple(inputs), np.asarray(weights), support, costs)
 
 
 class TestBilinearWeights:
@@ -117,7 +117,7 @@ class TestBarycenterProblem:
         m = random_measure(rng, 3, 2)
         bad_cost = GroundCost("isotropic", np.zeros((2, 3)))
         with pytest.raises(ValueError, match="input 0: cost is 2x3"):
-            BarycenterProblem((m,), np.array([1.0]), m.points, (bad_cost,), 1.0)
+            BarycenterProblem((m,), np.array([1.0]), m.points, (bad_cost,))
 
     def test_matrix_cost_dimension_checked_by_index(self):
         # A (I, J, 1, 1) cost against 2x2 inputs would broadcast onto every
@@ -160,7 +160,11 @@ class TestBarycenterProblem:
         m = random_measure(rng, 3, 2)
         prob = BarycenterProblem((m,), np.array([1.0]), m.points,
                                  (euclidean_cost(m.points, m.points),))
-        assert prob.rho == SolverConfig().rho1
+        assert barycenter_solve(prob)[1].config.rho1 == SolverConfig().rho1
+
+    def test_fields_are_data_only(self):
+        names = [f.name for f in fields(BarycenterProblem)]
+        assert names == ["inputs", "weights", "support", "costs"]
 
 
 class TestBarycenterSolve:
@@ -168,7 +172,7 @@ class TestBarycenterSolve:
         rng = np.random.default_rng(5)
         m = random_measure(rng, 6, 2)
         support = rng.uniform(size=(5, 2))
-        prob = make_problem([m], [1.0], support, rho=1.0)
+        prob = make_problem([m], [1.0], support)
         cfg = SolverConfig(eps=0.05, tol=1e-11, max_iter=30000)
         nu, report = barycenter_solve(prob, cfg)
         assert report.converged
@@ -238,8 +242,9 @@ class TestBarycenterSolve:
         b = TensorMeasure(np.array([[10.0, 0.0], [11.0, 0.0]]),
                           np.stack([np.eye(2), np.diag([3.0, 0.1])]))
         support = np.array([[5.0, 0.0], [6.0, 0.0]])
-        prob = make_problem([a, b], [0.5, 0.5], support, rho=0.1)
-        nu, report = barycenter_solve(prob, SolverConfig(eps=1e-3, max_iter=5))
+        prob = make_problem([a, b], [0.5, 0.5], support)
+        nu, report = barycenter_solve(prob, SolverConfig(eps=1e-3, rho1=0.1,
+                                                         max_iter=5))
         assert not report.converged
         assert np.all(np.isfinite(nu.tensors))
         assert any(n.startswith("barycenter saturated") for n in report.notes)
@@ -254,12 +259,39 @@ class TestBarycenterSolve:
         tensors = random_psd(rng, 2, n=3)
         inputs = [TensorMeasure(point, t[None]) for t in tensors]
         weights = np.array([0.2, 0.5, 0.3])
-        prob = make_problem(list(inputs), weights, point, rho=1.0)
+        prob = make_problem(list(inputs), weights, point)
         cfg = SolverConfig(eps=1e-3, tol=1e-10, max_iter=40000)
         nu, report = barycenter_solve(prob, cfg)
         expected = pointwise_barycenter(tensors, weights, energy=0.0, rho=1.0)
         rel = np.linalg.norm(nu.tensors[0] - expected) / np.linalg.norm(expected)
         assert rel < 0.05
+
+
+class TestSolveSettings:
+    # Every setting of a barycenter solve comes from its SolverConfig and
+    # is honoured or refused.
+    def problem(self):
+        rng = np.random.default_rng(0)
+        points = grid_points(3)
+        inputs = [TensorMeasure(points, random_psd(rng, 2, n=9)) for _ in range(4)]
+        return make_problem(inputs, [0.1, 0.2, 0.3, 0.4], points)
+
+    def test_rho1_is_the_input_side_fidelity(self):
+        prob = self.problem()
+        cfg = SolverConfig(rho1=0.1, rho2=3.0, tol=1e-10)
+        got = barycenter_solve(prob, cfg)
+        assert got[1].certified
+        assert got[1].config == replace(cfg, rho2=math.inf)
+        assert got[1].config.rho1 == 0.1
+        _assert_same_solve(got, barycenter_loop(prob, cfg))
+
+    def test_trace_mode_refused(self):
+        with pytest.raises(ValueError, match="no trace-constrained mode"):
+            barycenter_solve(self.problem(), SolverConfig(trace_constrained=True))
+
+    def test_infinite_rho_rejected(self):
+        with pytest.raises(ValueError, match="rho must be positive and finite"):
+            barycenter_solve(self.problem(), SolverConfig(rho1=math.inf))
 
 
 class TestAcceleratedBarycenter:
@@ -269,9 +301,9 @@ class TestAcceleratedBarycenter:
         rng = np.random.default_rng(0)
         points = grid_points(3)
         inputs = [TensorMeasure(points, random_psd(rng, 2, n=9)) for _ in range(4)]
-        prob = make_problem(inputs, [0.1, 0.2, 0.3, 0.4], points, rho=1.0)
+        prob = make_problem(inputs, [0.1, 0.2, 0.3, 0.4], points)
         cfg = SolverConfig(tol=1e-11)
-        used = replace(cfg, rho1=prob.rho, rho2=math.inf)
+        used = replace(cfg, rho2=math.inf)
         plain = replace(cfg, tau1=used.tau(1), tau2=used.tau(2))
         nu_plain, report_plain = barycenter_solve(prob, plain)
         nu, report = barycenter_solve(prob, cfg)
@@ -312,7 +344,7 @@ class TestStackedMap:
         rng = np.random.default_rng(0)
         points = grid_points(3)
         inputs = [TensorMeasure(points, random_psd(rng, 2, n=9)) for _ in range(4)]
-        prob = make_problem(inputs, [0.1, 0.2, 0.3, 0.4], points, rho=1.0)
+        prob = make_problem(inputs, [0.1, 0.2, 0.3, 0.4], points)
         cfg = SolverConfig(tol=1e-11)
         got = barycenter_solve(prob, cfg)
         assert sum(n.startswith("anderson: engaged") for n in got[1].notes) == 1
@@ -330,8 +362,8 @@ class TestStackedMap:
         aniso = random_psd(rng, d)
         costs[1] = GroundCost("matrix", costs[1].values[..., None, None] * aniso)
         prob = BarycenterProblem(tuple(inputs), np.array([0.5, 0.2, 0.3]),
-                                 support, tuple(costs), 0.7)
-        cfg = SolverConfig(eps=0.05, tau1=0.1, tau2=1.5, tol=1e-10)
+                                 support, tuple(costs))
+        cfg = SolverConfig(eps=0.05, rho1=0.7, tau1=0.1, tau2=1.5, tol=1e-10)
         calls = []
         kernel_lse = qot_barycenter._kernel_lse
         monkeypatch.setattr(qot_barycenter, "_kernel_lse", lambda *args: (
@@ -347,31 +379,32 @@ def _weighted_only(prob):
     keep = [i for i, w in enumerate(prob.weights) if w > 0.0]
     return BarycenterProblem(tuple(prob.inputs[i] for i in keep),
                              prob.weights[keep], prob.support,
-                             tuple(prob.costs[i] for i in keep), prob.rho)
+                             tuple(prob.costs[i] for i in keep))
 
 
 class TestZeroWeights:
     # An input of weight zero has no term in the objective: the problem
     # solves bit for bit as the problem without it, and its dual state is
     # None.
-    def grid_problem(self, weights, rho):
+    def grid_problem(self, weights):
         rng = np.random.default_rng(0)
         points = grid_points(3)
         inputs = [TensorMeasure(points, random_psd(rng, 2, n=9))
                   for _ in range(4)]
-        return make_problem(inputs, weights, points, rho=rho)
+        return make_problem(inputs, weights, points)
 
     @pytest.mark.parametrize("t1, t2", [(0.0, 0.0), (0.5, 1.0)])
     def test_corner_and_edge_solve_without_their_zero_weights(self, t1, t2):
-        prob = self.grid_problem(bilinear_weights(t1, t2), rho=0.1)
-        got = barycenter_solve(prob)
+        prob = self.grid_problem(bilinear_weights(t1, t2))
+        cfg = SolverConfig(rho1=0.1)
+        got = barycenter_solve(prob, cfg)
         assert got[1].certified
         assert not any(n.startswith("anderson") for n in got[1].notes)
-        _assert_same_solve(got, barycenter_solve(_weighted_only(prob)),
+        _assert_same_solve(got, barycenter_solve(_weighted_only(prob), cfg),
                            prob.weights)
 
     def test_accelerated_solve_without_its_zero_weights(self):
-        prob = self.grid_problem([0.4, 0.0, 0.6, 0.0], rho=1.0)
+        prob = self.grid_problem([0.4, 0.0, 0.6, 0.0])
         cfg = SolverConfig(tol=1e-11)
         got = barycenter_solve(prob, cfg)
         assert got[1].certified
@@ -391,8 +424,8 @@ class TestZeroWeights:
         aniso = random_psd(rng, d)
         costs[1] = GroundCost("matrix", costs[1].values[..., None, None] * aniso)
         prob = BarycenterProblem(tuple(inputs), np.array([0.5, 0.0, 0.5]),
-                                 support, tuple(costs), 0.7)
-        cfg = SolverConfig(eps=0.05, tau1=0.1, tau2=1.5, tol=1e-10)
+                                 support, tuple(costs))
+        cfg = SolverConfig(eps=0.05, rho1=0.7, tau1=0.1, tau2=1.5, tol=1e-10)
         calls = []
         kernel_lse = qot_barycenter._kernel_lse
         monkeypatch.setattr(qot_barycenter, "_kernel_lse", lambda *args: (

@@ -410,6 +410,21 @@ class TestInterpolate:
                      "--out", str(tmp_path / "f.json")])
         assert code == 1
 
+    @pytest.mark.parametrize("frames, message", [
+        (["--t", "0.5", "--steps", "3"],
+         "argument --steps: not allowed with argument --t"),
+        ([], "one of the arguments --t --steps is required"),
+    ])
+    def test_t_or_steps_exactly_once(self, tmp_path, capsys, frames, message):
+        mu, nu, coupling = self.make_solved(tmp_path)
+        capsys.readouterr()
+        code = main(["interpolate", "--mu", mu, "--nu", nu,
+                     "--coupling", coupling, *frames,
+                     "--out", str(tmp_path / "f-{i}.json")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not list(tmp_path.glob("f-*"))
+
     @pytest.mark.parametrize("flag", ["--trace-threshold", "--merge-radius"])
     def test_nan_parameter_exits_1(self, tmp_path, flag):
         mu, nu, coupling = self.make_solved(tmp_path)
@@ -598,6 +613,33 @@ class TestBarycenterCommand:
         for i in range(9):
             assert (tmp_path / f"cell-{i}.json").exists()
         assert not (tmp_path / "cell-9.json").exists()
+
+    @pytest.mark.parametrize("weighting, message", [
+        (["--weights", "0.5,0.5", "--grid", "2"],
+         "argument --grid: not allowed with argument --weights"),
+        ([], "one of the arguments --weights --grid is required"),
+    ])
+    def test_weights_or_grid_exactly_once(self, tmp_path, capsys, weighting,
+                                          message):
+        paths = self.make_inputs(tmp_path)
+        code = main(["barycenter", "--inputs", ",".join(paths), *weighting,
+                     "--out", str(tmp_path / "b.json")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "b.json").exists()
+
+    @pytest.mark.parametrize("inputs, weights, flag", [
+        ("{a},,{b}", "0.5,,0.5", "--inputs"),
+        ("{a},{b}", "0.5,0.5,", "--weights"),
+        ("", "1", "--inputs"),
+    ])
+    def test_empty_item_exits_1(self, tmp_path, capsys, inputs, weights, flag):
+        a, b = self.make_inputs(tmp_path)
+        code = main(["barycenter", "--inputs", inputs.format(a=a, b=b),
+                     "--weights", weights, "--out", str(tmp_path / "b.json")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {flag} has an empty item\n"
+        assert not (tmp_path / "b.json").exists()
 
     def test_grid_requires_four_inputs(self, tmp_path):
         paths = self.make_inputs(tmp_path, n_inputs=2)

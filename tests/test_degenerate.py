@@ -93,7 +93,7 @@ def test_degenerate_inputs_are_certified_or_diagnosed(mu_kinds, nu_kinds, angles
     if math.isfinite(rho):
         costs = tuple(euclidean_cost(m.points, mu.points) for m in (mu, nu))
         prob = BarycenterProblem((mu, nu), np.array([0.5, 0.5]), mu.points,
-                                 costs, rho)
+                                 costs)
         _, report = barycenter_solve(prob, cfg)
         assert report.certified == _check_outcome(
             report.converged, report.primal_value, report.dual_value,

@@ -32,7 +32,6 @@ from qot.solver import (
     dual_objective,
     fixed_point_residual,
     sinkhorn_solve,
-    sinkhorn_solve_trace,
 )
 from qot.sym import exp_sym, log_sym
 
@@ -111,9 +110,8 @@ class TestReportConfig:
 
     def test_trace_solve_reports_trace_mode(self):
         mu, nu, cost = trace_balanced_instance(np.random.default_rng(0), 3, 4, 2)
-        cfg = SolverConfig(eps=0.1)
-        report = sinkhorn_solve_trace(mu, nu, cost, cfg)[2]
-        assert report.config == replace(cfg, trace_constrained=True)
+        cfg = SolverConfig(eps=0.1, trace_constrained=True)
+        assert sinkhorn_solve(mu, nu, cost, cfg)[2].config is cfg
 
     def test_barycenter_reports_its_fidelities(self):
         rng = np.random.default_rng(0)
@@ -122,11 +120,10 @@ class TestReportConfig:
         support = inputs[0].points
         prob = BarycenterProblem(inputs, np.array([0.5, 0.5]), support,
                                  tuple(euclidean_cost(m.points, support)
-                                       for m in inputs), rho=0.4)
-        cfg = SolverConfig(eps=0.1, rho1=2.0, rho2=3.0, trace_constrained=True)
+                                       for m in inputs))
+        cfg = SolverConfig(eps=0.1, rho1=0.4, rho2=3.0)
         _, report = barycenter_solve(prob, cfg)
-        assert report.config == replace(cfg, rho1=0.4, rho2=math.inf,
-                                        trace_constrained=False)
+        assert report.config == replace(cfg, rho2=math.inf)
 
 
 class TestScalarClosedForm:
@@ -438,7 +435,7 @@ class TestTraceConstrained:
         for rho in (0.5, 1.0, 5.0):
             cfg = SolverConfig(eps=0.05, rho1=rho, rho2=rho, tol=1e-12,
                                trace_constrained=True)
-            coupling, _, report = sinkhorn_solve_trace(mu, nu, cost, cfg)
+            coupling, _, report = sinkhorn_solve(mu, nu, cost, cfg)
             assert report.converged
             assert np.isclose(coupling.entries[0, 0, 0, 0], 2.0, atol=1e-8)
 
@@ -447,7 +444,7 @@ class TestTraceConstrained:
         mu, nu, cost = trace_balanced_instance(rng, 5, 5, 2)
         cfg = SolverConfig(eps=0.05, tol=1e-10, max_iter=30000,
                            trace_constrained=True)
-        coupling, _, report = sinkhorn_solve_trace(mu, nu, cost, cfg)
+        coupling, _, report = sinkhorn_solve(mu, nu, cost, cfg)
         assert report.converged
         row_tr = np.trace(marginal_rows(coupling), axis1=-2, axis2=-1)
         col_tr = np.trace(marginal_cols(coupling), axis1=-2, axis2=-1)
@@ -460,7 +457,7 @@ class TestTraceConstrained:
         cost = euclidean_cost(mu.points, mu.points, alpha=2.0)
         cfg = SolverConfig(eps=0.05, tol=1e-11, max_iter=30000,
                            trace_constrained=True)
-        _, state, report = sinkhorn_solve_trace(mu, mu, cost, cfg)
+        _, state, report = sinkhorn_solve(mu, mu, cost, cfg)
         assert report.converged
         assert np.abs(state.alpha - state.beta).max() < 1e-8
 
@@ -469,24 +466,10 @@ class TestTraceConstrained:
         mu, nu, cost = trace_balanced_instance(rng, 4, 4, 2)
         cfg = SolverConfig(eps=0.05, tol=1e-11, max_iter=30000,
                            trace_constrained=True)
-        _, _, report = sinkhorn_solve_trace(mu, nu, cost, cfg)
+        _, _, report = sinkhorn_solve(mu, nu, cost, cfg)
         assert report.converged
         gap = abs(report.primal_value - report.dual_value)
         assert gap / (1.0 + abs(report.primal_value)) < 1e-6
-
-    def test_entry_point_is_the_flag(self):
-        rng = np.random.default_rng(59)
-        mu, nu, cost = trace_balanced_instance(rng, 3, 4, 2)
-        cfg = SolverConfig(eps=0.05, max_iter=200)
-        g1, s1, r1 = sinkhorn_solve_trace(mu, nu, cost, cfg)
-        g2, s2, r2 = sinkhorn_solve(mu, nu, cost, replace(cfg, trace_constrained=True))
-        assert g1.entries.tobytes() == g2.entries.tobytes()
-        for name in ("u", "v", "alpha", "beta"):
-            assert getattr(s1, name).tobytes() == getattr(s2, name).tobytes()
-        assert r1.residual_history.tobytes() == r2.residual_history.tobytes()
-        for name in ("iterations", "converged", "notes", "primal_value", "dual_value"):
-            assert getattr(r1, name) == getattr(r2, name)
-        assert "trace-constrained marginals" in r1.notes
 
     def test_nonpositive_trace_rejected(self):
         mu = TensorMeasure(np.zeros((1, 1)), np.zeros((1, 1, 1)))
@@ -494,7 +477,7 @@ class TestTraceConstrained:
         cost = GroundCost("isotropic", np.zeros((1, 1)))
         cfg = SolverConfig(trace_constrained=True)
         with pytest.raises(ValueError):
-            sinkhorn_solve_trace(mu, nu, cost, cfg)
+            sinkhorn_solve(mu, nu, cost, cfg)
 
     def test_infeasible_totals_rejected(self):
         mu = scalar_measure([1.0, 1.0])
@@ -502,7 +485,7 @@ class TestTraceConstrained:
         cost = GroundCost("isotropic", np.zeros((2, 2)))
         cfg = SolverConfig(trace_constrained=True)
         with pytest.raises(ValueError, match="infeasible"):
-            sinkhorn_solve_trace(mu, nu, cost, cfg)
+            sinkhorn_solve(mu, nu, cost, cfg)
 
 
 def _rel(got, want):

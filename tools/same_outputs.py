@@ -14,7 +14,10 @@ numbers in it, relative to the largest magnitude in the parent's file (or
 ``text differs`` if anything but the numbers does).  ``bench/checks.py``
 checks the change's outputs.  Last, the lines of each ``src/qot/*.py``
 module in both checkouts (as ``wc -l`` counts them), with the net change
-per module and in total.
+per module and in total, and each checkout's public surface: the names in
+``qot.__all__`` and the fields of the settings classes (``SURFACE_CLASSES``),
+read by a child process on the checkout's ``src``, with the names the
+change added or removed.
 
 Exits 0 if every file is byte-identical and every check passes, else 1.
 """
@@ -35,6 +38,19 @@ sys.path.insert(0, str(ROOT / "bench"))
 
 import checks  # noqa: E402
 import run  # noqa: E402
+
+# The classes whose fields are settable values of the public surface.
+SURFACE_CLASSES = ("SolverConfig", "BarycenterProblem", "InterpolationParams")
+
+# Prints the surface of the qot on the path as JSON, {part: [names]}: the
+# names in qot.__all__, then the fields of each class named in argv.
+_SURFACE = """
+import dataclasses, json, sys, qot
+surface = {"qot.__all__": list(qot.__all__)}
+for name in sys.argv[1:]:
+    surface[name] = [f"{name}.{f.name}" for f in dataclasses.fields(getattr(qot, name))]
+print(json.dumps(surface))
+"""
 
 # A JSON or SVG number; the text between numbers must match exactly.
 _NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
@@ -137,6 +153,26 @@ def print_line_counts(parent: Path, change: Path) -> None:
         print(f"  {name:24s} {a:6d} {b:6d} {b - a:+6d}")
 
 
+def surface(checkout: Path) -> dict:
+    """``checkout``'s public surface, ``{part: set of names}``."""
+    env = dict(run.child_env(), PYTHONPATH=str(checkout / "src"))
+    proc = subprocess.run([sys.executable, "-c", _SURFACE, *SURFACE_CLASSES],
+                          env=env, capture_output=True, text=True, check=True)
+    return {part: set(names) for part, names in json.loads(proc.stdout).items()}
+
+
+def print_surface(parent: Path, change: Path) -> None:
+    surfaces = [surface(parent), surface(change)]
+    print("public surface (names): parent, change, net")
+    for part in surfaces[0]:
+        a, b = (len(s[part]) for s in surfaces)
+        print(f"  {part:24s} {a:6d} {b:6d} {b - a:+6d}")
+    a, b = (set().union(*s.values()) for s in surfaces)
+    for verb, names in (("removed", a - b), ("added", b - a)):
+        for name in sorted(names):
+            print(f"  {verb} {name}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
@@ -150,6 +186,7 @@ def main(argv=None) -> int:
         results = [compare(parent, change, workload, seed, Path(tmp))
                    for workload in args.workloads for seed in args.seeds]
     print_line_counts(parent, change)
+    print_surface(parent, change)
     print("every output byte-identical, every check passed" if all(results)
           else "outputs differ or a check failed")
     return 0 if all(results) else 1
