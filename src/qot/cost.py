@@ -161,12 +161,13 @@ def _kernel_lse(rows, cols, kind: str, values, eps: float, axis: int) -> np.ndar
     For d = 2 and an isotropic cost no kernel stack is built: the three
     entry arrays of one block of the kept axis at a time (rows for
     ``axis=1``, columns for ``axis=0``) are written in the operation order
-    of :func:`_kernel` and reduced by :func:`qot.sym._lse2`.  An output
-    line depends only on its own slice, so blocking needs no running
-    shift.  A block of columns is at least two wide: numpy sums a lone
-    column pairwise, but the columns of a wider array one row after
-    another, as it does the whole kernel.  Every other case reduces the
-    kernel stack.
+    of :func:`_kernel` and reduced by :func:`qot.sym._lse2`, which sums
+    each exponential from the entries' eigenvalues and eigenprojector
+    weights.  An output line depends only on its own slice, so blocking
+    needs no running shift.  A block of columns is at least two wide:
+    numpy sums a lone column pairwise, but the columns of a wider array
+    one row after another, as it does the whole kernel.  Every other case
+    reduces the kernel stack.
     """
     if rows.shape[-1] != 2 or kind != "isotropic":
         return lse_reduce(_kernel(rows, cols, kind, values, eps), axis=axis - 2)

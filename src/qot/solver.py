@@ -460,7 +460,10 @@ def sinkhorn_solve(mu: TensorMeasure, nu: TensorMeasure, cost: GroundCost,
     (Coupling, DualState, SolveReport)
         The coupling is ``exp(K)`` at the final dual variables (on
         singular tensors restricted to their ranges, see :func:`_coupling`).
-        Non-convergence within ``max_iter`` is reported, not raised.
+        Non-convergence within ``max_iter`` is reported, not raised.  Two
+        hard sides whose total masses differ as matrices cannot both hold:
+        the loop then does not run, and the report, with no iteration and
+        not converged, notes why.
     """
     cfg = cfg or SolverConfig()
     _validate_problem(mu, nu, cost)
@@ -479,6 +482,22 @@ def sinkhorn_solve(mu: TensorMeasure, nu: TensorMeasure, cost: GroundCost,
             )
         log_tr_mu, log_tr_nu = np.log(tr_mu), np.log(tr_nu)
 
+    # With both marginals hard the problem is feasible only if the total
+    # masses agree as matrices; their entries are compared as trace mode
+    # compares the total traces, with no squares, which could overflow.
+    with np.errstate(over="ignore", invalid="ignore"):
+        mass_mu, mass_nu = mu.tensors.sum(axis=0), nu.tensors.sum(axis=0)
+        gap = float(np.abs(mass_mu - mass_nu).max())
+        scale = max(float(np.abs(mass_mu).max()), float(np.abs(mass_nu).max()))
+    infeasible = cfg.rho1 == cfg.rho2 == math.inf and gap > 1e-9 * scale
+    notes = [note for flag, note in (
+        (cfg.rho1 == math.inf, "rho1=inf: hard row-marginal constraint"),
+        (cfg.rho2 == math.inf, "rho2=inf: hard column-marginal constraint"),
+        (infeasible,
+         f"infeasible hard constraints: the total masses differ by {gap:.3g} "
+         f"(largest entry of sum_i mu_i - sum_j nu_j)"),
+        (cfg.trace_constrained, "trace-constrained marginals"),
+    ) if flag]
     log_mu, log_nu = log_sym(mu.tensors), log_sym(nu.tensors)
 
     def multiplier_step(lse, log_tr):
@@ -516,25 +535,16 @@ def sinkhorn_solve(mu: TensorMeasure, nu: TensorMeasure, cost: GroundCost,
 
     point = (np.zeros_like(log_mu), np.zeros_like(log_nu),
              np.zeros(mu.n_atoms), np.zeros(nu.n_atoms))
-    watch = None if callback is None else (lambda it, x: callback(it, x[0], x[1]))
-    image, history, converged, loop_notes = _scale(step, point, cfg, watch)
+    if infeasible:  # no iteration can meet both constraints
+        image, history, converged, loop_notes = point, np.empty(0), False, [
+            "not converged: no iteration run on infeasible hard constraints"]
+    else:
+        watch = None if callback is None else (
+            lambda it, x: callback(it, x[0], x[1]))
+        image, history, converged, loop_notes = _scale(step, point, cfg, watch)
     state = DualState(*image)
     coupling, coupling_notes, primal, dual = _certify(state, mu, nu, cost, cfg)
-    # With both marginals hard the problem is feasible only if the total
-    # masses agree as matrices; their entries are compared as trace mode
-    # compares the total traces, with no squares, which could overflow.
-    with np.errstate(over="ignore", invalid="ignore"):
-        mass_mu, mass_nu = mu.tensors.sum(axis=0), nu.tensors.sum(axis=0)
-        gap = float(np.abs(mass_mu - mass_nu).max())
-        scale = max(float(np.abs(mass_mu).max()), float(np.abs(mass_nu).max()))
-    notes = [note for flag, note in (
-        (cfg.rho1 == math.inf, "rho1=inf: hard row-marginal constraint"),
-        (cfg.rho2 == math.inf, "rho2=inf: hard column-marginal constraint"),
-        (cfg.rho1 == cfg.rho2 == math.inf and gap > 1e-9 * scale,
-         f"infeasible hard constraints: the total masses differ by {gap:.3g} "
-         f"(largest entry of sum_i mu_i - sum_j nu_j)"),
-        (cfg.trace_constrained, "trace-constrained marginals"),
-    ) if flag] + loop_notes + coupling_notes
+    notes = notes + loop_notes + coupling_notes
     return coupling, state, _report(cfg, history, converged, primal, dual, notes)
 
 

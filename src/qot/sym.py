@@ -7,12 +7,14 @@ depends only on eigenvalues and eigenprojectors ``v v^T``, which are
 bitwise unchanged when ``v`` flips sign.  Matrix exp / log are spectral;
 eigenvalue clamping stands in for the singular-matrix limit (see
 :func:`log_sym`).  The matrix log-sum-exp of 2x2 stacks, the hot path of
-every d = 2 solve, works on the entry arrays alone: the closed form's
-eigenvalues and top eigenvector feed a projector form of exp and log, with
-no eigenvector matrices or matrix products (:func:`_lse2`).  The solvers
-hand it kernel entries built one block at a time, so a d = 2 iteration
-never holds a kernel stack (see ``qot.cost._kernel_lse``).  Callers that
-need only eigenvalues use :func:`eigvals_sym`.
+every d = 2 solve, works on the entry arrays alone, with no eigenvector
+matrices or matrix products (:func:`_lse2`): each exponential is summed
+from its eigenvalues and the weights of its top eigenprojector, read off
+the entries, and the log of the sum comes from the closed-form
+eigensystem in a projector form.  The solvers hand it kernel entries
+built one block at a time, so a d = 2 iteration never holds a kernel
+stack (see ``qot.cost._kernel_lse``).  Callers that need only
+eigenvalues use :func:`eigvals_sym`.
 
 Every operation is a pure function of its inputs and accepts either a
 single ``(d, d)`` symmetric matrix or a stack shaped ``(..., d, d)``.
@@ -50,6 +52,10 @@ EIG_FLOOR = 1e-15
 
 # An eigenvalue below KERNEL_TOL * lambda_max counts as a kernel direction.
 KERNEL_TOL = 1e-12
+
+# Smallest positive normal float: the log-sum-exps' floor on the
+# eigenvalues of their sums.
+_TINY = float(np.finfo(float).tiny)
 
 
 def _kernel_directions(vals: np.ndarray) -> np.ndarray:
@@ -290,15 +296,47 @@ def _lse2(a00, a01, a11, axis: int) -> np.ndarray:
     """The 2x2 matrix log-sum-exp of :func:`lse_reduce` along ``axis`` of
     the entry arrays ``a00``, ``a01``, ``a11`` of a symmetric stack;
     returns the dense ``(..., 2, 2)`` result.  Each output entry depends
-    only on its own slice along ``axis``."""
-    tiny = float(np.finfo(float).tiny)
-    w1, w2, x, y = _eig2_parts(a00, a01, a11)
-    shift = w1.max(axis=axis, keepdims=True)
-    s00, s01, s11 = (e.sum(axis=axis) for e in _projector_form(
-        np.exp(w1 - shift), np.exp(w2 - shift), x, y))
+    only on its own slice along ``axis``.
+
+    Each summand ``exp(A - m I) = e2 I + (e1 - e2) P``, with
+    ``e_k = exp(w_k - m)``, is read off the entries with no eigenvectors:
+    with ``p = (a00 - a11)/2``, ``q = a01`` and ``r = sqrt(p^2 + q^2)``,
+    the eigenvalues are ``w1, w2 = mid +- r``, and the top eigenprojector
+    ``P = (A - w2 I) / 2r`` has the diagonal
+    ``(t + |p| +- p) / 2r`` and the off-diagonal ``q / 2r``, where
+    ``t = q^2 / (r + |p|)`` is ``r - |p|`` without cancellation.  Every
+    term is a sum of non-negative parts, so a weak direction keeps its own
+    exponential ``e2``.  A block whose ``p^2 + q^2`` overflows is rescaled
+    pair by pair by exact powers of two; ``P`` does not depend on the
+    scale.  The log of the sum takes the eigensystem of
+    :func:`_eig2_parts`, whose weak eigenvalue keeps the relative accuracy
+    the log needs, in the projector form."""
+    p, mid, q = 0.5 * (a00 - a11), 0.5 * (a00 + a11), a01
+    with np.errstate(over="ignore"):
+        qq = q * q
+        rad = p * p + qq
+        overflow = not np.isfinite(rad.max())
+    if overflow:  # rescale each pair exactly: max(|p|, |q|) in [1/2, 1)
+        expo = np.frexp(np.maximum(np.abs(p), np.abs(q)))[1]
+        p, q = np.ldexp(p, -expo), np.ldexp(q, -expo)
+        qq = q * q
+        rad = p * p + qq
+    np.sqrt(rad, out=rad)
+    half_gap = np.ldexp(rad, expo) if overflow else rad
+    shift = (mid + half_gap).max(axis=axis, keepdims=True)
+    e2 = np.exp(mid - half_gap - shift)
+    diff = np.exp(mid + half_gap - shift) - e2
+    # Isotropic pairs have r = 0 = diff; a positive floor keeps them 0/0-free.
+    np.maximum(rad, _TINY, out=rad)
+    ap = np.abs(p)
+    t = qq / (rad + ap)
+    diff /= 2.0 * rad
+    s01 = (diff * q).sum(axis=axis)
+    s00, s11 = (((t + side) * diff + e2).sum(axis=axis)
+                for side in (ap + p, ap - p))
     l1, l2, x, y = _eig2_parts(s00, s01, s11)
     r00, r01, r11 = _projector_form(
-        np.log(np.maximum(l1, tiny)), np.log(np.maximum(l2, tiny)), x, y)
+        np.log(np.maximum(l1, _TINY)), np.log(np.maximum(l2, _TINY)), x, y)
     shift = np.squeeze(shift, axis=axis)
     out = np.empty(s00.shape + (2, 2))
     out[..., 0, 0] = r00 + shift
@@ -318,25 +356,25 @@ def lse_reduce(mats, axis: int = 0) -> np.ndarray:
     The interior log clamps eigenvalues at the smallest positive normal
     float (``EIG_FLOOR`` is reserved for genuinely singular inputs).
 
-    2x2 stacks go to :func:`_lse2`, which forms no eigenvector matrices:
-    each ``exp(M_k - m I)`` is ``e1 v v^T + e2 (I - v v^T)`` with the
-    eigenvalues and top eigenvector ``v`` of :func:`_eig2_parts`, its three
-    entries are summed as arrays, and the log of the sum is taken the same
-    way.  Each eigen-direction keeps its own exponential, so one far below
-    the shift is not lost to cancellation as in the ``cosh``/``sinh`` form
-    of ``exp``.  The solvers' d = 2 loops reach :func:`_lse2` through
+    2x2 stacks go to :func:`_lse2`, which forms no eigenvectors of the
+    summands: each ``exp(M_k - m I)`` is ``e1 P + e2 (I - P)``, with the
+    eigenvalues and the top eigenprojector ``P`` read off the entries, its
+    three entries are summed as arrays, and the log of the sum is taken
+    through the closed-form eigensystem of :func:`_eig2_parts`.  Each
+    eigen-direction keeps its own exponential, so one far below the shift
+    is not lost to cancellation as in the ``cosh``/``sinh`` form of
+    ``exp``.  The solvers' d = 2 loops reach :func:`_lse2` through
     ``qot.cost._kernel_lse``, with no kernel stack.
     """
     a = _dense(mats)
     axis = _normalize_reduce_axis(a, axis)
     if a.shape[-1] == 2:
         return _lse2(a[..., 0, 0], a[..., 0, 1], a[..., 1, 1], axis)
-    tiny = float(np.finfo(float).tiny)
     vals, vecs = eig_sym(a)
     shift = vals[..., 0].max(axis=axis, keepdims=True)
     ev = np.exp(vals - shift[..., None])
     vals, vecs = eig_sym(_reconstruct(ev, vecs).sum(axis=axis))
-    out = _reconstruct(np.log(np.maximum(vals, tiny)), vecs)
+    out = _reconstruct(np.log(np.maximum(vals, _TINY)), vecs)
     shift = np.squeeze(shift, axis=axis)[..., None, None]
     return out + shift * np.eye(vals.shape[-1])
 

@@ -10,6 +10,8 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import oriented_tensor
+
 from qot.sym import (
     EIG_FLOOR,
     _eig2,
@@ -459,6 +461,57 @@ class TestLse2Property:
         ref = np.array([[float(r00), float(r01)], [float(r01), float(r11)]])
         tol = 16.0 * ULP * cond * (1.0 + np.abs(mats).max())
         assert np.abs(got - ref).max() <= tol
+
+
+def _lse_by_eigh(mats, axis):
+    """The formula of :func:`lse_reduce` through LAPACK ``eigh``, which
+    scales its input and so stays finite for any finite entries."""
+    vals, vecs = np.linalg.eigh(mats)
+    shift = vals[..., -1].max(axis=axis, keepdims=True)
+    total = _reconstruct(np.exp(vals - shift[..., None]), vecs).sum(axis=axis)
+    vals, vecs = np.linalg.eigh(total)
+    out = _reconstruct(np.log(np.maximum(vals, np.finfo(float).tiny)), vecs)
+    return out + np.squeeze(shift, axis=axis)[..., None, None] * np.eye(2)
+
+
+class TestLse2Range:
+    """Entries past about 1e154, where ``p^2 + q^2`` of the 2x2 inner sum
+    overflows, and isotropic pairs, whose eigenprojector is undefined."""
+
+    def test_huge_rotated_stack_is_finite(self):
+        mats = np.stack([np.diag([1e200, 0.0]), oriented_tensor(0.3, 3e200, 1.0)])
+        got = lse_reduce(mats, axis=0)
+        assert np.all(np.isfinite(got))
+        assert np.abs(got - _lse_by_eigh(mats, 0)).max() <= 1e-12 * 3e200
+
+    @pytest.mark.parametrize("scale", [1e156, 1e200, 1e300, 1e307])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_huge_rotated_stacks_are_finite(self, scale, axis):
+        rng = np.random.default_rng(int(math.log10(scale)))
+        mats = np.stack([
+            oriented_tensor(rng.uniform(0.0, math.pi), scale * rng.uniform(-1.0, 1.0),
+                     rng.choice([scale * rng.uniform(-1.0, 1.0), 1.0, 0.0]))
+            for _ in range(12)]).reshape(3, 4, 2, 2)
+        got = lse_reduce(mats, axis=axis)
+        assert np.all(np.isfinite(got))
+        assert np.abs(got - _lse_by_eigh(mats, axis)).max() <= 1e-12 * scale
+
+    def test_ordinary_lines_keep_their_bits_beside_a_huge_one(self):
+        # The rescaling is by exact powers of two, pair by pair.
+        rng = np.random.default_rng(5)
+        mats = random_sym(rng, 2, n=8, scale=5.0).reshape(4, 2, 2, 2)
+        mats[:, 0] = [oriented_tensor(t, 1e250, -2e249) for t in (0.1, 0.7, 1.3, 2.9)]
+        got = lse_reduce(mats, axis=0)
+        assert np.all(np.isfinite(got))
+        assert got[1].tobytes() == lse_reduce(mats[:, 1:], axis=0)[0].tobytes()
+
+    @pytest.mark.parametrize("c", [[5.0, 5.0], [-3.0, 0.5, 2.25, -700.0, 1e-300]])
+    def test_isotropic_stack_is_the_scalar_lse(self, c):
+        # [5I, 5I] gives exactly (5 + log 2) I, with a zero off-diagonal.
+        c = np.array(c)
+        out = lse_reduce(c[:, None, None] * np.eye(2), axis=0)
+        want = math.log(np.exp(c - c.max()).sum()) + c.max()
+        assert out.tobytes() == (want * np.eye(2)).tobytes()
 
 
 class TestLste:
