@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measure import _check_symmetric
-from .sym import _lse2, lse_reduce
+from .sym import _lse2_log, _lse2_sums, lse_reduce
 
 __all__ = [
     "GroundCost",
@@ -161,10 +161,12 @@ def _kernel_lse(rows, cols, kind: str, values, eps: float, axis: int) -> np.ndar
     For d = 2 and an isotropic cost no kernel stack is built: the three
     entry arrays of one block of the kept axis at a time (rows for
     ``axis=1``, columns for ``axis=0``) are written in the operation order
-    of :func:`_kernel` and reduced by :func:`qot.sym._lse2`, which sums
-    each exponential from the entries' eigenvalues and eigenprojector
-    weights.  An output line depends only on its own slice, so blocking
-    needs no running shift.  A block of columns is at least two wide:
+    of :func:`_kernel` and summed by :func:`qot.sym._lse2_sums`, which
+    sums each exponential from the entries' eigenvalues and eigenprojector
+    weights, into per-call arrays of sums and shifts; one
+    :func:`qot.sym._lse2_log` then takes the log of every output line.
+    An output line depends only on its own slice, so blocking needs no
+    running shift.  A block of columns is at least two wide:
     numpy sums a lone column pairwise, but the columns of a wider array
     one row after another, as it does the whole kernel.  Every other case
     reduces the kernel stack.
@@ -176,7 +178,8 @@ def _kernel_lse(rows, cols, kind: str, values, eps: float, axis: int) -> np.ndar
     bounds = list(range(0, n_keep, width)) + [n_keep]
     if axis == 0 and bounds[-1] - bounds[-2] == 1 and len(bounds) > 2:
         del bounds[-2]
-    out = np.empty(values.shape[:-2] + (n_keep, 2, 2))
+    # The entry sums s00, s01, s11 and the shift of every output line.
+    sums = np.empty((4,) + values.shape[:-2] + (n_keep,))
     for start, stop in zip(bounds, bounds[1:]):
         block = slice(start, stop)
         at_i, at_j = (block, slice(None)) if axis == 1 else (slice(None), block)
@@ -187,5 +190,5 @@ def _kernel_lse(rows, cols, kind: str, values, eps: float, axis: int) -> np.ndar
         k11 += c
         for entry in (k00, k01, k11):
             entry /= -eps
-        out[..., block, :, :] = _lse2(k00, k01, k11, axis - 2)
-    return out
+        sums[..., block] = _lse2_sums(k00, k01, k11, axis - 2)
+    return _lse2_log(*sums)

@@ -4,6 +4,24 @@ All formats are JSON documents with tensors stored as packed row-major
 upper triangles, chosen for diffability and language neutrality.
 Save/load round-trips are bit-identical (floats serialize via their
 shortest exact decimal representation).
+
+Fields and couplings are written by ``orjson`` straight from their
+float arrays (:func:`_dumps`), which builds no Python floats: the
+256 x 256 desk coupling is written in 0.024 s against 0.29 s through
+``json.dumps``.  It writes the same shortest round-trip digits as
+Python's ``repr``, in a compact layout: no spaces after ``,`` and ``:``,
+exponents without ``+`` or leading zeros (``1e16``, ``1e-7``), and
+plain decimals down to 1e-5 (``0.00001``).  It writes NaN and
+infinities as ``null`` without a word, which cannot happen here:
+``TensorMeasure`` and ``Coupling`` reject non-finite entries.
+
+The readers stay on the standard ``json`` module.  ``orjson.loads``
+cut ``load_coupling`` of the desk coupling from 0.18 to about 0.09 s,
+but raised its peak by 2.2 MB (25.0 against 22.8 MB over the same
+base), and that read sets the peak memory of the desk pipeline.  The
+CLI's ``--report`` stays on ``json.dumps(..., allow_nan=False)`` too:
+a report's values are not known to be finite, and a non-finite one
+must fail rather than be written as ``null``.
 """
 
 from __future__ import annotations
@@ -27,14 +45,26 @@ __all__ = [
 ]
 
 
-# Entries per chunk of a written coupling.  One list and one string for
-# all entries (plus its copy with the newline) would set the peak memory
-# of a transport: about 20 MB on a 256 x 256, d = 2 coupling.
+# Entries per chunk of a written coupling.  One packed array and one
+# encoded text for all entries would set the peak memory of a transport:
+# written in one call, the desk coupling (256 x 256, d = 2) lifts the
+# transport's VmHWM from 42.7 to 48.2 MB; in chunks, to 42.8 MB.
 _CHUNK = 4096
 
 
 class FileFormatError(ValueError):
     """Raised for malformed or inconsistent data files."""
+
+
+def _dumps(doc) -> bytes:
+    """The JSON text of ``doc``, whose arrays are C-contiguous float
+    arrays (orjson refuses any other layout)."""
+    # Imported on the first write, not with the module: loaded before
+    # load_coupling runs, it lifts the peak that read sets, 51.7 -> 53.2 MB
+    # in the desk interpolation (and 42.8 -> 43.5 MB in its transport).
+    import orjson
+
+    return orjson.dumps(doc, option=orjson.OPT_SERIALIZE_NUMPY)
 
 
 def _read_json(path) -> dict:
@@ -92,10 +122,10 @@ def save_field(path, field: TensorMeasure) -> None:
     doc = {
         "d": field.tensor_dim,
         "n": field.ambient_dim,
-        "points": field.points.tolist(),
-        "tensors": pack_upper(field.tensors).tolist(),
+        "points": field.points,
+        "tensors": pack_upper(field.tensors),
     }
-    Path(path).write_text(json.dumps(doc) + "\n")
+    Path(path).write_bytes(_dumps(doc) + b"\n")
 
 
 def load_field(path) -> TensorMeasure:
@@ -122,18 +152,18 @@ def load_field(path) -> TensorMeasure:
 
 def save_coupling(path, coupling: Coupling) -> None:
     """Write a coupling document (flat row-major packed entries): the
-    bytes of ``json.dumps(doc) + "\n"``, written ``_CHUNK`` entries at a
+    bytes of ``_dumps(doc) + b"\n"``, written ``_CHUNK`` entries at a
     time."""
     d = coupling.tensor_dim
     flat = coupling.entries.reshape(-1, d, d)
-    head = json.dumps({"rows": coupling.rows, "cols": coupling.cols, "d": d,
-                       "entries": []})
-    with open(path, "w") as out:
+    head = _dumps({"rows": coupling.rows, "cols": coupling.cols, "d": d,
+                   "entries": []})
+    with open(path, "wb") as out:
         out.write(head[:-2])
         for start in range(0, len(flat), _CHUNK):
-            chunk = json.dumps(pack_upper(flat[start:start + _CHUNK]).tolist())
-            out.write((", " if start else "") + chunk[1:-1])
-        out.write("]}\n")
+            chunk = _dumps(pack_upper(flat[start:start + _CHUNK]))
+            out.write((b"," if start else b"") + chunk[1:-1])
+        out.write(b"]}\n")
 
 
 def load_coupling(path) -> Coupling:

@@ -8,12 +8,13 @@ bitwise unchanged when ``v`` flips sign.  Matrix exp / log are spectral;
 eigenvalue clamping stands in for the singular-matrix limit (see
 :func:`log_sym`).  The matrix log-sum-exp of 2x2 stacks, the hot path of
 every d = 2 solve, works on the entry arrays alone, with no eigenvector
-matrices or matrix products (:func:`_lse2`): each exponential is summed
-from its eigenvalues and the weights of its top eigenprojector, read off
-the entries, and the log of the sum comes from the closed-form
-eigensystem in a projector form.  The solvers hand it kernel entries
-built one block at a time, so a d = 2 iteration never holds a kernel
-stack (see ``qot.cost._kernel_lse``).  Callers that need only
+matrices or matrix products, in two steps: :func:`_lse2_sums` sums each
+exponential from its eigenvalues and the weights of its top
+eigenprojector, read off the entries, and :func:`_lse2_log` takes the
+log of the sums from the closed-form eigensystem in a projector form.
+The solvers sum kernel entries built one block at a time, so a d = 2
+iteration never holds a kernel stack, and take one log step of all
+their sums (see ``qot.cost._kernel_lse``).  Callers that need only
 eigenvalues use :func:`eigvals_sym`.
 
 Every operation is a pure function of its inputs and accepts either a
@@ -71,11 +72,12 @@ PSD_TOL = 1e-10
 
 def pack_upper(mats: np.ndarray) -> np.ndarray:
     """Pack symmetric matrices ``(..., d, d)`` into row-major upper
-    triangles ``(..., d*(d+1)//2)``."""
+    triangles ``(..., d*(d+1)//2)``, a C-contiguous array (numpy lays the
+    fancy-indexed result out column by column)."""
     mats = np.asarray(mats, dtype=float)
     d = mats.shape[-1]
     rows, cols = np.triu_indices(d)
-    return mats[..., rows, cols]
+    return np.ascontiguousarray(mats[..., rows, cols])
 
 
 def unpack_upper(coeffs: np.ndarray, dim: int) -> np.ndarray:
@@ -292,11 +294,13 @@ def _projector_form(f1, f2, x, y):
     return f1 * xx + f2 * yy, (f1 - f2) * (x * y), f1 * yy + f2 * xx
 
 
-def _lse2(a00, a01, a11, axis: int) -> np.ndarray:
-    """The 2x2 matrix log-sum-exp of :func:`lse_reduce` along ``axis`` of
-    the entry arrays ``a00``, ``a01``, ``a11`` of a symmetric stack;
-    returns the dense ``(..., 2, 2)`` result.  Each output entry depends
-    only on its own slice along ``axis``.
+def _lse2_sums(a00, a01, a11, axis: int) -> tuple:
+    """The summing step of the 2x2 matrix log-sum-exp of
+    :func:`lse_reduce` along ``axis`` of the entry arrays ``a00``,
+    ``a01``, ``a11`` of a symmetric stack: the entries ``s00, s01, s11``
+    of ``S = sum_k exp(A_k - m I)`` and the shift ``m`` of each output
+    line, four arrays with ``axis`` reduced.  Each output line depends
+    only on its own slice along ``axis``; :func:`_lse2_log` finishes.
 
     Each summand ``exp(A - m I) = e2 I + (e1 - e2) P``, with
     ``e_k = exp(w_k - m)``, is read off the entries with no eigenvectors:
@@ -308,9 +312,7 @@ def _lse2(a00, a01, a11, axis: int) -> np.ndarray:
     term is a sum of non-negative parts, so a weak direction keeps its own
     exponential ``e2``.  A block whose ``p^2 + q^2`` overflows is rescaled
     pair by pair by exact powers of two; ``P`` does not depend on the
-    scale.  The log of the sum takes the eigensystem of
-    :func:`_eig2_parts`, whose weak eigenvalue keeps the relative accuracy
-    the log needs, in the projector form."""
+    scale."""
     p, mid, q = 0.5 * (a00 - a11), 0.5 * (a00 + a11), a01
     with np.errstate(over="ignore"):
         qq = q * q
@@ -334,10 +336,19 @@ def _lse2(a00, a01, a11, axis: int) -> np.ndarray:
     s01 = (diff * q).sum(axis=axis)
     s00, s11 = (((t + side) * diff + e2).sum(axis=axis)
                 for side in (ap + p, ap - p))
+    return s00, s01, s11, np.squeeze(shift, axis=axis)
+
+
+def _lse2_log(s00, s01, s11, shift) -> np.ndarray:
+    """The log step of the 2x2 matrix log-sum-exp: ``shift I + log S``
+    for the entries and shifts of :func:`_lse2_sums`, as a dense
+    ``(..., 2, 2)`` stack.  It works entry by entry, so the sums of many
+    calls of the summing step can share one log step.  The log takes the
+    eigensystem of :func:`_eig2_parts`, whose weak eigenvalue keeps the
+    relative accuracy the log needs, in the projector form."""
     l1, l2, x, y = _eig2_parts(s00, s01, s11)
     r00, r01, r11 = _projector_form(
         np.log(np.maximum(l1, _TINY)), np.log(np.maximum(l2, _TINY)), x, y)
-    shift = np.squeeze(shift, axis=axis)
     out = np.empty(s00.shape + (2, 2))
     out[..., 0, 0] = r00 + shift
     out[..., 1, 1] = r11 + shift
@@ -356,20 +367,21 @@ def lse_reduce(mats, axis: int = 0) -> np.ndarray:
     The interior log clamps eigenvalues at the smallest positive normal
     float (``EIG_FLOOR`` is reserved for genuinely singular inputs).
 
-    2x2 stacks go to :func:`_lse2`, which forms no eigenvectors of the
-    summands: each ``exp(M_k - m I)`` is ``e1 P + e2 (I - P)``, with the
-    eigenvalues and the top eigenprojector ``P`` read off the entries, its
-    three entries are summed as arrays, and the log of the sum is taken
-    through the closed-form eigensystem of :func:`_eig2_parts`.  Each
+    2x2 stacks take two steps, with no eigenvectors of the summands.
+    :func:`_lse2_sums` writes each ``exp(M_k - m I)`` as
+    ``e1 P + e2 (I - P)``, with the eigenvalues and the weights of the
+    top eigenprojector ``P`` read off the entries, and sums its three
+    entries as arrays; :func:`_lse2_log` takes the log of the sum through
+    the closed-form eigensystem of :func:`_eig2_parts`.  Each
     eigen-direction keeps its own exponential, so one far below the shift
     is not lost to cancellation as in the ``cosh``/``sinh`` form of
-    ``exp``.  The solvers' d = 2 loops reach :func:`_lse2` through
+    ``exp``.  The solvers' d = 2 loops reach both steps through
     ``qot.cost._kernel_lse``, with no kernel stack.
     """
     a = _dense(mats)
     axis = _normalize_reduce_axis(a, axis)
     if a.shape[-1] == 2:
-        return _lse2(a[..., 0, 0], a[..., 0, 1], a[..., 1, 1], axis)
+        return _lse2_log(*_lse2_sums(a[..., 0, 0], a[..., 0, 1], a[..., 1, 1], axis))
     vals, vecs = eig_sym(a)
     shift = vals[..., 0].max(axis=axis, keepdims=True)
     ev = np.exp(vals - shift[..., None])

@@ -7,6 +7,7 @@ import pytest
 
 from helpers import random_psd
 
+from qot import fileio
 from qot.fileio import (
     _CHUNK,
     FileFormatError,
@@ -22,6 +23,19 @@ from qot.sym import pack_upper
 
 def make_field(rng, n=5, d=2):
     return TensorMeasure(rng.uniform(size=(n, 2)), random_psd(rng, d, n=n))
+
+
+# Floats whose text is easy to get wrong: the smallest subnormal, the
+# smallest normal, a negative zero, the largest float, exponent and
+# plain forms at the switch between them, and a 17-digit fraction.
+EDGE_FLOATS = [5e-324, 2.2250738585072014e-308, -0.0, 1.7976931348623157e308,
+               1e16, 1e-5, 1 / 3]
+
+
+def same_bits(a, b) -> bool:
+    """Equal shapes and bit-equal floats (-0.0 is not 0.0)."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 class TestFieldRoundTrip:
@@ -44,6 +58,34 @@ class TestFieldRoundTrip:
         loaded = load_field(path)
         assert loaded.n_atoms == 0
         assert loaded.tensors.shape == (0, 2, 2)
+        assert json.loads(path.read_text())["points"] == []
+
+    def test_edge_floats_round_trip(self, tmp_path):
+        # 1x1 tensors hold each float as it is (-0.0 passes the PSD check);
+        # the points carry them too.
+        values = np.array(EDGE_FLOATS)
+        field = TensorMeasure(np.stack([values, values[::-1]], axis=1),
+                              values[:, None, None])
+        path = tmp_path / "edges.json"
+        save_field(path, field)
+        assert b"null" not in path.read_bytes()
+        loaded = load_field(path)
+        assert same_bits(loaded.points, field.points)
+        assert same_bits(loaded.tensors, field.tensors)
+
+    def test_non_contiguous_views_round_trip(self, tmp_path):
+        # A column slice of a wider array and a transposed stack: the
+        # encoder takes C-contiguous arrays only.
+        rng = np.random.default_rng(11)
+        wide = rng.uniform(size=(6, 5))
+        stack = np.ascontiguousarray(random_psd(rng, 2, n=6).transpose(1, 2, 0))
+        points, tensors = wide[:, 1:4:2], stack.transpose(2, 0, 1)
+        assert not points.flags.c_contiguous and not tensors.flags.c_contiguous
+        path = tmp_path / "views.json"
+        save_field(path, TensorMeasure(points, tensors))
+        loaded = load_field(path)
+        assert same_bits(loaded.points, points)
+        assert same_bits(loaded.tensors, tensors)
 
     def test_non_psd_rejected_with_index(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -113,6 +155,14 @@ class TestCouplingRoundTrip:
         assert loaded.rows == 2 and loaded.cols == 3
         assert np.array_equal(loaded.entries, coupling.entries)
 
+    def test_edge_floats_round_trip(self, tmp_path):
+        values = np.array(EDGE_FLOATS)
+        coupling = Coupling(values.reshape(1, -1, 1, 1))
+        path = tmp_path / "edges.json"
+        save_coupling(path, coupling)
+        assert b"null" not in path.read_bytes()
+        assert same_bits(load_coupling(path).entries, coupling.entries)
+
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("n", [1, _CHUNK - 1, _CHUNK + 1, 2 * _CHUNK])
     def test_chunks_write_one_json_document(self, tmp_path, d, n):
@@ -121,8 +171,9 @@ class TestCouplingRoundTrip:
         path = tmp_path / "coupling.json"
         save_coupling(path, coupling)
         doc = {"rows": 1, "cols": n, "d": d,
-               "entries": pack_upper(coupling.entries[0]).tolist()}
-        assert path.read_text() == json.dumps(doc) + "\n"
+               "entries": pack_upper(coupling.entries[0])}
+        # A bool, so that a mismatch does not diff megabytes of text.
+        assert path.read_bytes() == fileio._dumps(doc) + b"\n", "bytes differ"
         assert np.array_equal(load_coupling(path).entries, coupling.entries)
 
     def test_shape_mismatch_rejected(self, tmp_path):

@@ -9,9 +9,11 @@ them.  The solve stage gets a ``--report`` if it writes none, so that every
 solve's iteration count and relative duality gap ``|primal - dual| / |dual|``
 can be printed (for a report of several solves, the largest gap); a report
 changes no other output.  Then every file of the two runs is compared:
-``same`` if the bytes match; otherwise the largest difference of the
-numbers in it, relative to the largest magnitude in the parent's file (or
-``text differs`` if anything but the numbers does).  ``bench/checks.py``
+``same`` if the bytes match; ``same values`` if it is JSON whose parsed
+document equals the parent's with every float bit-equal (only the layout
+of the text differs); otherwise the largest difference of the numbers in
+it, relative to the largest magnitude in the parent's file (or ``text
+differs`` if anything but the numbers does).  ``bench/checks.py``
 checks the change's outputs.  Last, the lines of each ``src/qot/*.py``
 module in both checkouts (as ``wc -l`` counts them), with the net change
 per module and in total, and each checkout's public surface: the names in
@@ -28,6 +30,7 @@ import argparse
 import json
 import math
 import re
+import struct
 import subprocess
 import sys
 import tempfile
@@ -90,6 +93,28 @@ def difference(a: str, b: str) -> str:
     return f"largest relative difference {diff / scale if scale else diff:.3g}"
 
 
+def bit_equal(x, y) -> bool:
+    """Whether two parsed JSON values are equal with every float
+    bit-equal (``-0.0`` is not ``0.0``, and ``1`` is not ``1.0``)."""
+    if type(x) is not type(y):
+        return False
+    if isinstance(x, dict):
+        return list(x) == list(y) and all(bit_equal(x[k], y[k]) for k in x)
+    if isinstance(x, list):
+        return len(x) == len(y) and all(map(bit_equal, x, y))
+    if isinstance(x, float):
+        return struct.pack("<d", x) == struct.pack("<d", y)
+    return x == y
+
+
+def same_values(a: Path, b: Path) -> bool:
+    """Whether the JSON files ``a`` and ``b`` hold bit-equal documents."""
+    try:
+        return bit_equal(json.loads(a.read_bytes()), json.loads(b.read_bytes()))
+    except ValueError:
+        return False
+
+
 def relative_gap(entry: dict) -> float:
     """``|primal - dual| / |dual|`` of one solve's report (``inf`` if an
     objective was written as null, the absolute gap if the dual is 0)."""
@@ -121,6 +146,8 @@ def compare(parent: Path, change: Path, workload: str, seed: int, tmp: Path) -> 
             status = f"only in the {'parent' if a.exists() else 'change'}"
         elif a.read_bytes() == b.read_bytes():
             status = "same"
+        elif name.endswith(".json") and same_values(a, b):
+            status = "same values"
         else:
             status = difference(a.read_text(), b.read_text())
         same = same and status == "same"
