@@ -121,7 +121,7 @@ def barycenter_solve(prob: BarycenterProblem, cfg: SolverConfig | None = None):
     One iteration is a map of the potentials, run by the scaling loop of
     :func:`qot.solver.sinkhorn_solve`, over stacked arrays: all column
     potentials in one, and the row potentials, costs and log-tensors of
-    each group of inputs with one atom count and cost kind in one each.
+    each group of inputs with one atom count in one each.
     """
     cfg = replace(cfg or SolverConfig(), rho2=math.inf)
     if cfg.trace_constrained:
@@ -132,20 +132,20 @@ def barycenter_solve(prob: BarycenterProblem, cfg: SolverConfig | None = None):
     inputs, costs, weights = ([seq[i] for i in live]
                               for seq in (prob.inputs, prob.costs, prob.weights))
     keys = {}
-    for i, (measure, cost) in enumerate(zip(inputs, costs)):
-        keys.setdefault((measure.n_atoms, cost.kind), []).append(i)
-    groups = [(np.array(ins), kind, np.stack([costs[i].values for i in ins]),
+    for i, measure in enumerate(inputs):
+        keys.setdefault(measure.n_atoms, []).append(i)
+    groups = [(np.array(ins), np.stack([costs[i].values for i in ins]),
                np.stack([log_sym(inputs[i].tensors) for i in ins]))
-              for (_, kind), ins in keys.items()]
+              for ins in keys.values()]
     log_nu = None
 
     def step(point):
         nonlocal log_nu
         *us, v = point
         lse_cols, us_new, res = np.empty_like(v), [], 0.0
-        for (ins, kind, values, log_mu), u in zip(groups, us):
+        for (ins, values, log_mu), u in zip(groups, us):
             rows, cols = _kernel_terms(u, v[ins], None, None, cfg)
-            lse_rows = _kernel_lse(rows, cols, kind, values, cfg.eps, 1)
+            lse_rows = _kernel_lse(rows, cols, values, cfg.eps, 1)
             u_new = cfg.relax(1, u, lse_rows - log_mu)
             # The column-potential change alone is blind to row-potential
             # drift (it vanishes identically for a single input), so the
@@ -153,7 +153,7 @@ def barycenter_solve(prob: BarycenterProblem, cfg: SolverConfig | None = None):
             res = max(res, float(np.abs(u_new - u).max()))
             us_new.append(u_new)
             rows, cols = _kernel_terms(u_new, v[ins], None, None, cfg)
-            lse_cols[ins] = _kernel_lse(rows, cols, kind, values, cfg.eps, 0)
+            lse_cols[ins] = _kernel_lse(rows, cols, values, cfg.eps, 0)
         log_nu = sum(w * (lse + v_l / cfg.eps)
                      for w, lse, v_l in zip(weights, lse_cols, v))
         v_new = cfg.relax(2, v, lse_cols - log_nu)

@@ -1,9 +1,8 @@
 """Ground costs and the dual kernel map.
 
-Costs are either isotropic (a scalar per pair, meaning that scalar times
-the identity matrix) or full symmetric matrices per pair.  All experiments
-of interest use isotropic costs, which are stored as plain scalars and
-expanded lazily into the kernel.
+A cost is isotropic: one scalar ``c_ij`` per pair, meaning ``c_ij`` times
+the identity matrix, stored as a plain (I, J) array and added to the
+kernel's diagonal as it is written.
 
 The dual kernel ``K_ij = -(c_ij + rows_i + cols_j) / eps`` is written
 here only, from the row and column terms the solver forms, in two
@@ -19,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measure import _check_symmetric
 from .sym import _lse2_log, _lse2_sums, lse_reduce
 
 __all__ = [
@@ -32,30 +30,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GroundCost:
-    """Per-pair transport cost.
+    """Per-pair transport cost: ``values`` has shape (I, J), entry c_ij
+    meaning ``c_ij * I_d``; finite, >= 0 and read-only."""
 
-    ``kind`` is ``"isotropic"`` (``values`` has shape (I, J), entry c_ij
-    meaning ``c_ij * I_d``) or ``"matrix"`` (``values`` has shape
-    (I, J, d, d), one symmetric matrix per pair).
-    """
-
-    kind: str
     values: np.ndarray
 
     def __post_init__(self):
         values = np.ascontiguousarray(self.values, dtype=float)
-        if self.kind == "isotropic":
-            if values.ndim != 2:
-                raise ValueError(f"isotropic cost must be (I, J), got {values.shape}")
-            _check_distances(values, "isotropic cost values")
-        elif self.kind == "matrix":
-            if values.ndim != 4 or values.shape[-1] != values.shape[-2]:
-                raise ValueError(
-                    f"matrix cost must be (I, J, d, d), got {values.shape}"
-                )
-            _check_symmetric(values, "matrix cost")
-        else:
-            raise ValueError(f"unknown cost kind {self.kind!r}")
+        if values.ndim != 2:
+            raise ValueError(f"isotropic cost must be (I, J), got {values.shape}")
+        _check_distances(values, "isotropic cost values")
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
@@ -68,17 +52,15 @@ class GroundCost:
         return self.values.shape[1]
 
     def contract(self, entries: np.ndarray) -> float:
-        """Total transport cost ``sum_ij tr(gamma_ij c_ij^T)`` against a
+        """Total transport cost ``sum_ij c_ij tr(gamma_ij)`` against a
         stack of coupling entries shaped (I, J, d, d)."""
         if entries.shape[:2] != self.values.shape[:2]:
             raise ValueError(
                 f"coupling {entries.shape[:2]} does not match cost "
                 f"{self.values.shape[:2]}"
             )
-        if self.kind == "isotropic":
-            traces = np.trace(entries, axis1=-2, axis2=-1)
-            return float((self.values * traces).sum())
-        return float(np.einsum("ijkl,ijkl->", entries, self.values))
+        traces = np.trace(entries, axis1=-2, axis2=-1)
+        return float((self.values * traces).sum())
 
 
 def euclidean_cost(xs, ys, alpha: float = 2.0) -> GroundCost:
@@ -115,7 +97,7 @@ def _power_cost(dist: np.ndarray, alpha: float) -> GroundCost:
     """The isotropic cost ``dist ** alpha``; the one check of ``alpha``."""
     if not alpha > 0.0:
         raise ValueError("alpha must be > 0")
-    return GroundCost("isotropic", dist**alpha)
+    return GroundCost(dist**alpha)
 
 
 # Pairs per block of the fused d = 2 kernel-LSE (:func:`_kernel_lse`).
@@ -135,44 +117,40 @@ def kernel(rows, cols, cost: GroundCost, eps: float) -> np.ndarray:
             or (len(rows), len(cols)) != (cost.rows, cost.cols)):
         raise ValueError(f"cost is {cost.rows}x{cost.cols} but the kernel "
                          f"terms are {rows.shape} and {cols.shape}")
-    return _kernel(rows, cols, cost.kind, cost.values, eps)
+    return _kernel(rows, cols, cost.values, eps)
 
 
-def _kernel(rows, cols, kind: str, values, eps: float) -> np.ndarray:
+def _kernel(rows, cols, values, eps: float) -> np.ndarray:
     """:func:`kernel`, unchecked, of terms (..., I, d, d) and (..., J, d, d)
-    under the cost ``values`` of ``kind``, (..., I, J) or (..., I, J, d, d):
-    shape (..., I, J, d, d).  The operation order, ``rows_i + cols_j``,
-    then ``+ c_ij`` (on the diagonal if isotropic), then ``/ (-eps)``, is
-    also :func:`_kernel_lse`'s, whose bits depend on it."""
+    under the cost ``values`` (..., I, J): shape (..., I, J, d, d).  The
+    operation order, ``rows_i + cols_j``, then ``+ c_ij`` on the diagonal,
+    then ``/ (-eps)``, is also :func:`_kernel_lse`'s, whose bits depend
+    on it."""
     s = rows[..., :, None, :, :] + cols[..., None, :, :, :]
-    if kind == "isotropic":
-        idx = np.arange(rows.shape[-1])
-        s[..., idx, idx] += values[..., None]
-    else:
-        s += values
+    idx = np.arange(rows.shape[-1])
+    s[..., idx, idx] += values[..., None]
     return s / (-eps)
 
 
-def _kernel_lse(rows, cols, kind: str, values, eps: float, axis: int) -> np.ndarray:
-    """``lse_reduce(_kernel(rows, cols, kind, values, eps), axis - 2)``,
-    bit for bit, for terms and cost values of matching shapes with any
-    common leading batch axes (unchecked: the solvers' loops call it).
+def _kernel_lse(rows, cols, values, eps: float, axis: int) -> np.ndarray:
+    """``lse_reduce(_kernel(rows, cols, values, eps), axis - 2)``, bit for
+    bit, for terms and cost values of matching shapes with any common
+    leading batch axes (unchecked: the solvers' loops call it).
 
-    For d = 2 and an isotropic cost no kernel stack is built: the three
-    entry arrays of one block of the kept axis at a time (rows for
-    ``axis=1``, columns for ``axis=0``) are written in the operation order
-    of :func:`_kernel` and summed by :func:`qot.sym._lse2_sums`, which
-    sums each exponential from the entries' eigenvalues and eigenprojector
-    weights, into per-call arrays of sums and shifts; one
-    :func:`qot.sym._lse2_log` then takes the log of every output line.
-    An output line depends only on its own slice, so blocking needs no
-    running shift.  A block of columns is at least two wide:
-    numpy sums a lone column pairwise, but the columns of a wider array
-    one row after another, as it does the whole kernel.  Every other case
-    reduces the kernel stack.
+    For d = 2 no kernel stack is built: the three entry arrays of one
+    block of the kept axis at a time (rows for ``axis=1``, columns for
+    ``axis=0``) are written in the operation order of :func:`_kernel` and
+    summed by :func:`qot.sym._lse2_sums`, which sums each exponential from
+    the entries' eigenvalues and eigenprojector weights, into per-call
+    arrays of sums and shifts; one :func:`qot.sym._lse2_log` then takes
+    the log of every output line.  An output line depends only on its own
+    slice, so blocking needs no running shift.  A block of columns is at
+    least two wide: numpy sums a lone column pairwise, but the columns of
+    a wider array one row after another, as it does the whole kernel.
+    Any other d reduces the kernel stack.
     """
-    if rows.shape[-1] != 2 or kind != "isotropic":
-        return lse_reduce(_kernel(rows, cols, kind, values, eps), axis=axis - 2)
+    if rows.shape[-1] != 2:
+        return lse_reduce(_kernel(rows, cols, values, eps), axis=axis - 2)
     n_keep = values.shape[-1 - axis]
     width = max(1 if axis == 1 else 2, _LSE_BLOCK // (values.size // n_keep))
     bounds = list(range(0, n_keep, width)) + [n_keep]

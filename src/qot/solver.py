@@ -7,8 +7,8 @@ updates of the matrix dual potentials through the stabilized matrix
 log-sum-exp; in trace-constrained mode it also steps the scalar trace
 multipliers.  One dual kernel feeds the loop, the objectives and the
 diagnostics: :func:`_kernel_terms` decides what enters it, and
-:mod:`qot.cost` writes it, as a stack or, for d = 2 and an isotropic
-cost, block by block fused with the loop's log-sum-exps.
+:mod:`qot.cost` writes it under the isotropic cost, as a stack or, for
+d = 2, block by block fused with the loop's log-sum-exps.
 When the plain iteration slows to a crawl, safeguarded Anderson
 extrapolation over its last few iterates takes over (default relaxations
 only).  A ``rho`` equal to ``inf`` is a symbolic sentinel for
@@ -224,8 +224,6 @@ def _validate_problem(mu: TensorMeasure, nu: TensorMeasure, cost: GroundCost):
             f"cost is {cost.rows}x{cost.cols} but measures have "
             f"{mu.n_atoms} and {nu.n_atoms} atoms"
         )
-    if cost.kind == "matrix" and cost.values.shape[-1] != mu.tensor_dim:
-        raise ValueError("matrix cost dimension does not match tensors")
 
 
 def _exp_capped(mats):
@@ -509,13 +507,13 @@ def sinkhorn_solve(mu: TensorMeasure, nu: TensorMeasure, cost: GroundCost,
     def step(point):
         u, v, alpha, beta = point
         rows, cols = _kernel_terms(u, v, alpha, beta, cfg)
-        lse_u = _kernel_lse(rows, cols, cost.kind, cost.values, cfg.eps, 1)
+        lse_u = _kernel_lse(rows, cols, cost.values, cfg.eps, 1)
         if cfg.trace_constrained:
             step_a, lse_u = multiplier_step(lse_u, log_tr_mu)
             alpha = alpha + step_a
         u = cfg.relax(1, u, lse_u - log_mu)
         rows, cols = _kernel_terms(u, v, alpha, beta, cfg)
-        lse_v = _kernel_lse(rows, cols, cost.kind, cost.values, cfg.eps, 0)
+        lse_v = _kernel_lse(rows, cols, cost.values, cfg.eps, 0)
         if cfg.trace_constrained:
             step_b, lse_v = multiplier_step(lse_v, log_tr_nu)
             beta = beta + step_b

@@ -115,7 +115,7 @@ def _dense(x) -> np.ndarray:
 def _eig2_values(a00, a01, a11):
     """Closed-form eigenvalues ``w1 >= w2`` of symmetric 2x2 matrices given
     by their entry arrays, and the one of larger magnitude."""
-    mid = 0.5 * (a00 + a11)
+    mid = 0.5 * a00 + 0.5 * a11
     rad = np.hypot(0.5 * (a00 - a11), a01)
     # Larger-magnitude root from the quadratic formula; the other through
     # the determinant quotient, which keeps relative accuracy for

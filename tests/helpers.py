@@ -261,8 +261,8 @@ def barycenter_loop(prob, cfg=None):
     it replaced, in which each input makes its own two kernel-LSEs per
     iteration and the state is a tuple of per-input arrays, run through the
     same loop and finalisation.  It is kept as it was but for the solver's
-    names, qualified here, and ``_kernel_lse``'s cost arguments, now the
-    cost's kind and values.  It runs every input, zero weights included,
+    names, qualified here, and ``_kernel_lse``'s cost argument, now the
+    cost's values.  It runs every input, zero weights included,
     so it is the reference for weights that are all positive.  Returns
     ``(nu, report)``."""
     cfg = replace(cfg or solver.SolverConfig(), rho2=math.inf)
@@ -280,13 +280,12 @@ def barycenter_loop(prob, cfg=None):
         for idx in range(n_inputs):
             cost = prob.costs[idx]
             rows, cols = solver._kernel_terms(u[idx], v[idx], None, None, cfg)
-            lse_rows = _kernel_lse(rows, cols, cost.kind, cost.values, cfg.eps, 1)
+            lse_rows = _kernel_lse(rows, cols, cost.values, cfg.eps, 1)
             u_new = cfg.relax(1, u[idx], lse_rows - log_mu[idx])
             res = max(res, float(np.abs(u_new - u[idx]).max()))
             u[idx] = u_new
             rows, cols = solver._kernel_terms(u_new, v[idx], None, None, cfg)
-            lse_cols.append(_kernel_lse(rows, cols, cost.kind, cost.values,
-                                        cfg.eps, 0))
+            lse_cols.append(_kernel_lse(rows, cols, cost.values, cfg.eps, 0))
 
         log_nu = sum(w * (lse_cols[idx] + v[idx] / cfg.eps)
                      for idx, w in enumerate(prob.weights))

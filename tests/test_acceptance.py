@@ -257,7 +257,7 @@ def test_criterion_09_pointwise_barycenter_closed_form():
     tensors = random_psd(rng, 2, n=3)
     weights = np.array([0.2, 0.5, 0.3])
     inputs = tuple(TensorMeasure(point, t[None]) for t in tensors)
-    costs = tuple(GroundCost("isotropic", np.zeros((1, 1))) for _ in range(3))
+    costs = tuple(GroundCost(np.zeros((1, 1))) for _ in range(3))
     prob = BarycenterProblem(inputs, weights, point, costs)
     cfg = SolverConfig(eps=1e-3, tol=1e-10, max_iter=60000)
     nu, report = barycenter_solve(prob, cfg)

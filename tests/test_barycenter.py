@@ -115,20 +115,9 @@ class TestBarycenterProblem:
     def test_cost_shape_validation(self):
         rng = np.random.default_rng(3)
         m = random_measure(rng, 3, 2)
-        bad_cost = GroundCost("isotropic", np.zeros((2, 3)))
+        bad_cost = GroundCost(np.zeros((2, 3)))
         with pytest.raises(ValueError, match="input 0: cost is 2x3"):
             BarycenterProblem((m,), np.array([1.0]), m.points, (bad_cost,))
-
-    def test_matrix_cost_dimension_checked_by_index(self):
-        # A (I, J, 1, 1) cost against 2x2 inputs would broadcast onto every
-        # kernel entry; the transport's shape check rejects it.
-        rng = np.random.default_rng(3)
-        m = random_measure(rng, 3, 2)
-        good = euclidean_cost(m.points, m.points)
-        bad = GroundCost("matrix", np.zeros((3, 3, 1, 1)))
-        with pytest.raises(ValueError,
-                           match="input 1: matrix cost dimension does not match"):
-            BarycenterProblem((m, m), np.array([0.5, 0.5]), m.points, (good, bad))
 
     def test_input_tensor_dimension_checked_by_index(self):
         rng = np.random.default_rng(3)
@@ -144,13 +133,13 @@ class TestBarycenterProblem:
     def test_support_checked_as_a_measure(self, support, message):
         rng = np.random.default_rng(3)
         m = random_measure(rng, 3, 2)
-        cost = GroundCost("isotropic", np.zeros((3, len(support))))
+        cost = GroundCost(np.zeros((3, len(support))))
         with pytest.raises(ValueError, match=message):
             BarycenterProblem((m,), np.array([1.0]), support, (cost,))
 
     def test_scalar_support_reports_its_shape(self):
         m = random_measure(np.random.default_rng(3), 3, 2)
-        cost = GroundCost("isotropic", np.zeros((3, 1)))
+        cost = GroundCost(np.zeros((3, 1)))
         with pytest.raises(ValueError, match=r"support: points must be "
                                              r"\(n, ambient_dim\), got \(\)"):
             BarycenterProblem((m,), np.array([1.0]), 3.0, (cost,))
@@ -338,8 +327,8 @@ def _assert_same_solve(got, want, weights=None):
 
 
 class TestStackedMap:
-    # The map runs over stacked inputs, one group per atom count and cost
-    # kind; it is the per-input map it replaced, bit for bit.
+    # The map runs over stacked inputs, one group per atom count; it is the
+    # per-input map it replaced, bit for bit.
     def test_accelerated_grid_barycenter_is_the_per_input_map(self):
         rng = np.random.default_rng(0)
         points = grid_points(3)
@@ -351,16 +340,13 @@ class TestStackedMap:
         _assert_same_solve(got, barycenter_loop(prob, cfg))
 
     @pytest.mark.parametrize("d", [2, 3])
-    def test_ragged_mixed_kind_barycenter_is_the_per_input_map(self, monkeypatch,
-                                                               d):
-        # Inputs 0 and 2 share 4 atoms and an isotropic cost; input 1 has
-        # 5 atoms and a matrix cost: two groups, the first not contiguous.
+    def test_ragged_barycenter_is_the_per_input_map(self, monkeypatch, d):
+        # Inputs 0 and 2 share 4 atoms; input 1 has 5: two groups, the
+        # first not contiguous.
         rng = np.random.default_rng(11)
         support = grid_points(2)
         inputs = [random_measure(rng, n, d) for n in (4, 5, 4)]
         costs = [euclidean_cost(m.points, support) for m in inputs]
-        aniso = random_psd(rng, d)
-        costs[1] = GroundCost("matrix", costs[1].values[..., None, None] * aniso)
         prob = BarycenterProblem(tuple(inputs), np.array([0.5, 0.2, 0.3]),
                                  support, tuple(costs))
         cfg = SolverConfig(eps=0.05, rho1=0.7, tau1=0.1, tau2=1.5, tol=1e-10)
@@ -414,15 +400,13 @@ class TestZeroWeights:
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_zero_weight_group_makes_no_kernel_calls(self, monkeypatch, d):
-        # The setting of test_ragged_mixed_kind_barycenter_is_the_per_input_map
-        # with input 1, alone in its group (5 atoms, a matrix cost), at
-        # weight zero: only the group of inputs 0 and 2 runs.
+        # The setting of test_ragged_barycenter_is_the_per_input_map with
+        # input 1, alone in its group (5 atoms), at weight zero: only the
+        # group of inputs 0 and 2 runs.
         rng = np.random.default_rng(11)
         support = grid_points(2)
         inputs = [random_measure(rng, n, d) for n in (4, 5, 4)]
         costs = [euclidean_cost(m.points, support) for m in inputs]
-        aniso = random_psd(rng, d)
-        costs[1] = GroundCost("matrix", costs[1].values[..., None, None] * aniso)
         prob = BarycenterProblem(tuple(inputs), np.array([0.5, 0.0, 0.5]),
                                  support, tuple(costs))
         cfg = SolverConfig(eps=0.05, rho1=0.7, tau1=0.1, tau2=1.5, tol=1e-10)

@@ -60,22 +60,28 @@ class TestDistanceMatrixCost:
         with pytest.raises(ValueError, match="alpha must be > 0"):
             from_distance_matrix([[1.0]], alpha=alpha)
 
-    @pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf")])
-    def test_isotropic_cost_values_follow_the_same_rule(self, value):
-        with pytest.raises(ValueError,
-                           match="isotropic cost values must be finite and >= 0"):
-            GroundCost("isotropic", [[0.5, value]])
+    # A cost is (I, J): the (I, J, d, d) layout of a per-pair matrix cost
+    # is refused.
+    @pytest.mark.parametrize("values,match", [
+        ([[0.5, -1.0]], "isotropic cost values must be finite and >= 0"),
+        ([[0.5, float("nan")]], "isotropic cost values must be finite and >= 0"),
+        ([[0.5, float("inf")]], "isotropic cost values must be finite and >= 0"),
+        (np.zeros((2, 3, 2, 2)), r"must be \(I, J\), got \(2, 3, 2, 2\)"),
+    ], ids=["-1.0", "nan", "inf", "matrix-layout"])
+    def test_isotropic_cost_values_follow_the_same_rule(self, values, match):
+        with pytest.raises(ValueError, match=match):
+            GroundCost(values)
 
 
 class TestKernel:
     def test_all_zero(self):
-        cost = GroundCost("isotropic", np.zeros((2, 3)))
+        cost = GroundCost(np.zeros((2, 3)))
         k = kernel(np.zeros((2, 2, 2)), np.zeros((3, 2, 2)), cost, 1.0)
         assert k.shape == (2, 3, 2, 2)
         assert np.all(k == 0.0)
 
     def test_arithmetic(self):
-        cost = GroundCost("isotropic", np.ones((1, 1)))
+        cost = GroundCost(np.ones((1, 1)))
         rows = np.eye(2)[None]
         cols = np.zeros((1, 2, 2))
         k = kernel(rows, cols, cost, eps=1.0)
@@ -83,7 +89,7 @@ class TestKernel:
 
     def test_eps_scaling(self):
         rng = np.random.default_rng(0)
-        cost = GroundCost("isotropic", rng.uniform(size=(2, 2)))
+        cost = GroundCost(rng.uniform(size=(2, 2)))
         u = rng.standard_normal((2, 2, 2))
         u = 0.5 * (u + np.swapaxes(u, -1, -2))
         v = rng.standard_normal((2, 2, 2))
@@ -94,7 +100,7 @@ class TestKernel:
 
     def test_kernel_entries_symmetric_and_exp_pd(self):
         rng = np.random.default_rng(1)
-        cost = GroundCost("isotropic", rng.uniform(size=(3, 4)))
+        cost = GroundCost(rng.uniform(size=(3, 4)))
         u = 0.3 * rng.standard_normal((3, 2, 2))
         u = 0.5 * (u + np.swapaxes(u, -1, -2))
         v = 0.3 * rng.standard_normal((4, 2, 2))
@@ -106,7 +112,7 @@ class TestKernel:
         assert np.all(vals[:, 0] >= -1e-12 * (1.0 + vals[:, -1]))
 
     def test_isotropic_inputs_stay_isotropic(self):
-        cost = GroundCost("isotropic", np.array([[0.3, 1.0], [0.7, 0.1]]))
+        cost = GroundCost(np.array([[0.3, 1.0], [0.7, 0.1]]))
         u = np.stack([0.4 * np.eye(2), -0.2 * np.eye(2)])
         v = np.stack([0.1 * np.eye(2), 0.9 * np.eye(2)])
         k = kernel(u, v, cost, 0.05)
@@ -114,18 +120,12 @@ class TestKernel:
         assert np.all(offdiag == 0.0)
         assert np.allclose(k[..., 0, 0], k[..., 1, 1])
 
-    def test_matrix_cost_kind(self):
-        c_mat = np.broadcast_to(np.diag([1.0, 2.0]), (1, 1, 2, 2)).copy()
-        cost = GroundCost("matrix", c_mat)
-        k = kernel(np.zeros((1, 2, 2)), np.zeros((1, 2, 2)), cost, 1.0)
-        assert np.allclose(k[0, 0], -np.diag([1.0, 2.0]))
-
     @pytest.mark.parametrize("rows,cols", [
         ((3, 2, 2), (3, 2, 2)), ((2, 2, 2), (2, 2, 2)), ((2, 3, 3), (3, 2, 2)),
         ((2, 2), (3, 2, 2)),
     ], ids=["rows", "cols", "dim", "ndim"])
     def test_shape_validation(self, rows, cols):
-        cost = GroundCost("isotropic", np.zeros((2, 3)))
+        cost = GroundCost(np.zeros((2, 3)))
         with pytest.raises(ValueError, match="cost is 2x3"):
             kernel(np.zeros(rows), np.zeros(cols), cost, 1.0)
 
@@ -141,7 +141,7 @@ def _trace_kernel(u, v, alpha, beta, cost, eps, cfg=TRACE):
 class TestKernelTrace:
     def test_zero_multipliers_match_kernel(self):
         rng = np.random.default_rng(2)
-        cost = GroundCost("isotropic", rng.uniform(size=(2, 3)))
+        cost = GroundCost(rng.uniform(size=(2, 3)))
         u = rng.standard_normal((2, 2, 2))
         u = 0.5 * (u + np.swapaxes(u, -1, -2))
         v = rng.standard_normal((3, 2, 2))
@@ -151,7 +151,7 @@ class TestKernelTrace:
 
     def test_multipliers_only_in_trace_mode(self):
         rng = np.random.default_rng(2)
-        cost = GroundCost("isotropic", rng.uniform(size=(2, 3)))
+        cost = GroundCost(rng.uniform(size=(2, 3)))
         u, v = np.zeros((2, 2, 2)), np.zeros((3, 2, 2))
         plain = _trace_kernel(u, v, np.ones(2), np.ones(3), cost, 0.1,
                               SolverConfig())
@@ -159,7 +159,7 @@ class TestKernelTrace:
 
     def test_row_shift(self):
         eps = 0.5
-        cost = GroundCost("isotropic", np.zeros((2, 1)))
+        cost = GroundCost(np.zeros((2, 1)))
         u = np.zeros((2, 2, 2))
         v = np.zeros((1, 2, 2))
         alpha = np.array([eps, 0.0])
@@ -170,7 +170,7 @@ class TestKernelTrace:
     def test_trace_decreases_in_alpha(self):
         # scalar-shift identity: tr exp(M - a I) = e^{-a} tr exp(M)
         rng = np.random.default_rng(3)
-        cost = GroundCost("isotropic", rng.uniform(size=(1, 2)))
+        cost = GroundCost(rng.uniform(size=(1, 2)))
         u = rng.standard_normal((1, 2, 2))
         u = 0.5 * (u + np.swapaxes(u, -1, -2))
         v = rng.standard_normal((2, 2, 2))
@@ -182,13 +182,13 @@ class TestKernelTrace:
         assert traces[0] > traces[1] > traces[2]
 
     def test_multiplier_shape_validation(self):
-        cost = GroundCost("isotropic", np.zeros((2, 2)))
+        cost = GroundCost(np.zeros((2, 2)))
         with pytest.raises(ValueError, match="multipliers"):
             _trace_kernel(np.zeros((2, 2, 2)), np.zeros((2, 2, 2)),
                           np.zeros(3), np.zeros(2), cost, 1.0)
 
     def test_multipliers_come_in_pairs(self):
-        cost = GroundCost("isotropic", np.zeros((2, 2)))
+        cost = GroundCost(np.zeros((2, 2)))
         with pytest.raises(ValueError, match="multipliers"):
             _trace_kernel(np.zeros((2, 2, 2)), np.zeros((2, 2, 2)),
                           np.zeros(2), None, cost, 1.0)

@@ -54,6 +54,9 @@ class TestTensorMeasure:
         tensors = np.stack([np.eye(2), np.diag([1.0, -0.5])])
         with pytest.raises(ValueError, match="tensor 1"):
             TensorMeasure(np.zeros((2, 2)), tensors)
+        # A PSD tensor at the top of the float range passes, with no
+        # overflow warning (an error under this suite) from the check.
+        TensorMeasure(np.zeros((1, 2)), np.diag([np.finfo(float).max] * 2)[None])
 
     def test_immutable(self):
         m = TensorMeasure(np.zeros((1, 2)), np.eye(2)[None])
@@ -225,7 +228,7 @@ class TestPrimalObjective:
         g = random_coupling(rng, 1, 1, 2)
         mu = TensorMeasure(np.zeros((1, 1)), marginal_rows(g))
         nu = TensorMeasure(np.zeros((1, 1)), marginal_cols(g))
-        cost = GroundCost("isotropic", np.zeros((1, 1)))
+        cost = GroundCost(np.zeros((1, 1)))
         cfg = SolverConfig(eps=1e-9, rho1=1.0, rho2=1.0)
         ent = quantum_entropy(g.entries.reshape(-1, 2, 2))
         val = primal_objective(g, mu, nu, cost, cfg)
@@ -235,7 +238,7 @@ class TestPrimalObjective:
         g = Coupling(np.full((1, 1, 1, 1), 2.0))
         mu = TensorMeasure(np.zeros((1, 1)), np.full((1, 1, 1), 2.0))
         nu = TensorMeasure(np.zeros((1, 1)), np.full((1, 1, 1), 2.0))
-        cost = GroundCost("isotropic", np.zeros((1, 1)))
+        cost = GroundCost(np.zeros((1, 1)))
         cfg = SolverConfig(eps=1e-12, rho1=1.0, rho2=1.0)
         val = primal_objective(g, mu, nu, cost, cfg)
         # both KL terms vanish; the entropy term is O(eps)
@@ -245,6 +248,6 @@ class TestPrimalObjective:
         g = Coupling(np.eye(2)[None, None])
         mu = TensorMeasure(np.zeros((1, 1)), np.diag([1.0, 0.0])[None])
         nu = TensorMeasure(np.zeros((1, 1)), np.eye(2)[None])
-        cost = GroundCost("isotropic", np.zeros((1, 1)))
+        cost = GroundCost(np.zeros((1, 1)))
         cfg = SolverConfig(eps=0.01, rho1=1.0, rho2=1.0)
         assert primal_objective(g, mu, nu, cost, cfg) == math.inf

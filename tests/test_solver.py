@@ -133,7 +133,7 @@ class TestScalarClosedForm:
         eps = 0.01
         mu = scalar_measure([2.0], [[0.0]])
         nu = scalar_measure([2.0], [[0.0]])
-        cost = GroundCost("isotropic", np.zeros((1, 1)))
+        cost = GroundCost(np.zeros((1, 1)))
         cfg = SolverConfig(eps=eps, rho1=1.0, rho2=1.0, tol=1e-13)
         coupling, state, report = sinkhorn_solve(mu, nu, cost, cfg)
         assert report.converged
@@ -223,7 +223,7 @@ class TestDuality:
         rng = np.random.default_rng(13)
         mu, nu, _ = random_instance(rng, 3, 4, 2)
         nu = TensorMeasure(nu.points, nu.tensors)
-        cost = GroundCost("isotropic", np.zeros((3, 4)))
+        cost = GroundCost(np.zeros((3, 4)))
         cfg = SolverConfig(eps=0.03)
         state = DualState.zeros(3, 4, 2)
         # with u=v=0 and c=0 each kernel entry exponentiates to the identity
@@ -281,7 +281,7 @@ class TestFixedPointResidual:
 
         perm = np.random.default_rng(1).permutation(5)
         mu_p = TensorMeasure(mu.points[perm], mu.tensors[perm])
-        cost_p = GroundCost("isotropic", cost.values[perm])
+        cost_p = GroundCost(cost.values[perm])
         state_p = DualState(state.u[perm], state.v, state.alpha[perm], state.beta)
         res_p = fixed_point_residual(state_p, mu_p, nu, cost_p, cfg)
         assert np.isclose(res, res_p, atol=1e-13)
@@ -451,7 +451,7 @@ class TestTraceConstrained:
     def test_single_pair_pins_mass(self):
         mu = scalar_measure([2.0], [[0.0]])
         nu = scalar_measure([2.0], [[0.0]])
-        cost = GroundCost("isotropic", np.zeros((1, 1)))
+        cost = GroundCost(np.zeros((1, 1)))
         for rho in (0.5, 1.0, 5.0):
             cfg = SolverConfig(eps=0.05, rho1=rho, rho2=rho, tol=1e-12,
                                trace_constrained=True)
@@ -494,7 +494,7 @@ class TestTraceConstrained:
     def test_nonpositive_trace_rejected(self):
         mu = TensorMeasure(np.zeros((1, 1)), np.zeros((1, 1, 1)))
         nu = scalar_measure([1.0], [[0.0]])
-        cost = GroundCost("isotropic", np.zeros((1, 1)))
+        cost = GroundCost(np.zeros((1, 1)))
         cfg = SolverConfig(trace_constrained=True)
         with pytest.raises(ValueError):
             sinkhorn_solve(mu, nu, cost, cfg)
@@ -502,7 +502,7 @@ class TestTraceConstrained:
     def test_infeasible_totals_rejected(self):
         mu = scalar_measure([1.0, 1.0])
         nu = scalar_measure([1.0, 2.0])
-        cost = GroundCost("isotropic", np.zeros((2, 2)))
+        cost = GroundCost(np.zeros((2, 2)))
         cfg = SolverConfig(trace_constrained=True)
         with pytest.raises(ValueError, match="infeasible"):
             sinkhorn_solve(mu, nu, cost, cfg)
@@ -603,8 +603,8 @@ class TestKernelStacks:
         assert stacks == [(9, 9, 2, 2)] * 4
 
     def test_d3_barycenter_iteration_builds_one_stack_per_side(self, stacks):
-        # Two inputs of one atom count and cost kind share each stack; the
-        # finalisation then builds two stacks per input.
+        # Two inputs of one atom count share each stack; the finalisation
+        # then builds two stacks per input.
         rng = np.random.default_rng(3)
         points = grid_points(2)
         inputs = tuple(TensorMeasure(points[:3], random_psd(rng, 3, n=3))
@@ -648,33 +648,18 @@ class TestLargeTensorDim:
         assert gap / (1.0 + abs(report.primal_value)) < 1e-6
 
 
-class TestMatrixCostKind:
-    def test_solve_with_full_matrix_cost(self):
-        rng = np.random.default_rng(73)
-        mu, nu, iso = random_instance(rng, 3, 3, 2)
-        base = iso.values[..., None, None] * np.eye(2)
-        skew = 0.05 * rng.standard_normal((3, 3, 2, 2))
-        mats = base + 0.5 * (skew + np.swapaxes(skew, -1, -2))
-        cost = GroundCost("matrix", mats)
-        cfg = SolverConfig(eps=0.05, tol=1e-10, max_iter=30000)
-        _, _, report = sinkhorn_solve(mu, nu, cost, cfg)
-        assert report.converged
-        gap = abs(report.primal_value - report.dual_value)
-        assert gap / (1.0 + abs(report.primal_value)) < 1e-6
-
-
 class TestValidation:
     def test_dimension_mismatch(self):
         mu = scalar_measure([1.0], [[0.0]])
         nu = TensorMeasure(np.zeros((1, 1)), np.eye(2)[None])
-        cost = GroundCost("isotropic", np.zeros((1, 1)))
+        cost = GroundCost(np.zeros((1, 1)))
         with pytest.raises(ValueError):
             sinkhorn_solve(mu, nu, cost, SolverConfig())
 
     def test_cost_shape_mismatch(self):
         mu = scalar_measure([1.0, 2.0])
         nu = scalar_measure([1.0])
-        cost = GroundCost("isotropic", np.zeros((1, 1)))
+        cost = GroundCost(np.zeros((1, 1)))
         with pytest.raises(ValueError):
             sinkhorn_solve(mu, nu, cost, SolverConfig())
 
@@ -901,16 +886,12 @@ def test_one_scaling_loop(monkeypatch, kind, cfg, converges):
     assert len(noted) == (made[0].engaged_at is not None)
 
 
-def _kernel_lse_case(rng, rows, cols, d=2, kind="isotropic"):
-    """Random symmetric potentials, multipliers and a cost of ``kind``."""
+def _kernel_lse_case(rng, rows, cols, d=2):
+    """Random symmetric potentials, multipliers and a cost."""
     def sym(n):
         a = rng.standard_normal((n, d, d))
         return a + np.swapaxes(a, -1, -2)
-    if kind == "isotropic":
-        cost = GroundCost("isotropic", rng.uniform(0.0, 2.0, size=(rows, cols)))
-    else:
-        cost = GroundCost("matrix", np.abs(sym(rows * cols)).reshape(
-            rows, cols, d, d))
+    cost = GroundCost(rng.uniform(0.0, 2.0, size=(rows, cols)))
     return (sym(rows), sym(cols), rng.standard_normal(rows),
             rng.standard_normal(cols), cost)
 
@@ -937,7 +918,7 @@ class TestKernelLse:
         want = qot_cost.lse_reduce(qot_cost.kernel(*terms, cost, cfg.eps),
                                    axis=axis)
         monkeypatch.setattr(qot_cost, "lse_reduce", None)  # never reached
-        got = qot_cost._kernel_lse(*terms, cost.kind, cost.values, cfg.eps, axis)
+        got = qot_cost._kernel_lse(*terms, cost.values, cfg.eps, axis)
         assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("rows,cols", SHAPES)
@@ -957,23 +938,22 @@ class TestKernelLse:
             for t, case in zip(terms, cases)])
         monkeypatch.setattr(qot_cost, "lse_reduce", None)  # never reached
         got = qot_cost._kernel_lse(
-            *(np.stack(side) for side in zip(*terms)), "isotropic",
+            *(np.stack(side) for side in zip(*terms)),
             np.stack([case[4].values for case in cases]), cfg.eps, axis)
         assert got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("d,kind", [(3, "isotropic"), (2, "matrix")])
+    @pytest.mark.parametrize("d", [3], ids=["3-isotropic"])
     @pytest.mark.parametrize("axis", [0, 1])
-    def test_other_cases_reduce_the_kernel_stack(self, monkeypatch, d, kind,
-                                                 axis):
+    def test_other_cases_reduce_the_kernel_stack(self, monkeypatch, d, axis):
         rng = np.random.default_rng(d)
-        u, v, alpha, beta, cost = _kernel_lse_case(rng, 4, 5, d, kind)
+        u, v, alpha, beta, cost = _kernel_lse_case(rng, 4, 5, d)
         cfg = SolverConfig(eps=0.1, trace_constrained=True)
         terms = solver._kernel_terms(u, v, alpha, beta, cfg)
         reduced = []
         lse_reduce = qot_cost.lse_reduce
         monkeypatch.setattr(qot_cost, "lse_reduce", lambda k, axis: (
             reduced.append(k.shape) or lse_reduce(k, axis=axis)))
-        got = qot_cost._kernel_lse(*terms, cost.kind, cost.values, cfg.eps, axis)
+        got = qot_cost._kernel_lse(*terms, cost.values, cfg.eps, axis)
         assert reduced == [(4, 5, d, d)]
         want = lse_reduce(qot_cost.kernel(*terms, cost, cfg.eps), axis=axis)
         assert np.array_equal(got, want)

@@ -17,7 +17,7 @@ differs`` if anything but the numbers does).  ``bench/checks.py``
 checks the change's outputs.  Last, the lines of each ``src/qot/*.py``
 module in both checkouts (as ``wc -l`` counts them), with the net change
 per module and in total, and each checkout's public surface: the names in
-``qot.__all__`` and the fields of the settings classes (``SURFACE_CLASSES``),
+``qot.__all__`` and the fields of its data classes (``SURFACE_CLASSES``),
 read by a child process on the checkout's ``src``, with the names the
 change added or removed.
 
@@ -42,8 +42,10 @@ sys.path.insert(0, str(ROOT / "bench"))
 import checks  # noqa: E402
 import run  # noqa: E402
 
-# The classes whose fields are settable values of the public surface.
-SURFACE_CLASSES = ("SolverConfig", "BarycenterProblem", "InterpolationParams")
+# The classes whose fields are the public surface: the settings classes and
+# the ground cost's data.
+SURFACE_CLASSES = ("SolverConfig", "BarycenterProblem", "InterpolationParams",
+                   "GroundCost")
 
 # Prints the surface of the qot on the path as JSON, {part: [names]}: the
 # names in qot.__all__, then the fields of each class named in argv.
