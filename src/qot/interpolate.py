@@ -17,7 +17,7 @@ import numpy as np
 
 from .measure import (Coupling, TensorMeasure, _as_tensor_stack, _check_coupling,
                       marginal_cols, marginal_rows)
-from .sym import clamp_psd, eig_sym, exp_sym, log_sym, _reconstruct
+from .sym import _spectral, clamp_psd, eigvals_sym, exp_sym, log_sym
 
 __all__ = [
     "InterpolationParams",
@@ -67,12 +67,13 @@ def _clamped_inverse(mats: np.ndarray) -> np.ndarray:
     """Inverses of near-PSD matrices with eigenvalues clamped at
     ``_INV_FLOOR * lambda_max``; an (all-but-)zero matrix inverts to zero,
     which silently drops the corresponding massless coupling row."""
-    vals, vecs = eig_sym(mats)
-    lam_max = vals[..., :1]
-    dead = lam_max <= 1e-300
-    floor = np.where(dead, 1.0, _INV_FLOOR * np.abs(lam_max))
-    inv = np.where(dead, 0.0, 1.0 / np.maximum(vals, floor))
-    return _reconstruct(inv, vecs)
+    def clamped_inv(vals):
+        lam_max = vals[..., :1]
+        dead = lam_max <= 1e-300
+        floor = np.where(dead, 1.0, _INV_FLOOR * np.abs(lam_max))
+        return np.where(dead, 0.0, 1.0 / np.maximum(vals, floor))
+
+    return _spectral(mats, clamped_inv)
 
 
 def _raw_interpolation_products(mu: TensorMeasure, nu: TensorMeasure,
@@ -419,7 +420,7 @@ def anisotropic_diffuse(field: TensorMeasure, noise_seed: int, steps: int,
     if not (dt >= 0.0 and math.isfinite(dt)):
         raise ValueError("dt must be finite and >= 0")
     conduct = field.tensors[order].reshape(ny, nx, 2, 2)
-    lam_max = float(eig_sym(conduct).values.max(initial=0.0))
+    lam_max = float(eigvals_sym(conduct).max(initial=0.0))
     if lam_max > 0.0 and dt > 0.2 / lam_max:
         raise ValueError(
             f"dt {dt:g} violates the stability bound {0.2 / lam_max:g}"

@@ -2,10 +2,11 @@
 output for scalar grids.
 
 Each atom draws as an ellipse centered at its point: semi-axes
-proportional to the tensor's eigenvalues, axes along its eigenvectors.
+proportional to the tensor's eigenvalues, along its principal axes.
 3x3 tensors are projected onto their XY block (noted in the output);
-1x1 tensors draw as circles.  The rotation angle is the one output of the
-package that depends on an eigenvector's sign, so this module fixes it.
+1x1 tensors draw as circles.  The rotation angle of the major axis is
+read off the entries as ``atan2(2 a01, a00 - a11) / 2``, in degrees
+within [-45, 135), with no eigenvector.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .measure import TensorMeasure
-from .sym import eig_sym
+from .sym import eigvals_sym
 
 __all__ = ["render_field_svg", "write_pgm"]
 
@@ -60,15 +61,10 @@ def render_field_svg(field: TensorMeasure, scale: float = 0.05,
         )
 
     if len(points):
-        vals, vecs = eig_sym(tensors)
-        radii = scale * np.maximum(vals, 0.0)
-        # eig_sym fixes no eigenvector sign: flip each leading axis so
-        # that its largest-magnitude component is nonnegative (the first
-        # wins ties).
-        lead = vecs[:, :, 0]
-        big = np.take_along_axis(lead, np.argmax(np.abs(lead), axis=1)[:, None], axis=1)
-        lead = lead * np.where(big < 0.0, -1.0, 1.0)
-        angles = np.degrees(np.arctan2(lead[:, 1], lead[:, 0]))
+        radii = scale * np.maximum(eigvals_sym(tensors), 0.0)
+        angles = 0.5 * np.degrees(np.arctan2(2.0 * tensors[:, 0, 1],
+                                             tensors[:, 0, 0] - tensors[:, 1, 1]))
+        angles[angles < -45.0] += 180.0
         xy = points[:, :2]
         pad = float(radii.max(initial=0.0)) + 0.05
         lo = xy.min(axis=0) - pad

@@ -36,8 +36,7 @@ from .measure import (
 from .sym import (
     KERNEL_TOL,
     _kernel_directions,
-    _reconstruct,
-    eig_sym,
+    _spectral,
     eigvals_sym,
     log_sym,
     lse_reduce,
@@ -230,18 +229,25 @@ def _exp_capped(mats):
     """exp with eigenvalues capped at ``_EXP_SAT``; returns the matrices
     and whether the cap was hit (possible only in unconverged directions).
     Every solver output read off the potentials goes through it."""
-    vals, vecs = eig_sym(mats)
-    hit = bool(np.any(vals > _EXP_SAT))
-    return _reconstruct(np.exp(np.minimum(vals, _EXP_SAT)), vecs), hit
+    hit = False
+
+    def capped_exp(vals):
+        nonlocal hit
+        hit = bool(np.any(vals > _EXP_SAT))
+        return np.exp(np.minimum(vals, _EXP_SAT))
+
+    gamma = _spectral(mats, capped_exp)
+    return gamma, hit
 
 
 def _range_projectors(tensors: np.ndarray):
     """Orthogonal projectors onto the ranges of PSD tensors, with the
     kernel of :func:`quantum_kl` (eigenvalues at most ``KERNEL_TOL``
-    times the largest), and whether each tensor has a kernel."""
-    vals, vecs = eig_sym(tensors)
-    kernel = _kernel_directions(vals)
-    return _reconstruct((~kernel).astype(float), vecs), kernel.any(axis=-1)
+    times the largest), and whether each tensor has a kernel: whether
+    its projector's trace, its rank, falls short of the dimension."""
+    proj = _spectral(tensors, lambda vals: (~_kernel_directions(vals)).astype(float))
+    rank = np.trace(proj, axis1=-2, axis2=-1)
+    return proj, rank < tensors.shape[-1] - 0.5
 
 
 def _coupling(k: np.ndarray, row_tensors: np.ndarray, col_tensors: np.ndarray):
@@ -265,8 +271,8 @@ def _coupling(k: np.ndarray, row_tensors: np.ndarray, col_tensors: np.ndarray):
     if rows.size:
         # The intersection of the ranges is the eigenvalue-2 eigenspace of
         # P + Q (principal angle zero).
-        vals, vecs = eig_sym(p[rows] + q[cols])
-        both = _reconstruct((vals > 2.0 - 0.5 * KERNEL_TOL).astype(float), vecs)
+        both = _spectral(p[rows] + q[cols],
+                         lambda vals: (vals > 2.0 - 0.5 * KERNEL_TOL).astype(float))
         kept = both @ gamma[rows, cols] @ both
         kept = 0.5 * (kept + np.swapaxes(kept, -1, -2))
         traces = np.trace(gamma, axis1=-2, axis2=-1)

@@ -1,17 +1,20 @@
 """Symmetric-matrix calculus on dense stacks.
 
-Eigendecompositions of 2x2 matrices use a vectorized closed form; every
-other size goes to LAPACK (``np.linalg.eigh``), reordered to descending
-eigenvalues.  Eigenvectors carry no sign convention: every function here
-depends only on eigenvalues and eigenprojectors ``v v^T``, which are
-bitwise unchanged when ``v`` flips sign.  Matrix exp / log are spectral;
-eigenvalue clamping stands in for the singular-matrix limit (see
-:func:`log_sym`).  The matrix log-sum-exp of 2x2 stacks, the hot path of
-every d = 2 solve, works on the entry arrays alone, with no eigenvector
-matrices or matrix products, in two steps: :func:`_lse2_sums` sums each
-exponential from its eigenvalues and the weights of its top
-eigenprojector, read off the entries, and :func:`_lse2_log` takes the
-log of the sums from the closed-form eigensystem in a projector form.
+Every function of a symmetric matrix (exp, log, eigenvalue clamping,
+inversion, projectors) goes through one helper, :func:`_spectral`, which
+applies a function to the eigenvalues.  At d = 2 it reads the eigenvalues
+and the top eigenprojector ``P`` straight off the entries
+(:func:`_spec2`) and writes ``f(A) = f(w1) P + f(w2) (I - P)`` entry by
+entry, with no eigenvectors and no matrix products; every other size goes
+to LAPACK (``np.linalg.eigh``).  The one public eigendecomposition,
+:func:`eig_sym`, is ``eigh`` at every size, and its eigenvectors carry no
+sign convention.  Eigenvalue clamping stands in for the singular-matrix
+limit (see :func:`log_sym`).  The matrix log-sum-exp of 2x2 stacks, the
+hot path of every d = 2 solve, works on the entry arrays alone, in two
+steps: :func:`_lse2_sums` sums each exponential from its eigenvalues and
+the weights of its top eigenprojector, read off the entries, and
+:func:`_lse2_log` takes the log of the sums through :func:`_spectral2`,
+the 2x2 branch of :func:`_spectral`.
 The solvers sum kernel entries built one block at a time, so a d = 2
 iteration never holds a kernel stack, and take one log step of all
 their sums (see ``qot.cost._kernel_lse``).  Callers that need only
@@ -113,10 +116,12 @@ def _dense(x) -> np.ndarray:
 
 
 def _eig2_values(a00, a01, a11):
-    """Closed-form eigenvalues ``w1 >= w2`` of symmetric 2x2 matrices given
-    by their entry arrays, and the one of larger magnitude."""
+    """Closed-form eigenvalues ``(w1, w2)``, ``w1 >= w2``, of symmetric 2x2
+    matrices given by their entry arrays, as one ``(..., 2)`` array, with
+    ``p = (a00 - a11)/2`` and the half-gap ``r = hypot(p, a01)``."""
+    p = 0.5 * (a00 - a11)
     mid = 0.5 * a00 + 0.5 * a11
-    rad = np.hypot(0.5 * (a00 - a11), a01)
+    rad = np.hypot(p, a01)
     # Larger-magnitude root from the quadratic formula; the other through
     # the determinant quotient, which keeps relative accuracy for
     # eigenvalues far below ulp(lambda_max).
@@ -128,98 +133,94 @@ def _eig2_values(a00, a01, a11):
     other = np.where(
         big != 0.0, (acmx / safe_big) * acmn - (a01 / safe_big) * a01, 0.0
     )
-    return np.maximum(big, other), np.minimum(big, other), big
+    vals = np.empty(np.shape(big) + (2,))
+    np.maximum(big, other, out=vals[..., 0])
+    np.minimum(big, other, out=vals[..., 1])
+    return vals, p, rad
 
 
-def _eig2_parts(a00, a01, a11):
-    """Closed-form eigensystem of symmetric 2x2 matrices given by their
-    entry arrays: returns ``(w1, w2, x, y)`` with eigenvalues
-    ``w1 >= w2`` and ``(x, y)`` a unit eigenvector of ``w1``; ``(-y, x)``
-    spans the other eigenspace."""
-    # The eigenvalue temporaries are freed on return (2 MB less peak
-    # memory in a desk transport).
-    w1, w2, big = _eig2_values(a00, a01, a11)
+def _spec2(a00, a01, a11):
+    """Closed-form spectrum of symmetric 2x2 matrices given by their entry
+    arrays, with no eigenvectors: the eigenvalues ``(w1, w2)`` of
+    :func:`_eig2_values` and the entries ``P00, P01, P11`` of the top
+    eigenprojector ``P = (A - w2 I) / 2r``.
 
-    # (A - w1 I) v = 0 has the two algebraically equivalent solutions
-    # (a01, w1-a00) and (w1-a11, a01); pick the better-conditioned one.
-    # Both are first scaled by the power of two of |big| = max |lambda|,
-    # which bounds each of their entries by 2 |big|, so the squared norms
-    # cannot overflow (the PSD check of a capped coupling meets entries up
-    # to 1e304); the scaling is exact, so it changes no bit of an in-range
-    # result.  The arrays made by np.where are normalized in place, which
-    # spares the page faults of fresh temporaries on the large stacks of a
-    # solve.
-    expo = -np.frexp(big)[1]
-    d00 = np.ldexp(w1 - a00, expo)
-    d11 = np.ldexp(w1 - a11, expo)
-    s01 = np.ldexp(a01, expo)
-    n1 = s01 * s01 + d00 * d00
-    n2 = d11 * d11 + s01 * s01
-    first = n1 >= n2
-    x = np.where(first, s01, d11)
-    y = np.where(first, d00, s01)
-    norm = np.where(first, n1, n2)
-    np.sqrt(norm, out=norm)
-    isotropic = norm <= 0.0
-    norm[isotropic] = 1.0
-    x /= norm
-    y /= norm
-    x[isotropic] = 1.0
-    y[isotropic] = 0.0
-    return w1, w2, x, y
-
-
-def _eig2(a: np.ndarray) -> EigenPair:
-    w1, w2, x, y = _eig2_parts(a[..., 0, 0], a[..., 0, 1], a[..., 1, 1])
-    vals = np.stack([w1, w2], axis=-1)
-    vecs = np.stack([np.stack([x, -y], axis=-1), np.stack([y, x], axis=-1)],
-                    axis=-2)
-    return EigenPair(vals, vecs)
+    With ``p = (a00 - a11)/2``, ``q = a01`` and ``r = sqrt(p^2 + q^2)``,
+    ``P`` has the diagonal ``(t + |p| +- p) / 2r`` and the off-diagonal
+    ``q / 2r``, where ``t = q^2 / (r + |p|)`` is ``r - |p|`` without
+    cancellation.  Each is formed from ``p/r`` and ``q/r``, which lie in
+    [-1, 1], so no square overflows, and scaling ``A`` by a power of two
+    changes no bit of ``P``.  An isotropic matrix (``r = 0``) reads as
+    ``diag(1, 0)``: its ``P`` is ``e1 e1^T``."""
+    vals, p, r = _eig2_values(a00, a01, a11)
+    iso = r == 0.0
+    p, q, r = np.where(iso, 1.0, p), np.where(iso, 0.0, a01), np.where(iso, 1.0, r)
+    u, v = p / r, q / r
+    au = np.abs(u)
+    t = v * v / (1.0 + au)
+    return vals, 0.5 * (t + (au + u)), 0.5 * v, 0.5 * (t + (au - u))
 
 
 def eig_sym(mats) -> EigenPair:
-    """Eigendecomposition of symmetric matrices.
-
-    2x2 stacks use the closed form of :func:`_eig2`, faster than
-    ``np.linalg.eigh`` on large stacks; every other size uses
-    ``np.linalg.eigh``.
-
-    Parameters
-    ----------
-    mats : array_like
-        Symmetric matrices, shape ``(..., d, d)``.
+    """Eigendecomposition of symmetric matrices ``(..., d, d)`` by
+    ``np.linalg.eigh``, at every size.  Functions of a matrix go through
+    :func:`_spectral`, which decomposes 2x2 matrices with no eigenvectors.
 
     Returns
     -------
     EigenPair
         ``values`` sorted descending with shape ``(..., d)``;
         ``vectors`` orthonormal columns with shape ``(..., d, d)``, with
-        no sign convention (a caller that draws a direction picks its
-        own).  Deterministic: identical input bits give identical output
-        bits.
+        no sign convention.  Deterministic: identical input bits give
+        identical output bits.
     """
-    a = _dense(mats)
-    if a.shape[-1] == 2:
-        return _eig2(a)
-    vals, vecs = np.linalg.eigh(a)
+    vals, vecs = np.linalg.eigh(_dense(mats))
     return EigenPair(vals[..., ::-1], vecs[..., ::-1])
 
 
 def eigvals_sym(mats) -> np.ndarray:
     """Eigenvalues of symmetric matrices ``(..., d, d)``, sorted descending
     with shape ``(..., d)``, without eigenvectors: the closed form at
-    d = 2 (bit for bit ``eig_sym(mats).values``), ``np.linalg.eigvalsh``
-    for every other size."""
+    d = 2 (bit for bit the eigenvalues of :func:`_spectral`),
+    ``np.linalg.eigvalsh`` for every other size."""
     a = _dense(mats)
     if a.shape[-1] == 2:
-        w1, w2, _ = _eig2_values(a[..., 0, 0], a[..., 0, 1], a[..., 1, 1])
-        return np.stack([w1, w2], axis=-1)
+        return _eig2_values(a[..., 0, 0], a[..., 0, 1], a[..., 1, 1])[0]
     return np.linalg.eigvalsh(a)[..., ::-1]
 
 
 def _reconstruct(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     out = (vecs * vals[..., None, :]) @ np.swapaxes(vecs, -1, -2)
     return 0.5 * (out + np.swapaxes(out, -1, -2))
+
+
+def _spectral(mats, f) -> np.ndarray:
+    """``f(A)`` for symmetric matrices ``A`` of shape ``(..., d, d)``,
+    with ``f`` mapping the descending eigenvalues ``(..., d)`` of each
+    matrix to its values at them: :func:`_spectral2` at d = 2, and
+    :func:`eig_sym` with :func:`_reconstruct` at every other size."""
+    a = _dense(mats)
+    if a.shape[-1] == 2:
+        return _spectral2(a[..., 0, 0], a[..., 0, 1], a[..., 1, 1], f)
+    vals, vecs = eig_sym(a)
+    return _reconstruct(f(vals), vecs)
+
+
+def _spectral2(a00, a01, a11, f) -> np.ndarray:
+    """:func:`_spectral` of the symmetric 2x2 matrices with the entry
+    arrays ``a00, a01, a11``, as a dense ``(..., 2, 2)`` stack: ``f(w1) P
+    + f(w2) (I - P)`` written entry by entry from :func:`_spec2`, with the
+    diagonal of ``I - P`` read as that of ``P`` swapped, so a weak
+    direction keeps its own value and a diagonal input keeps its diagonal
+    bits."""
+    vals, p00, p01, p11 = _spec2(a00, a01, a11)
+    fv = f(vals)
+    f1, f2 = fv[..., 0], fv[..., 1]
+    out = np.empty(f1.shape + (2, 2))
+    out[..., 0, 0] = f1 * p00 + f2 * p11
+    out[..., 1, 1] = f1 * p11 + f2 * p00
+    out[..., 0, 1] = out[..., 1, 0] = (f1 - f2) * p01
+    return out
 
 
 def exp_sym(mats) -> np.ndarray:
@@ -231,14 +232,16 @@ def exp_sym(mats) -> np.ndarray:
     OverflowError
         If any exponentiated eigenvalue is not finite.
     """
-    vals, vecs = eig_sym(mats)
-    with np.errstate(over="ignore"):
-        ev = np.exp(vals)
-    if not np.all(np.isfinite(ev)):
-        raise OverflowError(
-            f"matrix exponential overflow (max eigenvalue {vals.max():g})"
-        )
-    return _reconstruct(ev, vecs)
+    def checked_exp(vals):
+        with np.errstate(over="ignore"):
+            ev = np.exp(vals)
+        if not np.all(np.isfinite(ev)):
+            raise OverflowError(
+                f"matrix exponential overflow (max eigenvalue {vals.max():g})"
+            )
+        return ev
+
+    return _spectral(mats, checked_exp)
 
 
 def log_sym(mats) -> np.ndarray:
@@ -248,15 +251,13 @@ def log_sym(mats) -> np.ndarray:
     log, so singular directions come out as large negative log-eigenvalues
     (about -34.5) instead of -inf.
     """
-    vals, vecs = eig_sym(mats)
-    return _reconstruct(np.log(np.maximum(vals, EIG_FLOOR)), vecs)
+    return _spectral(mats, lambda vals: np.log(np.maximum(vals, EIG_FLOOR)))
 
 
 def clamp_psd(mats) -> np.ndarray:
     """Project symmetric matrices onto the PSD cone by clamping negative
     eigenvalues at zero."""
-    vals, vecs = eig_sym(mats)
-    return _reconstruct(np.maximum(vals, 0.0), vecs)
+    return _spectral(mats, lambda vals: np.maximum(vals, 0.0))
 
 
 def _not_psd(vals: np.ndarray) -> np.ndarray:
@@ -286,14 +287,6 @@ def _normalize_reduce_axis(a: np.ndarray, axis: int) -> int:
     return axis
 
 
-def _projector_form(f1, f2, x, y):
-    """Entries ``(00, 01, 11)`` of ``f1 v v^T + f2 (I - v v^T)`` with
-    ``v = (x, y)`` a unit vector: ``f(A)`` for the symmetric 2x2 ``A``
-    whose top eigenvector is ``v``, given ``f`` at its two eigenvalues."""
-    xx, yy = x * x, y * y
-    return f1 * xx + f2 * yy, (f1 - f2) * (x * y), f1 * yy + f2 * xx
-
-
 def _lse2_sums(a00, a01, a11, axis: int) -> tuple:
     """The summing step of the 2x2 matrix log-sum-exp of
     :func:`lse_reduce` along ``axis`` of the entry arrays ``a00``,
@@ -313,6 +306,9 @@ def _lse2_sums(a00, a01, a11, axis: int) -> tuple:
     exponential ``e2``.  A block whose ``p^2 + q^2`` overflows is rescaled
     pair by pair by exact powers of two; ``P`` does not depend on the
     scale."""
+    # Read inline rather than through _spec2, whose determinant quotient,
+    # hypot and normalised P took a desk iteration from 4.7 to 7.4 ms
+    # (median of 10 interleaved solves, one BLAS thread on a 2-core host).
     p, mid, q = 0.5 * (a00 - a11), 0.5 * (a00 + a11), a01
     with np.errstate(over="ignore"):
         qq = q * q
@@ -342,17 +338,13 @@ def _lse2_sums(a00, a01, a11, axis: int) -> tuple:
 def _lse2_log(s00, s01, s11, shift) -> np.ndarray:
     """The log step of the 2x2 matrix log-sum-exp: ``shift I + log S``
     for the entries and shifts of :func:`_lse2_sums`, as a dense
-    ``(..., 2, 2)`` stack.  It works entry by entry, so the sums of many
-    calls of the summing step can share one log step.  The log takes the
-    eigensystem of :func:`_eig2_parts`, whose weak eigenvalue keeps the
-    relative accuracy the log needs, in the projector form."""
-    l1, l2, x, y = _eig2_parts(s00, s01, s11)
-    r00, r01, r11 = _projector_form(
-        np.log(np.maximum(l1, _TINY)), np.log(np.maximum(l2, _TINY)), x, y)
-    out = np.empty(s00.shape + (2, 2))
-    out[..., 0, 0] = r00 + shift
-    out[..., 1, 1] = r11 + shift
-    out[..., 0, 1] = out[..., 1, 0] = r01
+    ``(..., 2, 2)`` stack.  It works line by line, so the sums of many
+    calls of the summing step can share one log step.  The log goes
+    through :func:`_spectral2`, whose weak eigenvalue keeps the relative
+    accuracy the log needs."""
+    out = _spectral2(s00, s01, s11, lambda vals: np.log(np.maximum(vals, _TINY)))
+    out[..., 0, 0] += shift
+    out[..., 1, 1] += shift
     return out
 
 
@@ -371,24 +363,27 @@ def lse_reduce(mats, axis: int = 0) -> np.ndarray:
     :func:`_lse2_sums` writes each ``exp(M_k - m I)`` as
     ``e1 P + e2 (I - P)``, with the eigenvalues and the weights of the
     top eigenprojector ``P`` read off the entries, and sums its three
-    entries as arrays; :func:`_lse2_log` takes the log of the sum through
-    the closed-form eigensystem of :func:`_eig2_parts`.  Each
+    entries as arrays; :func:`_lse2_log` takes the log of the sum.  Each
     eigen-direction keeps its own exponential, so one far below the shift
     is not lost to cancellation as in the ``cosh``/``sinh`` form of
     ``exp``.  The solvers' d = 2 loops reach both steps through
-    ``qot.cost._kernel_lse``, with no kernel stack.
+    ``qot.cost._kernel_lse``, with no kernel stack.  Every other size
+    takes the exponentials and the log through :func:`_spectral`.
     """
     a = _dense(mats)
     axis = _normalize_reduce_axis(a, axis)
     if a.shape[-1] == 2:
         return _lse2_log(*_lse2_sums(a[..., 0, 0], a[..., 0, 1], a[..., 1, 1], axis))
-    vals, vecs = eig_sym(a)
-    shift = vals[..., 0].max(axis=axis, keepdims=True)
-    ev = np.exp(vals - shift[..., None])
-    vals, vecs = eig_sym(_reconstruct(ev, vecs).sum(axis=axis))
-    out = _reconstruct(np.log(np.maximum(vals, _TINY)), vecs)
-    shift = np.squeeze(shift, axis=axis)[..., None, None]
-    return out + shift * np.eye(vals.shape[-1])
+    shift = None
+
+    def shifted_exp(vals):
+        nonlocal shift
+        shift = vals[..., :1].max(axis=axis, keepdims=True)
+        return np.exp(vals - shift)
+
+    total = _spectral(a, shifted_exp).sum(axis=axis)
+    out = _spectral(total, lambda vals: np.log(np.maximum(vals, _TINY)))
+    return out + np.squeeze(shift, axis=axis)[..., None] * np.eye(a.shape[-1])
 
 
 def lste_reduce(mats, axis: int = 0) -> np.ndarray:

@@ -25,7 +25,6 @@ from qot.interpolate import InterpolationParams, displacement_interpolate
 from qot.measure import Coupling, TensorMeasure
 from qot.render import render_field_svg, write_pgm
 from qot.solver import SolverConfig, sinkhorn_solve
-from qot.sym import EigenPair, eig_sym
 
 
 def write_field(path, points, tensors):
@@ -884,26 +883,35 @@ class TestRenderCommand:
         field = TensorMeasure(rng.uniform(size=(4, 2)), random_psd(rng, 2, n=4))
         assert render_field_svg(field) == render_field_svg(field)
 
+    @staticmethod
+    def angles(svg):
+        """The angle of each ellipse's major axis (the negated rotation)."""
+        return -np.array([float(x) for x in re.findall(r"rotate\((\S+) ", svg)])
+
+    def test_angles_of_the_ties(self):
+        # Isotropic, axis-aligned, diagonal (equal-magnitude) and
+        # negative-zero leading axes, and the zero tensor.
+        ties = np.array([np.eye(2), np.diag([2.0, 1.0]), np.diag([1.0, 2.0]),
+                         [[2.0, 1.0], [1.0, 2.0]], [[2.0, -1.0], [-1.0, 2.0]],
+                         [[2.0, -0.0], [-0.0, 1.0]], [[1.0, -0.0], [-0.0, 1.0]],
+                         np.zeros((2, 2))])
+        field = TensorMeasure(np.arange(16.0).reshape(8, 2), ties)
+        got = self.angles(render_field_svg(field))
+        assert got.tolist() == [0.0, 0.0, 90.0, 45.0, -45.0, 0.0, 0.0, 0.0]
+
     @pytest.mark.parametrize("d", [2, 3])
-    def test_bytes_independent_of_eigenvector_signs(self, monkeypatch, d):
-        # Random tensors plus the ties of the sign rule: isotropic,
-        # axis-aligned and diagonal (equal-magnitude) leading axes.
+    def test_angles_match_the_sign_rule(self, d):
+        # The reference: the angle of the leading eigenvector of the XY
+        # block, flipped so that its largest-magnitude component is
+        # nonnegative (the first wins ties).
         rng = np.random.default_rng(23 + d)
-        ties = np.array([np.eye(2), np.diag([2.0, 1.0]),
-                         [[2.0, 1.0], [1.0, 2.0]], [[2.0, -1.0], [-1.0, 2.0]]])
-        tensors = np.zeros((4, d, d))
-        tensors[:, :2, :2] = ties
-        tensors[:, 2:, 2:] = np.eye(d - 2)
-        tensors = np.concatenate([tensors, random_psd(rng, d, n=12)])
-        field = TensorMeasure(rng.uniform(size=(16, 2)), tensors)
-        expected = render_field_svg(field)
-
-        def negated(mats):
-            vals, vecs = eig_sym(mats)
-            return EigenPair(vals, -vecs)
-
-        monkeypatch.setattr(qot.render, "eig_sym", negated)
-        assert render_field_svg(field) == expected
+        tensors = random_psd(rng, d, n=200)
+        field = TensorMeasure(rng.uniform(size=(200, 2)), tensors)
+        lead = np.linalg.eigh(tensors[:, :2, :2])[1][:, :, -1]
+        big = np.take_along_axis(lead, np.argmax(np.abs(lead), axis=1)[:, None], axis=1)
+        lead = lead * np.where(big < 0.0, -1.0, 1.0)
+        want = np.degrees(np.arctan2(lead[:, 1], lead[:, 0]))
+        assert np.abs(self.angles(render_field_svg(field)) - want).max() <= 1e-6
 
 
 class TestNoiseCommand:

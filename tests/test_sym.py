@@ -12,10 +12,12 @@ from hypothesis import strategies as st
 
 from helpers import oriented_tensor
 
+from qot.interpolate import _INV_FLOOR, _clamped_inverse
+from qot.solver import _EXP_SAT, _exp_capped
 from qot.sym import (
     EIG_FLOOR,
-    _eig2,
     _reconstruct,
+    _spec2,
     clamp_psd,
     eig_sym,
     eigvals_sym,
@@ -178,7 +180,7 @@ class TestEig:
 
 
 class TestEigvals:
-    def test_2x2_bit_identical_to_eig_sym(self):
+    def test_2x2_bit_identical_to_the_spectral_form(self):
         rng = np.random.default_rng(13)
         mats = np.concatenate([
             random_sym(rng, 2, n=200, scale=3.0),
@@ -186,9 +188,10 @@ class TestEigvals:
             np.stack([np.zeros((2, 2)), np.eye(2), np.diag([1e300, -1e-300]),
                       [[0.0, 1.0], [1.0, 0.0]]]),
         ])
-        assert np.array_equal(eigvals_sym(mats), eig_sym(mats).values)
+        vals = _spec2(mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 1])[0]
+        assert np.array_equal(eigvals_sym(mats), vals)
 
-    @pytest.mark.parametrize("d", [3, 4])
+    @pytest.mark.parametrize("d", [2, 3, 4])
     def test_matches_eigh_values(self, d):
         rng = np.random.default_rng(31 + d)
         mats = random_sym(rng, d, n=200, scale=2.0)
@@ -246,14 +249,14 @@ class TestEig2Property:
         det = Fraction(a00) * Fraction(a11) - Fraction(a01) ** 2
         small = float(det / Fraction(big))
         # values are sorted descending
-        got = _eig2(a).values[0 if small > big else 1]
+        got = _spec2(a00, a01, a11)[0][0 if small > big else 1]
         scale = (abs(a00 * a11) + a01 * a01) / abs(big)
         assert abs(got - small) <= 4.0 * 2.0**-52 * scale
 
 
 class TestEig2Range:
-    """Entries beyond about 1e154 used to overflow the squared norms of the
-    eigenvector candidates, leaving a zero "unit" vector."""
+    """Entries up to the top of the float range: the top eigenprojector of
+    :func:`_spec2` squares no entry, so none overflows."""
 
     def test_log_of_huge_rotated_matrix(self):
         # R diag(1e200, 1) R^T: the stored entries keep the top eigenpair
@@ -270,7 +273,8 @@ class TestEig2Range:
         exact = r @ np.diag([math.log(1e200), 0.0]) @ r.T
         assert abs(top @ (log_a - exact) @ top) < 1e-12 * math.log(1e200)
         assert np.abs(log_a @ top - math.log(1e200) * top).max() < 1e-12 * math.log(1e200)
-        assert np.allclose(eig_sym(a).vectors[:, 0], top, rtol=0.0, atol=1e-15)
+        assert np.allclose(self.projectors(a[None])[0], np.outer(top, top),
+                           rtol=0.0, atol=1e-15)
 
     def test_log_of_exact_power_of_two_scaling(self):
         # 2^660 [[2, 1], [1, 2]] is stored exactly: its logarithm is
@@ -283,22 +287,27 @@ class TestEig2Range:
         exact = 660 * math.log(2.0) * np.eye(2) + v @ np.diag([math.log(3.0), 0.0]) @ v.T
         assert np.abs(got - exact).max() < 4e-15 * np.abs(exact).max()
 
-    def test_unit_vectors_across_the_range(self):
+    @staticmethod
+    def projectors(mats):
+        p00, p01, p11 = _spec2(mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 1])[1:]
+        return np.stack([np.stack([p00, p01], -1), np.stack([p01, p11], -1)], -2)
+
+    def test_projector_idempotent_across_the_range(self):
         rng = np.random.default_rng(17)
         a = random_sym(rng, 2, n=200)
         scales = np.ldexp(1.0, rng.integers(-1000, 1000, size=200))
-        vecs = eig_sym(a * scales[:, None, None]).vectors
-        norms = np.linalg.norm(vecs, axis=-2)
-        assert np.abs(norms - 1.0).max() < 4e-16
+        p = self.projectors(a * scales[:, None, None])
+        assert np.all(np.isfinite(p))
+        assert np.abs(p @ p - p).max() < 4 * 2.0**-52
+        assert np.abs(np.trace(p, axis1=-2, axis2=-1) - 1.0).max() < 4 * 2.0**-52
 
     def test_in_range_bits_unchanged_by_a_power_of_two(self):
-        # The candidates are scaled by a power of two, so scaling the
-        # input by one changes no bit of the eigenvectors.
+        # P is read off p/r and q/r, which no exact scaling changes.
         rng = np.random.default_rng(23)
         a = random_sym(rng, 2, n=500, scale=50.0)
-        base = eig_sym(a).vectors
-        for k in (-300, -40, 40, 300):
-            assert np.array_equal(eig_sym(np.ldexp(a, k)).vectors, base)
+        base = self.projectors(a)
+        for k in (-1000, -300, -40, 40, 300, 1000):
+            assert np.array_equal(self.projectors(np.ldexp(a, k)), base)
 
 
 class TestFunctionalCalculus:
@@ -396,6 +405,7 @@ class TestLse:
 
 
 ULP = 2.0**-52
+SUBNORMAL = 2.0**-1074
 
 
 def _mp_sym_fun(a, b, c, f, df):
@@ -461,6 +471,93 @@ class TestLse2Property:
         ref = np.array([[float(r00), float(r01)], [float(r01), float(r11)]])
         tol = 16.0 * ULP * cond * (1.0 + np.abs(mats).max())
         assert np.abs(got - ref).max() <= tol
+
+
+@st.composite
+def well_conditioned_2x2(draw):
+    """Symmetric 2x2 matrices ``R diag(w1, w2) R^T`` with eigenvalues of
+    one sign, magnitudes in [1e-3, 500] and condition numbers up to 10."""
+    w1 = draw(st.sampled_from([1.0, -1.0])) * 10.0 ** draw(st.floats(-3.0, 2.7))
+    a = oriented_tensor(draw(st.floats(0.0, math.pi)), w1,
+                        w1 * draw(st.floats(0.1, 1.0)))
+    a[1, 0] = a[0, 1]
+    return a
+
+
+# Each 2x2 function: the function, its value at an eigenvalue ``w`` of a
+# matrix whose top eigenvalue is ``top`` in mpmath arithmetic, and the top
+# eigenvalues it accepts (exp_sym raises on overflow).
+_SPECTRAL_2X2 = {
+    "exp_sym": (exp_sym, lambda w, top: mpmath.exp(w), lambda top: top < 700.0),
+    "log_sym": (log_sym, lambda w, top: mpmath.log(max(w, EIG_FLOOR)), None),
+    "clamp_psd": (clamp_psd, lambda w, top: max(w, 0), None),
+    "_clamped_inverse": (_clamped_inverse, lambda w, top: (
+        0 if top <= 1e-300 else 1 / max(w, _INV_FLOOR * abs(top))), None),
+    "_exp_capped": (lambda mats: _exp_capped(mats)[0],
+                    lambda w, top: mpmath.exp(min(w, _EXP_SAT)), None),
+}
+
+
+def _mp_slope(g, x):
+    """A central difference of ``g`` at the mpmath number ``x``: the
+    derivative, or the mean of the one-sided ones at a kink."""
+    h = max(abs(x), mpmath.mpf(1e-300)) * mpmath.mpf(10) ** -20
+    return (g(x + h) - g(x - h)) / (2 * h)
+
+
+def _mp_spectral2(a, mp_fun):
+    """``f(w1) P + f(w2) (I - P)`` at the symmetric 2x2 ``a`` in 40-digit
+    arithmetic, with ``f = mp_fun(., w1)``; returns it, the rounding scale
+    of each entry and the sum of the ``c_k`` (see
+    :class:`TestSpectral2Property`)."""
+    with mpmath.workdps(40):
+        a00, a01, a11 = (mpmath.mpf(float(x)) for x in (a[0, 0], a[0, 1], a[1, 1]))
+        p = (a00 - a11) / 2
+        rad = mpmath.sqrt(p**2 + a01**2)
+        w1, w2 = (a00 + a11) / 2 + rad, (a00 + a11) / 2 - rad
+        if rad == 0:  # isotropic: any P will do
+            proj = np.array([[1, 0], [0, 0]], dtype=object)
+        else:  # (A - w2 I) / 2r, with t = r - |p| free of cancellation
+            t = a01**2 / (rad + abs(p))
+            proj = np.array([[t + (abs(p) + p), a01],
+                             [a01, t + (abs(p) - p)]]) / (2 * rad)
+        rest = np.array([[proj[1, 1], -proj[0, 1]], [-proj[1, 0], proj[0, 0]]])
+        big = max(abs(w1), abs(w2))
+        small = (abs(a00 * a11) + a01**2) / big
+        s1, s2 = (big, small) if abs(w1) >= abs(w2) else (small, big)
+        ref, scale, total = 0, 0, 0
+        for w, s, q in ((w1, s1, proj), (w2, s2, rest)):
+            f = mp_fun(w, w1)
+            c = (abs(f) + abs(_mp_slope(lambda x: mp_fun(x, w1), w)) * s
+                 + abs(_mp_slope(lambda top: mp_fun(w, top), w1)) * s1)
+            ref, scale, total = q * f + ref, abs(q) * c + scale, total + c
+        return ref.astype(float), scale.astype(float), float(total)
+
+
+class TestSpectral2Property:
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(st.lists(st.one_of(ill_conditioned_2x2(), well_conditioned_2x2()),
+                    min_size=1, max_size=6).map(np.stack))
+    def test_matches_high_precision_reference(self, mats):
+        """Against a 40-digit reference ``f(w1) P + f(w2) (I - P)``, each
+        entry stays within 8 ulp of ``sum_k c_k |Q_k|`` in that entry,
+        with ``Q_1 = P``, ``Q_2 = I - P`` and ``c_k = |f(w_k)| + |df_k|
+        s_k``: ``df_k`` is the change of ``f(w_k)`` with ``w_k``, plus
+        that with the top eigenvalue ``w1`` (the clamped inverse's floor)
+        times ``s_1``, and ``s_k`` the scale of the rounding in the
+        computed ``w_k``: ``max |w|`` for the larger-magnitude one and
+        ``(|a00 a11| + a01^2) / max |w|`` for the other, as the
+        determinant quotient gives it.  A weak direction thus keeps the
+        relative accuracy of its own term.  Subnormal entries of ``P``
+        have none: they may be off by a few of the smallest subnormal,
+        times ``c_k``."""
+        tops = np.linalg.eigvalsh(mats)[:, -1]
+        for name, (fun, mp_fun, accepts) in _SPECTRAL_2X2.items():
+            kept = mats if accepts is None else mats[[accepts(w) for w in tops]]
+            for a, out in zip(kept, fun(kept) if len(kept) else []):
+                ref, scale, total = _mp_spectral2(a, mp_fun)
+                tol = 8.0 * ULP * scale + 8.0 * SUBNORMAL * total
+                assert np.all(np.isfinite(out)) and np.all(np.abs(out - ref) <= tol), name
 
 
 def _lse_by_eigh(mats, axis):

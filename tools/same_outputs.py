@@ -11,9 +11,10 @@ can be printed (for a report of several solves, the largest gap); a report
 changes no other output.  Then every file of the two runs is compared:
 ``same`` if the bytes match; ``same values`` if it is JSON whose parsed
 document equals the parent's with every float bit-equal (only the layout
-of the text differs); otherwise the largest difference of the numbers in
-it, relative to the largest magnitude in the parent's file (or ``text
-differs`` if anything but the numbers does).  ``bench/checks.py``
+of the text differs); otherwise how many of its numbers are written
+differently and the largest difference of the numbers in it, relative
+to the largest magnitude in the parent's file (or ``text differs`` if
+anything but the numbers does).  ``bench/checks.py``
 checks the change's outputs.  Last, the lines of each ``src/qot/*.py``
 module in both checkouts (as ``wc -l`` counts them), with the net change
 per module and in total, and each checkout's public surface: the names in
@@ -88,11 +89,13 @@ def difference(a: str, b: str) -> str:
     parts_a, parts_b = _NUMBER.split(a), _NUMBER.split(b)
     if len(parts_a) != len(parts_b) or parts_a[::2] != parts_b[::2]:
         return "text differs"
+    moved = sum(u != v for u, v in zip(parts_a[1::2], parts_b[1::2]))
     x = [float(v) for v in parts_a[1::2]]
     y = [float(v) for v in parts_b[1::2]]
     diff = max((abs(p - q) for p, q in zip(x, y)), default=0.0)
     scale = max((abs(p) for p in x), default=0.0)
-    return f"largest relative difference {diff / scale if scale else diff:.3g}"
+    return (f"{moved} of {len(x)} numbers moved, largest relative difference "
+            f"{diff / scale if scale else diff:.3g}")
 
 
 def bit_equal(x, y) -> bool:
